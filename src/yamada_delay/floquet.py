@@ -8,12 +8,13 @@ the Floquet multipliers -- decide orbital stability: the trivial
 multiplier 1 reflects time translation, every other multiplier must lie
 strictly inside the unit circle.
 
-The operator is discretized on ``N`` uniform nodes (``3N`` unknowns,
-one per state component per node) with cubic interpolation for off-node
-lookups.  All ``3N`` basis histories are advanced in one vectorized
-fixed-step Runge-Kutta pass: the delayed term only ever needs the
-intensity row of the delayed state because ``M2`` has a single nonzero
-entry, which keeps the march cheap even for thousands of basis columns.
+The operator is discretized on ``N`` uniform nodes with cubic
+interpolation for off-node lookups.  Only ``I(t - tau)`` feeds back
+(``M2`` has a single nonzero entry), so the ``G`` and ``Q`` history
+before ``t = 0`` never reaches the future: the map acts on ``N + 2``
+unknowns, ``I`` at every node plus ``G`` and ``Q`` at the last node,
+whose basis histories are advanced in one vectorized fixed-step
+Runge-Kutta pass.
 
 As the delay grows, most multipliers condense onto the asymptotic
 continuous spectrum, the closed curve ``mu^k = kappa e^{i omega
@@ -209,6 +210,13 @@ def monodromy_multipliers(
 ) -> FloquetSet:
     """Leading Floquet multipliers via the discretized period map.
 
+    The map acts on ``I`` at the ``N`` nodes plus ``G`` and ``Q`` at the
+    last node and takes ``(N + 2)**2 * 8`` bytes.  Leaving out interior
+    ``G``/``Q`` is exact: on all ``3N`` unknowns the map is block
+    lower-triangular, and its interior ``G``/``Q`` block only shifts
+    values to later nodes (the period spans three or more node
+    spacings), so it adds nothing but zero multipliers.
+
     Parameters
     ----------
     orbit : PeriodicOrbit
@@ -231,7 +239,8 @@ def monodromy_multipliers(
     -----
     UserWarning
         When the trivial multiplier deviates from 1 by more than 5e-2,
-        indicating that ``N`` (or the march step) is too small.
+        indicating that ``N`` (or the march step) is too small, or when
+        the eigenvalue iteration converges for fewer than ``m`` of them.
     """
     params = orbit.params
     tau = params.tau
@@ -243,7 +252,7 @@ def monodromy_multipliers(
     if N < 8:
         raise InvalidArgumentError("need at least 8 history nodes")
     spacing = tau / (N - 1)
-    dim = 3 * N
+    dim = N + 2
     kap = params.kappa
 
     n_steps = max(1, int(math.ceil(T / step)))
@@ -254,18 +263,17 @@ def monodromy_multipliers(
     m1_nodes = _m1_along(orbit, t_nodes)
     m1_mids = _m1_along(orbit, t_nodes[:-1] + 0.5 * h)
 
-    # Basis: column 3j+c is the history that is 1 in component c at
-    # node j and 0 elsewhere; the initial state lives at the last node.
+    # Basis: column j < N is the history that is 1 in I at node j and 0
+    # elsewhere; columns N and N + 1 are G and Q at the last node, where
+    # the initial state lives.
     Y = np.zeros((3, dim))
-    for c in range(3):
-        Y[c, 3 * (N - 1) + c] = 1.0
+    Y[0, N] = Y[1, N + 1] = Y[2, N - 1] = 1.0
 
     def history_row(s: float) -> np.ndarray:
         """Intensity row of the interpolated initial history at s < 0."""
         j0, w = _cardinal_weights(s + tau, N, spacing)
         row = np.zeros(dim)
-        for l in range(4):
-            row[3 * (j0 + l) + 2] = w[l]
+        row[j0:j0 + 4] = w
         return row
 
     # Stored intensity rows (value and derivative) at past march nodes,
@@ -274,39 +282,31 @@ def monodromy_multipliers(
     stored_i: list[np.ndarray] = []
     stored_d: list[np.ndarray] = []
 
-    def delayed_row(s: float) -> np.ndarray:
-        if s <= 0.0:
-            return history_row(s)
-        j = int(s / h)
-        # cubic Hermite on the stored march nodes
-        t0 = j * h
-        x = (s - t0) / h
+    def hermite(x: float, y0, f0, y1, f1):
+        """Cubic Hermite interpolant across one march step, x in [0, 1]."""
         om = 1.0 - x
         h00 = (1.0 + 2.0 * x) * om * om
         h10 = x * om * om
         h01 = x * x * (3.0 - 2.0 * x)
         h11 = x * x * (x - 1.0)
-        return (
-            h00 * stored_i[j]
-            + (h * h10) * stored_d[j]
-            + h01 * stored_i[j + 1]
-            + (h * h11) * stored_d[j + 1]
-        )
+        return h00 * y0 + (h * h10) * f0 + h01 * y1 + (h * h11) * f1
 
-    # Output sample times: the new history nodes T + theta_j.
+    def delayed_row(s: float) -> np.ndarray:
+        if s <= 0.0:
+            return history_row(s)
+        j = int(s / h)
+        x = (s - j * h) / h
+        return hermite(x, stored_i[j], stored_d[j], stored_i[j + 1], stored_d[j + 1])
+
+    # Output sample times: the new history nodes T + theta_j.  Row j is
+    # I at node j; rows N and N + 1 are G and Q at the last node.
     theta = -tau + spacing * np.arange(N)
     out_times = T + theta
     M = np.empty((dim, dim))
     out_j = 0
     # rows for nodes that remain inside the original history
     while out_j < N and out_times[out_j] < 0.0:
-        s = out_times[out_j]
-        j0, w = _cardinal_weights(s + tau, N, spacing)
-        for c in range(3):
-            row = np.zeros(dim)
-            for l in range(4):
-                row[3 * (j0 + l) + c] = w[l]
-            M[3 * out_j + c] = row
+        M[out_j] = history_row(out_times[out_j])
         out_j += 1
 
     prev_Y = None
@@ -324,18 +324,10 @@ def monodromy_multipliers(
             while out_j < N and out_times[out_j] <= t + 1e-12 * max(1.0, t):
                 x = (out_times[out_j] - (t - h)) / h
                 x = min(max(x, 0.0), 1.0)
-                om = 1.0 - x
-                h00 = (1.0 + 2.0 * x) * om * om
-                h10 = x * om * om
-                h01 = x * x * (3.0 - 2.0 * x)
-                h11 = x * x * (x - 1.0)
-                sample = h00 * prev_Y + (h * h10) * prev_F + h01 * Y + (h * h11) * F
-                for c in range(3):
-                    M[3 * out_j + c] = sample[c]
+                M[out_j] = hermite(x, prev_Y[2], prev_F[2], Y[2], F[2])
                 out_j += 1
         elif out_j < N and abs(out_times[out_j]) <= 1e-12:
-            for c in range(3):
-                M[3 * out_j + c] = Y[c]
+            M[out_j] = Y[2]
             out_j += 1
         if i == n_steps:
             break
@@ -355,6 +347,7 @@ def monodromy_multipliers(
 
     if out_j != N:
         raise NumericalError("internal sampling walk failed to fill the period map")
+    M[N:] = Y[:2]  # the march ends at t = T, the last node
 
     mults = _leading_eigs(M, m)
     trivial = complex(mults[np.argmin(np.abs(mults - 1.0))])
@@ -400,6 +393,11 @@ def _leading_eigs(M: np.ndarray, m: int) -> np.ndarray:
                 raise NumericalError(
                     "eigenvalue iteration failed to converge"
                 ) from exc
+            warnings.warn(
+                f"eigenvalue iteration converged for {len(vals)} of {m} "
+                "requested multipliers; only those are returned",
+                stacklevel=3,
+            )
     order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
     return vals[order][:m]
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OutOfDomainError, StiffnessError
+from .errors import InvalidArgumentError, NumericalError, OutOfDomainError, StiffnessError
 from .model import ModelParams, State
 
 __all__ = [
@@ -416,6 +416,8 @@ def solve_dde(
             err_old = err
             facmax = 5.0
         else:
+            if math.isnan(err):
+                raise NumericalError(f"non-finite derivative at t = {t:.6g}")
             h = h * max(0.2, 0.9 * err ** -0.2)
             facmax = 1.0  # no growth right after a rejection
 
@@ -456,6 +458,8 @@ def integrate(
         than the delay.
     StiffnessError
         If the adaptive step size underflows.
+    NumericalError
+        If the right-hand side evaluates to NaN.
     """
     if params.tau < 0.0:
         raise InvalidArgumentError("cannot integrate forward with a negative delay")

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from yamada_delay import (
     HistorySpec,
     InvalidArgumentError,
+    NumericalError,
     PeriodicOrbit,
     SingularParameterError,
     State,
@@ -22,8 +24,12 @@ from yamada_delay import (
     monodromy_multipliers,
     preset,
     roots_off,
+    settle_train,
     single_pulse_seed,
 )
+from yamada_delay.floquet import _leading_eigs
+
+from floquet_reference import full_period_map
 
 
 class TestConstantOrbitOracle:
@@ -114,6 +120,47 @@ class TestPulseTrainMultipliers:
             assert len(bulk) > 10
             dists = np.abs(bulk[:, None] - curve_pts[None, :]).min(axis=1)
             assert dists.max() <= 12.0 / tau, (k, tau, dists.max())
+
+
+class TestReducedPeriodMap:
+    """The (N+2)-unknown map against the full 3N-unknown reference map."""
+
+    def test_matches_full_history_map(self):
+        p = preset("figure1", kappa=0.1, tau=30.0)
+        orbit = extract_orbit(settle_train(p, k=1))
+        fs = monodromy_multipliers(orbit)
+        assert fs.N == 121 and len(fs) == fs.N + 2
+        full = _leading_eigs(full_period_map(orbit), 200)
+        # compare as sets: at the truncation modulus, clusters of equal
+        # modulus are cut in a different order
+        cut = max(abs(fs.multipliers[-1]), abs(full[-1])) + 1e-3
+        for a, b in ((fs.multipliers, full), (full, fs.multipliers)):
+            kept = a[np.abs(a) > cut]
+            assert len(kept) > 100
+            assert np.abs(kept[:, None] - b[None, :]).min(axis=1).max() <= 1e-10
+
+
+class TestLeadingEigs:
+    """Partial ARPACK convergence is reported, never silently truncated."""
+
+    @staticmethod
+    def stall_arpack(monkeypatch, n_converged):
+        def eigs(M, k, **kwargs):
+            vals = np.linspace(0.9, 0.1, n_converged).astype(complex)
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", vals, None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
+
+    def test_partial_convergence_warns(self, monkeypatch):
+        self.stall_arpack(monkeypatch, 60)
+        with pytest.warns(UserWarning, match="converged for 60 of 200"):
+            vals = _leading_eigs(np.zeros((1001, 1001)), 200)
+        assert len(vals) == 60
+
+    def test_too_few_converged_raises(self, monkeypatch):
+        self.stall_arpack(monkeypatch, 5)
+        with pytest.raises(NumericalError):
+            _leading_eigs(np.zeros((1001, 1001)), 200)
 
 
 class TestOrbitExtraction:

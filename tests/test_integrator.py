@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from yamada_delay import (
     State,
     InvalidArgumentError,
     ModelParams,
+    NumericalError,
     StepControl,
     StiffnessError,
     integrate,
@@ -185,6 +187,16 @@ class TestValidation:
         with pytest.raises(StiffnessError):
             integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 200.0,
                       StepControl(max_steps=20))
+
+    def test_nan_derivative_is_not_step_underflow(self):
+        # a NaN error estimate fails every step test; shrinking the step
+        # cannot help, so the march must name the NaN, not a stiffness
+        def f(t, y, yd):
+            return (0.0, 0.0, -yd[2] if t < 1.5 else math.nan)
+
+        with pytest.raises(NumericalError, match="non-finite derivative at t = 1.") as info:
+            solve_dde(f, lambda t: (0.0, 0.0, 1.0), tau=1.0, t_end=3.0, control=StepControl())
+        assert not isinstance(info.value, StiffnessError)
 
 
 class TestStateInvariants:
