@@ -35,7 +35,8 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalError, SingularParameterError
 from .integrator import Trajectory
 from .model import ModelParams
-from .pulses import detect_pulses, refine_period
+# detect_pulses is unused here but stays importable: bench/spans.py patches it by name.
+from .pulses import PERIOD_INTERVALS, detect_pulses, measure_train, refine_period  # noqa: F401
 
 __all__ = [
     "PeriodicOrbit",
@@ -48,6 +49,9 @@ __all__ = [
     "min_stable_delay",
     "max_pulses",
 ]
+
+#: Largest periodicity residual of an extracted orbit.
+RESIDUAL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -85,18 +89,13 @@ class PeriodicOrbit:
         return self.trajectory.evaluate_many(self.anchor - self.period + phase)
 
 
-def extract_orbit(
-    trajectory: Trajectory,
-    n_intervals: int = 8,
-    threshold_frac: float = 0.3,
-    residual_tol: float = 1e-5,
-) -> PeriodicOrbit:
+def extract_orbit(trajectory: Trajectory) -> PeriodicOrbit:
     """Extract the settled periodic orbit from the tail of a long run.
 
-    The period is the mean of the last ``n_intervals`` inter-pulse
-    intervals; the periodicity residual ``max |x(t) - x(t - T)|`` over
-    the final period, relative to the per-component amplitude, must be
-    below ``residual_tol``.
+    The period is the mean of the last ``PERIOD_INTERVALS`` inter-pulse
+    intervals, polished by :func:`refine_period`; the periodicity
+    residual ``max |x(t) - x(t - T)|`` over the final period, relative
+    to the per-component amplitude, must be below ``RESIDUAL_TOL``.
 
     Raises
     ------
@@ -108,38 +107,28 @@ def extract_orbit(
     params = trajectory.params
     if params.tau <= 0.0:
         raise InvalidArgumentError("orbit extraction requires tau > 0")
-    ts, ys = trajectory.sample(0.1)
-    half = ys[ts >= 0.5 * trajectory.t1]
-    i_max = float(half[:, 2].max())
-    if i_max <= 0.0:
-        raise InvalidArgumentError("no pulses in the trajectory tail")
-    pulses = detect_pulses(trajectory, threshold_frac * i_max, dt=0.1)
-    if len(pulses) < n_intervals + 1:
+    train = measure_train(trajectory, params.tau, last=PERIOD_INTERVALS)
+    if len(train.train_times) <= PERIOD_INTERVALS:
         raise InvalidArgumentError(
-            f"need at least {n_intervals + 1} pulses, found {len(pulses)}"
+            f"need at least {PERIOD_INTERVALS + 1} pulses, found {len(train.pulse_times)}"
         )
-    intervals = np.diff(pulses[-(n_intervals + 1):])
-    period = float(intervals.mean())
-    k = int(round(params.tau / period))
-    if k < 1:
+    if train.k < 1:
         raise InvalidArgumentError("pulse spacing exceeds the delay (k < 1)")
 
     anchor = trajectory.t1
-    # Crossing times alone pin the period to ~1e-3, which the steep
-    # pulse edges would amplify into a spurious residual.
-    period = refine_period(trajectory, period)
+    period = refine_period(trajectory, train.period)
     probe = np.linspace(anchor - period, anchor, 257)
     a = trajectory.evaluate_many(probe)
     b = trajectory.evaluate_many(probe - period)
     amp = a.max(axis=0) - a.min(axis=0)
     amp[amp <= 0.0] = 1.0
     residual = float((np.abs(a - b) / amp).max())
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise InvalidArgumentError(
-            f"periodicity residual {residual:.2e} above {residual_tol:.0e}; "
+            f"periodicity residual {residual:.2e} above {RESIDUAL_TOL:.0e}; "
             "transient not settled"
         )
-    return PeriodicOrbit(trajectory, period, k, params, anchor, residual)
+    return PeriodicOrbit(trajectory, period, train.k, params, anchor, residual)
 
 
 @dataclass(frozen=True)

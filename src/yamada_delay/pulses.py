@@ -11,7 +11,8 @@ re-injected pulse keeps regenerating itself.
 Measured quantities follow the pulse-train bookkeeping ``T = (tau +
 delta) / k``: ``T`` is the inter-pulse interval, ``k`` the number of
 pulses per delay interval, and ``delta > 0`` the regeneration lag of the
-feedback loop.
+feedback loop.  Every experiment reads its runs through
+:func:`measure_train` and keeps only its own acceptance rule.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ __all__ = [
     "SUSTAINED_TRAIN",
     "CW_LIKE",
     "PulseTrainStats",
+    "TrainMeasurement",
     "BranchSample",
     "detect_pulses",
+    "measure_train",
     "single_pulse_seed",
     "classify_response",
     "reappearance_shift",
@@ -50,20 +53,34 @@ CW_LIKE = "cw-like"
 #: Minimum spacing between reported pulses; below the shortest
 #: inter-pulse interval seen anywhere near the working point.
 REFRACTORY = 5.0
+#: Detection threshold as a fraction of the run's peak intensity, which
+#: is sampled at SAMPLE_DT.  The floor only matters for runs that stay at
+#: the off state; it keeps roundoff wiggles from registering as pulses.
+THRESHOLD_FRAC = 0.3
+SAMPLE_DT = 0.1
+MIN_THRESHOLD = 1e-12
+#: Largest interval coefficient of variation that still counts as a train.
+INTERVAL_CV_TOL = 0.01
+#: Trailing intervals averaged into a settled train's period estimate.
+PERIOD_INTERVALS = 8
+#: Leading share of a run left out of the train statistics by
+#: :func:`classify_response` and by :func:`sweep_tau`.
+TRANSIENT_FRAC = 0.25
+WARMUP_FRAC = 0.4
 
 
 def detect_pulses(
     trajectory: Trajectory,
     threshold: float,
     refractory: float = REFRACTORY,
-    dt: float = 0.1,
 ) -> np.ndarray:
     """Times of upward intensity crossings through ``threshold``.
 
-    The trajectory is sampled at spacing ``dt``, each bracketed upward
-    crossing is refined by bisection on the dense output to 1e-3 time
-    accuracy, and crossings closer than ``refractory`` are merged
-    (keeping the earliest).
+    Every node interval of the trajectory on which ``I - threshold``
+    changes sign upward holds a crossing of the trajectory's own cubic
+    Hermite piece; the pieces are solved all at once, so the crossings
+    are exact to interpolation accuracy.  Crossings closer than
+    ``refractory`` are merged (keeping the earliest).
 
     Parameters
     ----------
@@ -71,8 +88,6 @@ def detect_pulses(
     threshold : float
         Intensity level, > 0.
     refractory : float, optional
-    dt : float, optional
-        Scan resolution; must be well below the pulse width.
 
     Returns
     -------
@@ -81,32 +96,91 @@ def detect_pulses(
     """
     if threshold <= 0.0:
         raise InvalidArgumentError("threshold must be positive")
-    ts, ys = trajectory.sample(dt)
-    s = ys[:, 2] - threshold
+    s = trajectory.y[:, 2] - threshold
     up = np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))
+    t0 = trajectory.t[up]
+    h = trajectory.t[up + 1] - t0
+    d = trajectory.yp[:, 2]
+    x = _upward_root(s[up], h * d[up], s[up + 1], h * d[up + 1])
     times = []
-    for i in up:
-        lo, hi = ts[i], ts[i + 1]
-        # bisection on the dense output
-        while hi - lo > 1e-3:
-            mid = 0.5 * (lo + hi)
-            if trajectory.evaluate(mid)[2] - threshold >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        t_cross = 0.5 * (lo + hi)
+    for t_cross in t0 + x * h:
         if not times or t_cross - times[-1] >= refractory:
             times.append(t_cross)
     return np.array(times)
 
 
+def _upward_root(y0, d0, y1, d1) -> np.ndarray:
+    """Root in [0, 1] of each Hermite cubic with ends ``y0 < 0 <= y1``, slopes ``d0, d1``.
+
+    Newton from the secant point; a step that would leave the sign
+    bracket bisects it instead.
+    """
+    c2 = 3.0 * (y1 - y0) - 2.0 * d0 - d1
+    c3 = 2.0 * (y0 - y1) + d0 + d1
+    lo, hi = np.zeros_like(y0), np.ones_like(y0)
+    x = y0 / (y0 - y1)
+    for _ in range(60):
+        p = ((c3 * x + c2) * x + d0) * x + y0
+        lo = np.where(p < 0.0, x, lo)
+        hi = np.where(p < 0.0, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - p / ((3.0 * c3 * x + 2.0 * c2) * x + d0)
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        if np.all(np.abs(step - x) <= 1e-15):
+            return step
+        x = step
+    return x
+
+
 def _pulse_heights(trajectory: Trajectory, pulse_times: np.ndarray, window: float) -> np.ndarray:
     """Peak intensity within ``window`` after each pulse time."""
-    heights = np.empty(len(pulse_times))
-    for j, tp in enumerate(pulse_times):
-        ts = np.linspace(tp, min(tp + window, trajectory.t1), 80)
-        heights[j] = trajectory.evaluate_many(ts)[:, 2].max()
-    return heights
+    ends = np.minimum(pulse_times + window, trajectory.t1)
+    ts = np.linspace(pulse_times, ends, 80, axis=-1)
+    return trajectory.evaluate_many(ts.ravel())[:, 2].reshape(ts.shape).max(axis=1)
+
+
+@dataclass(frozen=True)
+class TrainMeasurement:
+    """Pulses of one run and the statistics of its trailing ``train_times``.
+
+    ``period`` and ``cv`` are the mean and the coefficient of variation
+    of the intervals between ``train_times``; ``k = round(tau /
+    period)``.  All three are None with fewer than two train pulses.
+    """
+
+    threshold: float
+    pulse_times: np.ndarray
+    train_times: np.ndarray
+    period: float | None
+    cv: float | None
+    k: int | None
+
+
+def measure_train(
+    trajectory: Trajectory,
+    tau: float,
+    since: float = -np.inf,
+    last: int | None = None,
+) -> TrainMeasurement:
+    """Threshold, detect and average the pulse intervals of one run.
+
+    The threshold is ``THRESHOLD_FRAC`` times the peak intensity of the
+    whole run.  The statistics cover the pulses at or after ``since``,
+    and only the final ``last`` intervals among them if given.
+    Acceptance rules are the caller's.
+    """
+    _, ys = trajectory.sample(SAMPLE_DT)
+    threshold = max(THRESHOLD_FRAC * float(ys[:, 2].max()), MIN_THRESHOLD)
+    pulses = detect_pulses(trajectory, threshold)
+    train = pulses[pulses >= since]
+    if last is not None:
+        train = train[-(last + 1):]
+    if len(train) < 2:
+        return TrainMeasurement(threshold, pulses, train, None, None, None)
+    intervals = np.diff(train)
+    period = float(intervals.mean())
+    cv = float(intervals.std() / period)
+    return TrainMeasurement(threshold, pulses, train, period, cv, int(round(tau / period)))
 
 
 def _history_peak_intensity(params: ModelParams, history: HistorySpec, samples: int = 512) -> float:
@@ -173,19 +247,14 @@ def classify_response(
     history: HistorySpec,
     horizon: float,
     control: StepControl | None = None,
-    threshold_frac: float = 0.3,
-    refractory: float = REFRACTORY,
-    transient_frac: float = 0.25,
-    interval_cv_tol: float = 0.01,
-    _trajectory: Trajectory | None = None,
 ) -> PulseTrainStats:
     """Integrate from a history and classify the long-time response.
 
-    The first ``transient_frac`` of the horizon is excluded from train
+    The first ``TRANSIENT_FRAC`` of the horizon is excluded from train
     statistics.  Classification:
 
     * ``sustained-train`` -- at least five post-transient pulses with
-      interval coefficient of variation below ``interval_cv_tol``,
+      interval coefficient of variation below ``INTERVAL_CV_TOL``,
       stationary heights, persisting to the end of the run;
     * ``cw-like`` -- the late-time intensity is bounded away from the
       off state without forming a train: either settled to a constant
@@ -210,48 +279,29 @@ def classify_response(
     """
     if horizon < 20.0 * max(params.tau, 1.0):
         raise InvalidArgumentError("horizon must be at least 20 * max(tau, 1)")
-    traj = _trajectory if _trajectory is not None else integrate(params, history, horizon, control)
+    traj = integrate(params, history, horizon, control)
+    train = measure_train(traj, params.tau, since=TRANSIENT_FRAC * horizon)
+    pulses = train.pulse_times
+    heights = _pulse_heights(traj, pulses, window=REFRACTORY)
 
-    dt = min(0.1, refractory / 8.0)
-    ts, ys = traj.sample(dt)
-    intensity = ys[:, 2]
-    i_max = float(intensity.max())
-    # The 1e-12 floor only matters for runs where the field has decayed
-    # to nothing; it keeps roundoff wiggles from registering as pulses.
-    threshold = max(threshold_frac * i_max, 1e-12)
-    pulses = detect_pulses(traj, threshold, refractory=refractory, dt=dt)
-    heights = _pulse_heights(traj, pulses, window=refractory)
-
-    t_transient = transient_frac * horizon
-    post = pulses[pulses >= t_transient]
-    post_heights = heights[pulses >= t_transient]
-
-    k = period = delta = cv = None
-    label = DECAY
-
-    sustained = False
+    k = period = delta = cv = label = None
+    post = train.train_times
     if len(post) >= 5:
-        intervals = np.diff(post)
-        mean_t = float(intervals.mean())
-        cv = float(intervals.std() / mean_t)
+        cv = train.cv
+        post_heights = heights[len(pulses) - len(post):]
         # Exclude pulses whose peak window is cut off by the horizon
         # from the height statistic (their maximum is not yet reached).
-        whole = post_heights[post + refractory <= traj.t1]
+        whole = post_heights[post + REFRACTORY <= traj.t1]
         if len(whole) < 2:
             whole = post_heights
         height_spread = float(whole.std() / whole.mean())
-        persists = (horizon - post[-1]) < 2.0 * mean_t
-        if cv < interval_cv_tol and height_spread < 0.05 and persists:
-            sustained = True
-            period = mean_t
-            k = int(round(params.tau / period)) if params.tau > 0.0 else 0
+        persists = (horizon - post[-1]) < 2.0 * train.period
+        if cv < INTERVAL_CV_TOL and height_spread < 0.05 and persists:
+            label, k, period = SUSTAINED_TRAIN, train.k, train.period
             delta = k * period - params.tau
-    if sustained:
-        label = SUSTAINED_TRAIN
-    else:
-        k = period = delta = None
-        window = 5.0 * max(params.tau, 10.0)
-        late = intensity[ts >= horizon - window]
+    if label is None:
+        window = min(5.0 * max(params.tau, 10.0), traj.t1 - traj.t0)
+        late = traj.evaluate_many(np.arange(traj.t1, traj.t1 - window, -SAMPLE_DT))[:, 2]
         late_mean = float(late.mean())
         settled = float(late.max() - late.min()) < 1e-3 * late_mean
         if late_mean > 1e-6 and settled:
@@ -266,16 +316,7 @@ def classify_response(
             label = DECAY
 
     return PulseTrainStats(
-        classification=label,
-        pulse_times=pulses,
-        heights=heights,
-        k=k,
-        period=period,
-        delta=delta,
-        interval_cv=cv,
-        threshold=threshold,
-        params=params,
-        horizon=float(horizon),
+        label, pulses, heights, k, period, delta, cv, train.threshold, params, float(horizon)
     )
 
 
@@ -320,12 +361,13 @@ def reappearance_shift(tau0: float, T0: float, k: int) -> float:
 def refine_period(trajectory: Trajectory, period: float, window: float = 5e-3) -> float:
     """Sharpen a period estimate by minimizing the one-period defect.
 
-    Threshold-crossing period estimates carry roughly the crossing
-    bisection accuracy (1e-3), which the steep pulse edges amplify into
-    a large apparent mismatch between ``x(t)`` and ``x(t - T)``.  This
-    polishes ``T`` by minimizing the component-normalized RMS defect
-    over the last period of the trajectory, sampled from the dense
-    output, down to interpolation accuracy.
+    A mean of trailing pulse intervals still carries the slow drift of
+    a train that is settling (about 2.5e-3 on a k = 2, tau = 400 run),
+    which the steep pulse edges amplify into a large apparent mismatch
+    between ``x(t)`` and ``x(t - T)``.  This polishes ``T`` by
+    minimizing the component-normalized RMS defect over the last period
+    of the trajectory, sampled from the dense output, down to
+    interpolation accuracy.
 
     Parameters
     ----------
@@ -362,19 +404,6 @@ def refine_period(trajectory: Trajectory, period: float, window: float = 5e-3) -
         options={"xatol": 1e-10},
     )
     return float(res.x)
-
-
-def _train_period(trajectory: Trajectory, n_intervals: int = 8) -> float:
-    """Refined inter-pulse interval of a settled run."""
-    _, ys = trajectory.sample(0.1)
-    i_max = float(ys[:, 2].max())
-    if i_max < 1e-9:
-        raise NoBranchError("intensity stays at the off level; no train to measure")
-    pulses = detect_pulses(trajectory, 0.3 * i_max, dt=0.1)
-    if len(pulses) < n_intervals + 1:
-        raise NoBranchError("too few pulses to measure a period")
-    estimate = float(np.diff(pulses[-(n_intervals + 1) :]).mean())
-    return refine_period(trajectory, estimate)
 
 
 def settle_train(
@@ -436,7 +465,10 @@ def settle_train(
         p0 = params.replace(tau=tau0)
         horizon0 = periods * (tau0 + drift_estimate)
         traj0 = integrate(p0, single_pulse_seed(p0, control=control), horizon0, control)
-        T0 = _train_period(traj0)
+        train = measure_train(traj0, tau0, last=PERIOD_INTERVALS)
+        if len(train.train_times) <= PERIOD_INTERVALS:
+            raise NoBranchError("too few pulses to measure a period")
+        T0 = refine_period(traj0, train.period)
         miss = tau0 + (k - 1) * T0 - params.tau
         if abs(miss) < 1e-6:
             break
@@ -493,9 +525,7 @@ def sweep_tau(
     params: ModelParams,
     tau_values,
     control: StepControl | None = None,
-    warmup_frac: float = 0.4,
     periods: float = 16.0,
-    interval_cv_tol: float = 0.01,
 ) -> BranchSample:
     """Trace a branch of sustained trains over increasing delays.
 
@@ -503,7 +533,7 @@ def sweep_tau(
     point continues from the tail of the previous run, which keeps the
     sweep on the same branch (same ``k``) as long as it remains stable.
     For each delay the run covers roughly ``periods`` pulse periods,
-    the first ``warmup_frac`` of which is discarded before measuring.
+    the first ``WARMUP_FRAC`` of which is discarded before measuring.
 
     Parameters
     ----------
@@ -540,38 +570,16 @@ def sweep_tau(
             history = HistorySpec.from_tail(prev_traj)
         horizon = periods * (tau + 30.0)
         traj = integrate(p, history, horizon, control)
-        meas = _measure_train(traj, p, warmup_frac, interval_cv_tol)
-        if meas is None:
+        train = measure_train(traj, p.tau, since=WARMUP_FRAC * traj.t1)
+        if len(train.train_times) < 5 or train.cv >= INTERVAL_CV_TOL or train.k < 1:
             aborted_at = float(tau)
             break
-        rows.append(meas)
+        rows.append((p.tau, train.period, train.k, train.k * train.period - p.tau))
         prev_traj = traj
     if not rows:
         raise NoBranchError(f"no sustained train at the first delay tau = {taus[0]:g}")
     tau_a, t_a, k_a, d_a = (np.array(col) for col in zip(*rows))
     return BranchSample(tau_a, t_a, k_a.astype(int), d_a, aborted_at)
-
-
-def _measure_train(
-    traj: Trajectory, params: ModelParams, warmup_frac: float, cv_tol: float
-) -> tuple[float, float, int, float] | None:
-    """(tau, T, k, delta) from the settled part of a run, or None."""
-    ts, ys = traj.sample(0.1)
-    i_max = float(ys[:, 2].max())
-    if i_max < 1e-9:
-        return None
-    pulses = detect_pulses(traj, 0.3 * i_max, dt=0.1)
-    pulses = pulses[pulses >= warmup_frac * traj.t1]
-    if len(pulses) < 5:
-        return None
-    intervals = np.diff(pulses)
-    mean_t = float(intervals.mean())
-    if intervals.std() / mean_t >= cv_tol:
-        return None
-    k = int(round(params.tau / mean_t))
-    if k < 1:
-        return None
-    return (params.tau, mean_t, k, k * mean_t - params.tau)
 
 
 def fold_estimate(branch: BranchSample, k: int) -> float | None:

@@ -21,6 +21,15 @@ from yamada_delay import (
     single_pulse_seed,
     sweep_tau,
 )
+from yamada_delay.pulses import (
+    INTERVAL_CV_TOL,
+    MIN_THRESHOLD,
+    THRESHOLD_FRAC,
+    _pulse_heights,
+    measure_train,
+)
+
+from pulses_reference import bisection_pulses
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +69,66 @@ class TestDetectPulses:
         p = preset("figure1", kappa=0.1, tau=20.0)
         traj = integrate(p, HistorySpec.off_plus_pulse(0.0, 1.0), 100.0)
         assert len(detect_pulses(traj, 0.5)) == 0
+
+
+class TestHermiteCrossings:
+    """Differential test against the sampled-bisection detector."""
+
+    @staticmethod
+    def check_against_bisection(traj, threshold):
+        times = detect_pulses(traj, threshold)
+        ref = bisection_pulses(traj, threshold)
+        assert len(times) == len(ref) > 0
+        # the bisection stops at a 1e-3 bracket and reports its midpoint
+        assert np.abs(times - ref).max() <= 5e-4
+        levels = traj.evaluate_many(times)[:, 2]
+        assert np.abs(levels - threshold).max() <= 1e-10 * threshold
+
+    def test_train_run(self, train_run):
+        p, traj = train_run
+        for threshold in (1.0, measure_train(traj, p.tau).threshold):
+            self.check_against_bisection(traj, threshold)
+
+    def test_session_orbits(self, orbits):
+        for orbit in orbits.values():
+            traj = orbit.trajectory
+            self.check_against_bisection(traj, measure_train(traj, orbit.params.tau).threshold)
+
+    def test_heights_match_per_pulse_windows(self, train_run):
+        p, traj = train_run
+        times = detect_pulses(traj, 1.0)
+        loop = [traj.evaluate_many(np.linspace(t, min(t + 5.0, traj.t1), 80))[:, 2].max()
+                for t in times]
+        assert np.array_equal(_pulse_heights(traj, times, 5.0), loop)
+        assert len(_pulse_heights(traj, times[:0], 5.0)) == 0
+
+
+class TestMeasureTrain:
+    def test_statistics_of_settled_train(self, train_run):
+        p, traj = train_run
+        m = measure_train(traj, p.tau, since=0.5 * traj.t1)
+        peak = traj.sample(0.1)[1][:, 2].max()
+        assert m.threshold == pytest.approx(THRESHOLD_FRAC * peak, rel=1e-12)
+        assert np.array_equal(m.pulse_times, detect_pulses(traj, m.threshold))
+        assert np.array_equal(m.train_times, m.pulse_times[m.pulse_times >= 0.5 * traj.t1])
+        assert m.period == pytest.approx(np.diff(m.train_times).mean())
+        assert m.cv < INTERVAL_CV_TOL
+        assert m.k == 1
+
+    def test_last_intervals(self, train_run):
+        p, traj = train_run
+        m = measure_train(traj, p.tau, last=3)
+        assert np.array_equal(m.train_times, m.pulse_times[-4:])
+        # k counts pulses against the delay it is given
+        assert measure_train(traj, 2.0 * m.period, last=3).k == 2
+
+    def test_quiet_run(self):
+        p = preset("figure1", kappa=0.1, tau=20.0)
+        traj = integrate(p, HistorySpec.off_plus_pulse(0.0, 1.0), 100.0)
+        m = measure_train(traj, p.tau)
+        assert m.threshold == MIN_THRESHOLD
+        assert len(m.pulse_times) == 0
+        assert m.period is None and m.cv is None and m.k is None
 
 
 class TestClassification:
