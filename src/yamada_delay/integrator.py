@@ -2,7 +2,8 @@
 
 The solver marches an embedded Dormand-Prince 5(4) pair with
 proportional-integral step-size control and keeps every accepted node
-``(t, y, y')``.  Cubic Hermite interpolation through those nodes serves
+``(t, y, y')``.  The stages are unrolled for the model's three state
+components, and the nodes are kept in flat buffers.  Cubic Hermite interpolation through those nodes serves
 both as the user-facing dense output and as the internal lookup for the
 delayed term, which is what makes the method of steps work: the maximum
 step is capped at ``tau / 4`` so a delayed lookup never reads the step
@@ -18,6 +19,7 @@ alone handles them.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -146,14 +148,18 @@ class Trajectory:
             raise OutOfDomainError(
                 f"time outside trajectory domain [{self.t0:.6g}, {self.t1:.6g}]"
             )
+        return self._interpolate(ts, slice(None))
+
+    def _interpolate(self, ts: np.ndarray, cols: slice) -> np.ndarray:
+        """Hermite values of the state columns ``cols`` at ``ts``, shape (len(ts), ncols)."""
         idx = self._locate(ts)
         t0 = self.t[idx]
         h = self.t[idx + 1] - t0
         s = ((ts - t0) / h)[:, None]
-        y0 = self.y[idx]
-        y1 = self.y[idx + 1]
-        f0 = self.yp[idx]
-        f1 = self.yp[idx + 1]
+        y0 = self.y[idx, cols]
+        y1 = self.y[idx + 1, cols]
+        f0 = self.yp[idx, cols]
+        f1 = self.yp[idx + 1, cols]
         om = 1.0 - s
         h00 = (1.0 + 2.0 * s) * om * om
         h10 = s * om * om
@@ -166,16 +172,20 @@ class Trajectory:
         """State at a single time ``t`` in ``[t0, t1]``."""
         return self.evaluate_many([float(t)])[0]
 
-    def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform sampling ``t0, t0+dt, ...`` plus the final time.
-
-        Returns ``(times, states)`` with states of shape (n, 3).
-        """
+    def _sample_times(self, dt: float) -> np.ndarray:
         if dt <= 0.0:
             raise InvalidArgumentError("sampling interval must be positive")
         ts = np.arange(self.t0, self.t1, dt)
         if not ts.size or ts[-1] < self.t1:
             ts = np.append(ts, self.t1)
+        return ts
+
+    def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform sampling ``t0, t0+dt, ...`` plus the final time.
+
+        Returns ``(times, states)`` with states of shape (n, 3).
+        """
+        ts = self._sample_times(dt)
         return ts, self.evaluate_many(ts)
 
     def final_state(self) -> State:
@@ -257,25 +267,49 @@ class HistorySpec:
                     "source trajectory too short to supply a history of length tau"
                 )
 
+            # Convert only the source nodes that cover [shift - tau, shift].
+            n = len(source.t)
+            lo = int(np.searchsorted(source.t, shift - tau, side="right")) - 1
+            lo = min(max(lo, 0), n - 2)
+            hi = int(np.searchsorted(source.t, shift, side="right"))
+            hi = min(max(hi, lo + 1), n - 1)
+            ts = source.t[lo:hi + 1].tolist()
+            ys = source.y[lo:hi + 1].ravel().tolist()
+            fs = source.yp[lo:hi + 1].ravel().tolist()
+            t1 = source.t1
+
             def h(t: float) -> tuple:
-                g, q, i = source.evaluate(min(t + shift, source.t1))
-                return (g, q, i)
+                return _node_lookup(ts, ys, fs, min(t + shift, t1))
 
             return h, ()
         raise InvalidArgumentError(f"unknown history kind {self.kind!r}")
 
 
-def _hermite_tuple(t, t0, t1, y0, y1, f0, f1):
-    h = t1 - t0
-    s = (t - t0) / h
+def _node_lookup(ts: list, ys, fs, x: float) -> tuple:
+    """Cubic Hermite value at ``x`` through flat three-component node buffers.
+
+    ``ts`` holds the node times, ``ys`` and ``fs`` the states and
+    derivatives three floats per node.  Same arithmetic, term for term,
+    as :meth:`Trajectory.evaluate_many`.
+    """
+    i = bisect_right(ts, x) - 1
+    if i > len(ts) - 2:
+        i = len(ts) - 2
+    elif i < 0:
+        i = 0
+    t0 = ts[i]
+    dt = ts[i + 1] - t0
+    s = (x - t0) / dt
     om = 1.0 - s
     h00 = (1.0 + 2.0 * s) * om * om
-    h10 = s * om * om
+    h10 = dt * (s * om * om)
     h01 = s * s * (3.0 - 2.0 * s)
-    h11 = s * s * (s - 1.0)
-    return tuple(
-        h00 * a + h * h10 * b + h01 * c + h * h11 * d
-        for a, b, c, d in zip(y0, f0, y1, f1)
+    h11 = dt * (s * s * (s - 1.0))
+    j = 3 * i
+    return (
+        h00 * ys[j] + h10 * fs[j] + h01 * ys[j + 3] + h11 * fs[j + 3],
+        h00 * ys[j + 1] + h10 * fs[j + 1] + h01 * ys[j + 4] + h11 * fs[j + 4],
+        h00 * ys[j + 2] + h10 * fs[j + 2] + h01 * ys[j + 5] + h11 * fs[j + 5],
     )
 
 
@@ -287,12 +321,15 @@ def solve_dde(
     control: StepControl,
     extra_breakpoints: Sequence[float] = (),
 ):
-    """Generic method-of-steps march; returns node arrays ``(t, y, yp)``.
+    """Method-of-steps march of a three-component field; returns node arrays ``(t, y, yp)``.
+
+    The stages are unrolled for exactly three state components, so the
+    history must supply three values.
 
     Parameters
     ----------
     f : callable
-        ``f(t, y, y_delayed) -> derivative`` on plain tuples.  For
+        ``f(t, y, y_delayed) -> derivative`` on 3-tuples.  For
         ``tau == 0`` the current stage value is passed as ``y_delayed``
         and the march reduces to an ordinary Runge-Kutta integration.
     history : callable
@@ -305,6 +342,12 @@ def solve_dde(
     extra_breakpoints : sequence of float
         Interior history jump times (< 0) whose delayed images get
         breakpoint treatment alongside the multiples of tau.
+
+    Raises
+    ------
+    InvalidArgumentError
+        For ``t_end <= 0``, ``tau < 0``, or a history whose state does
+        not have three components.
     """
     if t_end <= 0.0:
         raise InvalidArgumentError("t_end must be positive")
@@ -332,39 +375,46 @@ def solve_dde(
     breaks.append(t_end)
 
     y0 = tuple(float(v) for v in history(0.0))
-    dim = len(y0)
-    nodes_t: list[float] = [0.0]
-    nodes_y: list[tuple] = [y0]
-    nodes_f: list[tuple] = []
-
-    def delayed(s: float) -> tuple:
-        if s <= 0.0:
-            return tuple(float(v) for v in history(s))
-        # max_step <= tau/4 guarantees s is well inside the stored nodes.
-        i = bisect_right(nodes_t, s) - 1
-        if i >= len(nodes_t) - 1:
-            i = len(nodes_t) - 2
-        return _hermite_tuple(
-            s, nodes_t[i], nodes_t[i + 1], nodes_y[i], nodes_y[i + 1],
-            nodes_f[i], nodes_f[i + 1],
+    if len(y0) != 3:
+        raise InvalidArgumentError(
+            f"solve_dde marches three-component states, got {len(y0)} components"
         )
+    # Accepted nodes: times in a list (for bisect), states and derivatives
+    # flat, three floats per node.
+    nodes_t = [0.0]
+    nodes_y = array("d", y0)
+    nodes_f = array("d")
 
     def eval_f(t: float, y: tuple) -> tuple:
-        z = delayed(t - tau) if tau > 0.0 else y
-        return tuple(float(v) for v in f(t, y, z))
+        if tau == 0.0:
+            return f(t, y, y)
+        s = t - tau
+        if s <= 0.0:
+            return f(t, y, history(s))
+        # max_step <= tau/4 guarantees s is well inside the stored nodes.
+        return f(t, y, _node_lookup(nodes_t, nodes_y, nodes_f, s))
 
-    f0 = eval_f(0.0, y0)
-    nodes_f.append(f0)
+    f0 = tuple(float(v) for v in eval_f(0.0, y0))
+    nodes_f.extend(f0)
 
     atol, rtol = control.atol, control.rtol
     sc0 = [atol + rtol * abs(v) for v in y0]
-    d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, sc0)) / dim)
-    d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(f0, sc0)) / dim)
+    d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, sc0)) / 3)
+    d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(f0, sc0)) / 3)
     h = min(hmax, 0.01 * d0 / d1) if d1 > 1e-10 else min(hmax, 1e-3)
     h = max(h, 1e-8)
 
+    # The tableau in locals.  Each stage sum below adds its terms left to
+    # right, and the zero weights (A[6][1], E[1]) keep their ``0.0 * k2``
+    # terms, so a non-finite k2 still poisons the step: the nodes equal,
+    # bit for bit, those of a generic loop over the tableau rows.
+    c2, c3, c4, c5 = _C[1:5]
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[1:6]
+    b1, _, b3, b4, b5, b6 = _A[6]
+    e1, _, e3, e4, e5, e6, e7 = _E
+
     t = 0.0
-    y = y0
+    ya, yb, yc = y0
     fcur = f0
     err_old = 1e-4
     ibreak = 0
@@ -383,30 +433,57 @@ def solve_dde(
 
         # Stages.  k1 is the FSAL derivative carried over from the last
         # accepted step.
-        k = [fcur]
-        for i in range(1, 7):
-            ti = t + _C[i] * h
-            ai = _A[i]
-            yi = tuple(
-                y[c] + h * sum(ai[j] * k[j][c] for j in range(i))
-                for c in range(dim)
-            )
-            k.append(eval_f(ti, yi))
-        ynew = yi  # stage 7 value: the fifth-order solution (FSAL)
-        err2 = 0.0
-        for c in range(dim):
-            e = h * sum(_E[j] * k[j][c] for j in range(7))
-            sc = atol + rtol * max(abs(y[c]), abs(ynew[c]))
-            err2 += (e / sc) ** 2
-        err = math.sqrt(err2 / dim)
+        k1a, k1b, k1c = fcur
+        k2a, k2b, k2c = eval_f(t + c2 * h, (
+            ya + h * (a21 * k1a),
+            yb + h * (a21 * k1b),
+            yc + h * (a21 * k1c),
+        ))
+        k3a, k3b, k3c = eval_f(t + c3 * h, (
+            ya + h * (a31 * k1a + a32 * k2a),
+            yb + h * (a31 * k1b + a32 * k2b),
+            yc + h * (a31 * k1c + a32 * k2c),
+        ))
+        k4a, k4b, k4c = eval_f(t + c4 * h, (
+            ya + h * (a41 * k1a + a42 * k2a + a43 * k3a),
+            yb + h * (a41 * k1b + a42 * k2b + a43 * k3b),
+            yc + h * (a41 * k1c + a42 * k2c + a43 * k3c),
+        ))
+        k5a, k5b, k5c = eval_f(t + c5 * h, (
+            ya + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
+            yb + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
+            yc + h * (a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c),
+        ))
+        k6a, k6b, k6c = eval_f(t + h, (
+            ya + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a),
+            yb + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b),
+            yc + h * (a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c),
+        ))
+        # Stage 7 is the fifth-order solution (FSAL).
+        ynew = (
+            ya + h * (b1 * k1a + 0.0 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a),
+            yb + h * (b1 * k1b + 0.0 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b),
+            yc + h * (b1 * k1c + 0.0 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c),
+        )
+        k7 = eval_f(t + h, ynew)
+        k7a, k7b, k7c = k7
+        na, nb, nc = ynew
+        ea = h * (e1 * k1a + 0.0 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
+        eb = h * (e1 * k1b + 0.0 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
+        ec = h * (e1 * k1c + 0.0 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
+        err = math.sqrt((
+            (ea / (atol + rtol * max(abs(ya), abs(na)))) ** 2
+            + (eb / (atol + rtol * max(abs(yb), abs(nb)))) ** 2
+            + (ec / (atol + rtol * max(abs(yc), abs(nc)))) ** 2
+        ) / 3)
 
         if err <= 1.0:
             t = t + h
-            y = ynew
-            fcur = k[6]
+            ya, yb, yc = ynew
+            fcur = k7
             nodes_t.append(t)
-            nodes_y.append(y)
-            nodes_f.append(fcur)
+            nodes_y.extend(ynew)
+            nodes_f.extend(k7)
             naccept += 1
             if naccept > control.max_steps:
                 raise StiffnessError(t, f"exceeded {control.max_steps} steps")
@@ -423,8 +500,8 @@ def solve_dde(
 
     return (
         np.array(nodes_t),
-        np.array(nodes_y),
-        np.array(nodes_f),
+        np.frombuffer(nodes_y).reshape(-1, 3),
+        np.frombuffer(nodes_f).reshape(-1, 3),
     )
 
 

@@ -132,6 +132,12 @@ def _upward_root(y0, d0, y1, d1) -> np.ndarray:
     return x
 
 
+def _peak_intensity(trajectory: Trajectory) -> float:
+    """Peak of ``I`` over ``trajectory.sample(SAMPLE_DT)``, interpolating the ``I`` column alone."""
+    ts = trajectory._sample_times(SAMPLE_DT)
+    return float(trajectory._interpolate(ts, slice(2, 3)).max())
+
+
 def _pulse_heights(trajectory: Trajectory, pulse_times: np.ndarray, window: float) -> np.ndarray:
     """Peak intensity within ``window`` after each pulse time."""
     ends = np.minimum(pulse_times + window, trajectory.t1)
@@ -169,8 +175,7 @@ def measure_train(
     and only the final ``last`` intervals among them if given.
     Acceptance rules are the caller's.
     """
-    _, ys = trajectory.sample(SAMPLE_DT)
-    threshold = max(THRESHOLD_FRAC * float(ys[:, 2].max()), MIN_THRESHOLD)
+    threshold = max(THRESHOLD_FRAC * _peak_intensity(trajectory), MIN_THRESHOLD)
     pulses = detect_pulses(trajectory, threshold)
     train = pulses[pulses >= since]
     if last is not None:

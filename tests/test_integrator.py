@@ -22,6 +22,7 @@ from yamada_delay import (
 )
 from yamada_delay.integrator import solve_dde
 
+import integrator_reference as reference
 from conftest import random_params
 
 
@@ -64,6 +65,70 @@ class TestScalarDelayOracle:
             # the breakpoint itself must be a node
             assert abs(t[i] - target) < 1e-12
             assert x[i] == pytest.approx(value, abs=1e-13)
+
+
+def _scalar_oracle_args(f=lambda t, y, yd: (0.0, 0.0, -yd[2])):
+    return f, (lambda t: (0.0, 0.0, 1.0)), 1.0, 3.0, StepControl(atol=1e-12, rtol=1e-10)
+
+
+def _model_case(name):
+    """(params, history, t_end, control) of one differential-test run."""
+    if name == "tau-zero":
+        p = preset("figure1", kappa=0.2)
+        return p, HistorySpec.constant(State(6.0, 5.0, 0.3)), 40.0, StepControl(atol=1e-12, rtol=1e-10)
+    p = preset("figure1", kappa=0.1, tau=7.3)
+    if name == "off-plus-pulse":
+        return p, HistorySpec.off_plus_pulse(1.0, 1.0), 60.0, None
+    if name == "from-tail":
+        source = integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 80.0)
+        return p.replace(tau=11.9), HistorySpec.from_tail(source), 50.0, None
+    if name == "from-tail-shifted":
+        source = integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 80.0)
+        return p.replace(tau=5.0), HistorySpec.from_tail(source, 37.2), 50.0, None
+    rng = np.random.default_rng(int(name.split("-")[1]))
+    q = random_params(rng)
+    y0 = (rng.uniform(0.0, q.A), rng.uniform(0.0, q.B), rng.uniform(0.0, 2.0))
+    return q, HistorySpec.constant(State(*y0)), 50.0, None
+
+
+class TestReferenceMarch:
+    """The unrolled three-component march equals the generic reference bit for bit."""
+
+    @staticmethod
+    def assert_same_nodes(new, ref):
+        assert len(new) == len(ref) == 3
+        for a, b in zip(new, ref):
+            assert np.array_equal(a, b)
+
+    def test_scalar_oracle(self):
+        args = _scalar_oracle_args()
+        self.assert_same_nodes(solve_dde(*args), reference.solve_dde(*args))
+
+    @pytest.mark.parametrize("name", [
+        "tau-zero", "off-plus-pulse", "from-tail", "from-tail-shifted",
+        *(f"random-{seed}" for seed in range(5)),
+    ])
+    def test_model_runs(self, name):
+        params, history, t_end, control = _model_case(name)
+        traj = integrate(params, history, t_end, control)
+        self.assert_same_nodes((traj.t, traj.y, traj.yp),
+                               reference.integrate(params, history, t_end, control))
+
+    def test_nan_derivative_message(self):
+        def f(t, y, yd):
+            return (0.0, 0.0, -yd[2] if t < 1.5 else math.nan)
+
+        args = _scalar_oracle_args(f)
+        with pytest.raises(NumericalError) as new:
+            solve_dde(*args)
+        with pytest.raises(NumericalError) as ref:
+            reference.solve_dde(*args)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("y0", [(1.0,), (0.0, 0.0, 1.0, 2.0)])
+    def test_three_components_required(self, y0):
+        with pytest.raises(InvalidArgumentError, match="three-component"):
+            solve_dde(lambda t, y, yd: y, lambda t: y0, 1.0, 3.0, StepControl())
 
 
 class TestOdeReduction:
@@ -116,6 +181,20 @@ class TestAccuracy:
         err = np.abs(coarse.evaluate_many(ts) - fine.evaluate_many(ts)).max()
         # pulse fronts dominate the global error at default tolerances
         assert err < 2e-4
+
+    def test_fifth_order_at_fixed_step(self):
+        # loose tolerances accept every step, so max_step sets the step;
+        # a mistyped tableau entry drops the order well below 4.5
+        p = preset("figure1")
+        y0 = (5.0, 4.0, 0.5)
+        ref = solve_ivp(lambda t, y: rhs(y, y[2], p), (0.0, 20.0), y0,
+                        method="DOP853", rtol=1e-12, atol=1e-14)
+        errs = []
+        for max_step in (0.4, 0.2):
+            traj = integrate(p, HistorySpec.constant(State(*y0)), 20.0,
+                             StepControl(atol=1.0, rtol=1.0, max_step=max_step))
+            errs.append(np.abs(traj.y[-1] - ref.y[:, -1]).max())
+        assert errs[0] / errs[1] >= 2.0 ** 4.5
 
     def test_tolerance_ladder_monotone(self):
         p = preset("figure1", kappa=0.1, tau=15.0)

@@ -24,6 +24,7 @@ from yamada_delay import (
 from yamada_delay.pulses import (
     INTERVAL_CV_TOL,
     MIN_THRESHOLD,
+    SAMPLE_DT,
     THRESHOLD_FRAC,
     _pulse_heights,
     measure_train,
@@ -107,8 +108,8 @@ class TestMeasureTrain:
     def test_statistics_of_settled_train(self, train_run):
         p, traj = train_run
         m = measure_train(traj, p.tau, since=0.5 * traj.t1)
-        peak = traj.sample(0.1)[1][:, 2].max()
-        assert m.threshold == pytest.approx(THRESHOLD_FRAC * peak, rel=1e-12)
+        peak = float(traj.sample(SAMPLE_DT)[1][:, 2].max())
+        assert m.threshold == THRESHOLD_FRAC * peak
         assert np.array_equal(m.pulse_times, detect_pulses(traj, m.threshold))
         assert np.array_equal(m.train_times, m.pulse_times[m.pulse_times >= 0.5 * traj.t1])
         assert m.period == pytest.approx(np.diff(m.train_times).mean())
