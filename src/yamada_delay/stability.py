@@ -9,10 +9,11 @@ function vanishes.  For the off state the determinant factorizes::
                        * (-lambda + A - B - 1 + kappa * e^{-tau lambda})
 
 so all delay-dependent structure lives in the scalar transcendental
-factor.  Roots of exponential polynomials sit on near-horizontal chains
-with imaginary spacing about ``2 pi / |tau|``; the root finder seeds a
-Newton iteration from a rectangular grid with that spacing and keeps
-deduplicated, residual-checked converged points.
+factor, whose roots are ``c + W_j(tau kappa e^{-tau c}) / tau`` with
+``c = A - B - 1`` on the Lambert-W branches ``j``; the off-state spectrum
+is taken from those branches, with no search grid.  At other equilibria
+the roots, on chains with imaginary spacing about ``2 pi / |tau|``, are
+found by Newton's method from a grid with that spacing, all at once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularParameterError
+from .errors import InvalidArgumentError, NumericalError, SingularParameterError
 from .model import ModelParams, State, jacobians, rhs
 
 __all__ = [
@@ -132,7 +133,7 @@ def _window4(window) -> tuple[float, float, float, float]:
     return re_min, re_max, im_min, im_max
 
 
-def _grid_starts(window, tau: float, re_step: float, im_step: float | None):
+def _grid_starts(window, tau: float, re_step: float, im_step: float | None) -> np.ndarray:
     re_min, re_max, im_min, im_max = window
     if im_step is None:
         im_step = min(math.pi / abs(tau), 0.5) if tau != 0.0 else 0.5
@@ -142,7 +143,7 @@ def _grid_starts(window, tau: float, re_step: float, im_step: float | None):
         raise InvalidArgumentError("window too large for the grid spacing")
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
-    return [complex(r, i) for r in res for i in ims]
+    return np.add.outer(res, 1j * ims).ravel()
 
 
 def _polish_multiple(f, fp, z: complex) -> complex:
@@ -171,115 +172,122 @@ def _polish_multiple(f, fp, z: complex) -> complex:
     return z
 
 
-def _newton_roots(f, fp, starts, window, extra_roots=()):
-    """Newton iteration from each start; dedup, filter, sort.
+def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's method on arrays from every start at once.
 
-    ``extra_roots`` are known exact roots appended before filtering
-    (e.g. the explicit polynomial factors of char_off).
+    ``f_fp(z)`` returns ``f`` and its derivative.  Per start: at most 60
+    iterations; converged on ``|f| < 1e-14`` or a step below
+    ``1e-13 (1 + |z|)``, failed on a non-finite ``f``, a zero derivative
+    or an escape beyond ``|z0| + 20 span``.  Converged near-double roots
+    go through :func:`_polish_multiple`.  Returns the final points and
+    the mask of the converged ones.
     """
     re_min, re_max, im_min, im_max = window
-    span = max(re_max - re_min, im_max - im_min)
-    found: list[complex] = [complex(z) for z in extra_roots]
-    for z0 in starts:
-        z = z0
-        ok = False
-        for _ in range(60):
-            fz = f(z)
-            if not (math.isfinite(fz.real) and math.isfinite(fz.imag)):
-                break
-            if abs(fz) < 1e-14:
-                ok = True
-                break
-            d = fp(z)
-            if d == 0.0:
-                break
-            step = fz / d
-            z = z - step
-            if abs(z) > abs(z0) + 20.0 * span:
-                break
-            if abs(step) < 1e-13 * (1.0 + abs(z)):
-                ok = True
-                break
-        if ok and math.isfinite(z.real) and math.isfinite(z.imag):
-            if abs(fp(z)) < 1e-6 and abs(f(z)) < 1e-12:
-                z = _polish_multiple(f, fp, z)
-            found.append(z)
-
-    # keep window, conjugate-complete, dedup
-    inside = [
-        z
-        for z in found
-        if re_min - 1e-9 <= z.real <= re_max + 1e-9
-        and im_min - 1e-9 <= z.imag <= im_max + 1e-9
-    ]
-    conj = [z.conjugate() for z in inside if im_min - 1e-9 <= -z.imag <= im_max + 1e-9]
-    merged: list[complex] = []
-    for z in sorted(inside + conj, key=lambda w: (w.real, w.imag)):
-        if not any(abs(z - w) < _DEDUP_TOL for w in merged):
-            merged.append(z)
-    return merged
+    limit = np.abs(starts) + 20.0 * max(re_max - re_min, im_max - im_min)
+    z = starts.copy()
+    live = np.arange(len(z))
+    ok = np.zeros(len(z), dtype=bool)
+    for _ in range(60):
+        fz, d = f_fp(z[live])
+        small = np.abs(fz) < 1e-14
+        ok[live[small]] = True
+        go = np.isfinite(fz) & ~small & (d != 0.0)
+        live, step = live[go], fz[go] / d[go]
+        z[live] -= step
+        escaped = np.abs(z[live]) > limit[live]
+        stopped = ~escaped & (np.abs(step) < 1e-13 * (1.0 + np.abs(z[live])))
+        ok[live[stopped]] = True
+        live = live[~escaped & ~stopped]
+    ok &= np.isfinite(z)
+    fz, d = f_fp(z)
+    for i in np.flatnonzero(ok & (np.abs(d) < 1e-6) & (np.abs(fz) < 1e-12)):
+        z[i] = _polish_multiple(lambda w: f_fp(w)[0], lambda w: f_fp(w)[1], complex(z[i]))
+    return z, ok
 
 
-def roots_off(
-    params: ModelParams,
-    window,
-    re_step: float = 0.1,
-    im_step: float | None = None,
-) -> SpectrumSet:
+def _window_roots(found: np.ndarray, window) -> np.ndarray:
+    """Roots and their conjugates inside the window, sorted by real, then
+    imaginary part; of points closer than 1e-7 the first one is kept."""
+    re_min, re_max, im_min, im_max = window
+    z = np.concatenate([found, found.conj()])
+    z = z[(re_min - 1e-9 <= z.real) & (z.real <= re_max + 1e-9)
+          & (im_min - 1e-9 <= z.imag) & (z.imag <= im_max + 1e-9)]
+    z = z[np.lexsort((z.imag, z.real))]
+    # clusters: runs of points closer than _DEDUP_TOL in real part, split
+    # where the imaginary parts within a run are not as close
+    run = np.cumsum(np.diff(z.real, prepend=-np.inf) >= _DEDUP_TOL)
+    order = np.lexsort((z.imag, run))
+    new = np.diff(z.imag[order], prepend=-np.inf) >= _DEDUP_TOL
+    new |= np.diff(run[order], prepend=-1) != 0
+    first = np.full(np.count_nonzero(new), len(z))
+    np.minimum.at(first, np.cumsum(new) - 1, order)
+    return z[np.sort(first)]
+
+
+def roots_off(params: ModelParams, window) -> SpectrumSet:
     """All characteristic roots of the off state inside a window.
 
-    Newton's method on the transcendental factor is started from a
-    rectangular grid (imaginary spacing ``min(pi/|tau|, 0.5)`` by
-    default, matching the asymptotic chain spacing of the roots); the
-    explicit polynomial roots ``-gamma_G`` and ``-gamma_Q`` are added
-    directly when they fall inside the window.  Non-converged starts
-    are discarded silently; an empty result is valid.
+    The transcendental factor has one root on every Lambert-W branch,
+    ``lambda_j = c + W_j(tau kappa e^{-tau c}) / tau`` with ``c = A-B-1``
+    (Corless et al., Adv. Comput. Math. 5, 1996), so there is no search:
+    each branch that can reach the window is seeded from a series for
+    ``W_j`` and polished by Newton steps on the factor.  The polynomial
+    roots ``-gamma_G`` and ``-gamma_Q`` are added when inside the window.
+    An empty result is valid.
+
+    Raises
+    ------
+    NumericalError
+        If a root inside the window misses the residual bound 1e-9: the
+        roundoff of ``e^{-tau lambda}`` grows with ``tau |lambda|``.
     """
     win = _window4(window)
-    starts = _grid_starts(win, params.tau, re_step, im_step)
+    c = params.A - params.B - 1.0
+    kap = params.kappa
+    tau = params.tau if kap != 0.0 else 0.0  # without feedback the delay drops out
 
-    def f(z):
-        return char_off_factor(z, params)
+    def f_fp(lam):
+        ex = kap * np.exp(-tau * lam)
+        return -lam + c + ex, -1.0 - tau * ex
 
-    def fp(z):
-        return char_off_factor_deriv(z, params)
+    if tau == 0.0:
+        lam = np.array([c + kap], dtype=complex)  # the factor is linear
+    else:
+        # Im W_j lies within 2 pi (|j| + 1) of the real axis, Im lambda = Im W / tau
+        n = math.ceil(abs(tau) * max(abs(win[2]), abs(win[3])) / (2.0 * math.pi)) + 2
+        # log z + 2 pi i j for the real z = tau kappa e^{-tau c}, kept in log
+        # space because e^{-tau c} overflows for long delays
+        log_z = math.log(abs(tau) * kap) - tau * c
+        ell = log_z + 1j * (math.pi * (tau < 0.0) + 2.0 * math.pi * np.arange(-n, n + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = ell - np.log(ell) + np.log(ell) / ell  # asymptotic series
+        z = math.copysign(math.exp(min(log_z, 1.0)), tau)
+        if abs(z + 1.0 / math.e) < 0.3:  # branch-point series for W_0, W_-1
+            p = cmath.sqrt(2.0 * (math.e * z + 1.0))
+            w[n - 1 : n + 1] = [-1.0 + q - q * q / 3.0 + 11.0 * q**3 / 72.0 for q in (-p, p)]
+        elif -1.0 / math.e < z < math.e:
+            w[n] = math.log1p(z)
+        seeds = c + w / tau
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam, ok = _newton_search(f_fp, seeds, win)
+        lam = np.where(ok, lam, seeds)  # an unconverged branch: its seed, for the check below
+    roots = _window_roots(np.concatenate([[-params.gamma_G, -params.gamma_Q], lam]), win)
+    p1, p2 = roots + params.gamma_G, roots + params.gamma_Q
 
-    poly = [
-        complex(-g, 0.0)
-        for g in (params.gamma_G, params.gamma_Q)
-        if win[0] <= -g <= win[1] and win[2] <= 0.0 <= win[3]
-    ]
-    roots = _newton_roots(f, fp, starts, win, extra_roots=poly)
+    def times(a, b):  # 0 * b = 0 at -gamma_G, -gamma_Q, also where the factor overflows
+        return np.where(a == 0.0, 0.0, a * b)
 
-    kept, resid, mult = [], [], []
-    for z in roots:
-        r = abs(char_off(z, params))
-        if r < _RESIDUAL_TOL:
-            kept.append(z)
-            resid.append(r)
-            # multiple if the whole characteristic function has a
-            # vanishing derivative (double polynomial root or double
-            # transcendental root).
-            mult.append(abs(_char_off_deriv(z, params)) < 1e-6)
-    return SpectrumSet(
-        np.array(kept, dtype=complex),
-        np.array(resid),
-        np.array(mult, dtype=bool),
-        win,
-    )
-
-
-def _char_off_deriv(z: complex, params: ModelParams) -> complex:
-    p1 = z + params.gamma_G
-    p2 = z + params.gamma_Q
-    f = char_off_factor(z, params)
-    fp = char_off_factor_deriv(z, params)
-    return p2 * f + p1 * f + p1 * p2 * fp
-
-
-def _det3(m) -> complex:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fz, dz = f_fp(roots)
+        resid = np.abs(times(p1 * p2, fz))
+        # multiple if the whole characteristic function has a vanishing
+        # derivative (double polynomial root or double transcendental root)
+        deriv = times(p1 + p2, fz) + times(p1 * p2, dz)
+    missed = np.count_nonzero(~(resid < _RESIDUAL_TOL))
+    if missed:
+        raise NumericalError(f"{missed} of {len(roots)} off-state roots in the window miss "
+                             f"the residual bound {_RESIDUAL_TOL:g}; narrow the window")
+    return SpectrumSet(roots, resid, np.abs(deriv) < 1e-6, win)
 
 
 def _adj3(m):
@@ -302,8 +310,10 @@ def roots_generic(
 
     Works on ``det(lambda I - M1 - M2 e^{-lambda tau})`` for the
     Jacobians evaluated at the given state, so it covers the lasing
-    equilibria where no closed-form factorization exists.  At the off
-    state it reproduces :func:`roots_off` (the determinant factorizes).
+    equilibria where no closed-form factorization exists.  Newton's
+    method runs from a grid of starts with the roots' chain spacing
+    (imaginary step ``min(pi/|tau|, 0.5)`` by default).  At the off state
+    it reproduces :func:`roots_off` (the determinant factorizes).
 
     Raises
     ------
@@ -314,43 +324,31 @@ def roots_generic(
     if res > 1e-8:
         raise InvalidArgumentError(f"state is not an equilibrium (residual {res:.2e})")
     win = _window4(window)
-    m1, m2 = jacobians(steady_state, params)
-    m1 = tuple(tuple(row) for row in m1)
+    m1 = jacobians(steady_state, params)[0]
     kap = params.kappa
     tau = params.tau
 
-    def fmat(z):
-        ex = kap * _cexp(-tau * z)
-        return (
+    def f_fp(z):
+        # exponents beyond 700 count as infinite: those iterates are dropped
+        ex = kap * np.where(np.real(-tau * z) > 700.0, np.inf, np.exp(-tau * z))
+        m = (
             (z - m1[0][0], -m1[0][1], -m1[0][2]),
             (-m1[1][0], z - m1[1][1], -m1[1][2]),
             (-m1[2][0], -m1[2][1], z - m1[2][2] - ex),
         )
+        adj = _adj3(m)
+        # det F along the first row, and d det(F)/dz = trace(adj(F) F')
+        # with F' = I + tau e^{-tau z} M2
+        det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+        return det, adj[0][0] + adj[1][1] + adj[2][2] * (1.0 + tau * ex)
 
-    def f(z):
-        return _det3(fmat(z))
-
-    def fp(z):
-        # d det(F)/dz = trace(adj(F) F') with F' = I + tau e^{-tau z} M2
-        ex = kap * _cexp(-tau * z)
-        adj = _adj3(fmat(z))
-        return adj[0][0] + adj[1][1] + adj[2][2] * (1.0 + tau * ex)
-
-    starts = _grid_starts(win, tau, re_step, im_step)
-    roots = _newton_roots(f, fp, starts, win)
-    kept, resid, mult = [], [], []
-    for z in roots:
-        r = abs(f(z))
-        if r < _RESIDUAL_TOL:
-            kept.append(z)
-            resid.append(r)
-            mult.append(abs(fp(z)) < 1e-6)
-    return SpectrumSet(
-        np.array(kept, dtype=complex),
-        np.array(resid),
-        np.array(mult, dtype=bool),
-        win,
-    )
+    with np.errstate(all="ignore"):
+        found, ok = _newton_search(f_fp, _grid_starts(win, tau, re_step, im_step), win)
+        roots = _window_roots(found[ok], win)
+        fz, dz = f_fp(roots)
+    resid = np.abs(fz)
+    keep = resid < _RESIDUAL_TOL
+    return SpectrumSet(roots[keep], resid[keep], np.abs(dz[keep]) < 1e-6, win)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,10 @@ class TestSpectrum:
                                 "--state", "p"], 3)
         assert "does not exist" in err
 
+    def test_long_delay_missed_roots_are_numerical_failure(self, capsys):
+        err = run_fail(capsys, ["spectrum", "--kappa", "0.2", "--tau", "3000"], 3)
+        assert "miss the residual bound" in err
+
     def test_csv_header(self, capsys):
         header, rows = run_csv(capsys, ["spectrum", "--kappa", "0.2", "--tau", "50"])
         assert header == ["re", "im", "residual", "multiple"]

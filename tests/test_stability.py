@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import stability_reference as grid
+import yamada_delay
 from yamada_delay import (
     InvalidArgumentError,
     ModelParams,
+    NumericalError,
     SingularParameterError,
     State,
     bt_point,
@@ -34,6 +41,47 @@ from yamada_delay.stability import (
 from conftest import random_params
 
 WINDOW = (-1.0, 0.5, -10.0, 10.0)
+# the windows of the differential tests: the classification window, the
+# default one and a square around the origin
+DIFF_WINDOWS = [(-0.5, 8.0, -8.0, 8.0), WINDOW, (-3.0, 3.0, -3.0, 3.0)]
+_rng = np.random.default_rng(406)
+DRAWS = [random_params(_rng) for _ in range(100)]
+
+
+def pairing(found, expected, tol):
+    """Index of the nearest expected root for each found root.
+
+    Asserts equal counts and a one-to-one match within ``tol``.
+    """
+    found, expected = np.asarray(found), np.asarray(expected)
+    assert len(found) == len(expected)
+    if len(found) == 0:
+        return np.zeros(0, dtype=int)
+    dist = np.abs(found[:, None] - expected[None, :])
+    nearest = dist.argmin(axis=1)
+    assert dist.min(axis=1).max() <= tol
+    assert len(np.unique(nearest)) == len(expected)
+    return nearest
+
+
+def lambert_w_roots(p, window):
+    """Off-state roots in ``window`` from scipy's Lambert W, deduplicated at 1e-7."""
+    from scipy.special import lambertw
+
+    re_min, re_max, im_min, im_max = window
+    c = p.A - p.B - 1.0
+    z = p.tau * p.kappa * math.exp(-p.tau * c)
+    n = math.ceil(p.tau * max(abs(im_min), abs(im_max)) / (2.0 * math.pi)) + 2
+    cands = np.concatenate([
+        [-p.gamma_G, -p.gamma_Q], c + lambertw(z, np.arange(-n, n + 1)) / p.tau
+    ])
+    out = []
+    for r in cands:
+        inside = (re_min - 1e-9 <= r.real <= re_max + 1e-9
+                  and im_min - 1e-9 <= r.imag <= im_max + 1e-9)
+        if inside and all(abs(r - w) >= 1e-7 for w in out):
+            out.append(r)
+    return np.array(out, dtype=complex)
 
 
 class TestCharacteristicFunction:
@@ -105,6 +153,88 @@ class TestRootsOff:
             roots_off(p, (0.5, -1.0, -10.0, 10.0))
         with pytest.raises(InvalidArgumentError):
             roots_off(p, (-1.0, 0.5, -10.0, math.inf))
+
+
+class TestReferenceSearch:
+    """The closed-form and array paths against the scalar grid search."""
+
+    def test_roots_off_matches_grid_search(self):
+        # the grid reference runs with a real spacing of 2 instead of 0.1:
+        # Newton from the chain-spaced columns still reaches every root of
+        # these windows, and the 100 x 3 comparison takes 8 s instead of 85 s.
+        # Negative delays make z = tau kappa e^{-tau c} < 0, six of them
+        # around the double-zero point z = -1/e where W_0 and W_-1 meet.
+        bt = bt_point(6.5, 5.8)
+        negative = [preset("figure1", kappa=bt.kappa * (1.0 + d), tau=bt.tau)
+                    for d in (-0.5, -0.05, -1e-4, 1e-4, 0.05, 0.5)]
+        negative += [p.replace(tau=-p.tau) for p in DRAWS[:20]]
+        cases = [(p, w) for p in DRAWS for w in DIFF_WINDOWS]
+        cases += [(p, DIFF_WINDOWS[2]) for p in negative]
+        for p, window in cases:
+            a = roots_off(p, window)
+            b = grid.roots_off(p, window, re_step=2.0)
+            nearest = pairing(a.roots, b.roots, 1e-9)
+            assert np.array_equal(a.multiple, b.multiple[nearest])
+
+    def test_roots_off_matches_scipy_lambert_w(self):
+        for p in DRAWS:
+            for window in DIFF_WINDOWS:
+                pairing(roots_off(p, window).roots, lambert_w_roots(p, window), 1e-9)
+
+    def test_roots_generic_matches_scalar_newton(self):
+        # same grid on both sides, so the two searches agree start for start
+        window = (-1.0, 0.5, -3.0, 3.0)
+        checked = 0
+        for p in DRAWS[:20]:
+            ss = steady_states(p)
+            for state in (ss.off, ss.p, ss.q):
+                if state is None:
+                    continue
+                a = roots_generic(state, p, window, re_step=1.0)
+                b = grid.roots_generic(state, p, window, re_step=1.0)
+                nearest = pairing(a.roots, b.roots, 1e-12)
+                assert np.array_equal(a.multiple, b.multiple[nearest])
+                assert np.all(a.residuals < 1e-9)
+                checked += 1
+        assert checked >= 50
+
+
+class TestLongDelays:
+    def test_narrow_window_keeps_every_branch_root(self):
+        p = preset("figure1", kappa=0.2, tau=2e4)
+        window = (-1.0, 0.5, -0.5, 0.5)
+        spec = roots_off(p, window)
+        # 3183 branch roots plus the double polynomial root -gamma_G = -gamma_Q
+        assert len(spec) == 3184
+        assert spec.multiple.sum() == 1 and spec.roots[spec.multiple][0] == -0.04
+        assert np.all(spec.residuals < 1e-9)
+        assert (spec.max_real_part() < 0.0) == (classify_off(p) == STABLE)
+        # the grid search cannot even start on the default window here
+        with pytest.raises(InvalidArgumentError, match="window too large"):
+            grid.roots_off(p, WINDOW)
+
+    def test_wide_window_reports_missed_roots(self):
+        # e^{-tau c} overflows a float here; the roundoff of e^{-tau lambda}
+        # puts many genuine roots above the residual bound
+        p = preset("figure1", kappa=0.2, tau=3000.0)
+        with pytest.raises(NumericalError, match=r"\d+ of \d+ off-state roots .* miss"):
+            roots_off(p, WINDOW)
+
+    def test_root_finders_do_not_import_scipy_special(self):
+        # importing scipy.special costs 0.3-0.5 s of every spectrum cold start
+        code = textwrap.dedent("""
+            import sys
+            from yamada_delay import preset, roots_generic, roots_off, steady_states
+            p = preset("figure1", kappa=0.2, tau=50.0)
+            roots_off(p, (-1.0, 0.5, -10.0, 10.0))
+            roots_generic(steady_states(p).q, p, (-1.0, 0.5, -1.0, 1.0))
+            print("scipy.special" in sys.modules)
+        """)
+        src = os.path.dirname(os.path.dirname(yamada_delay.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestRootsGeneric:
@@ -226,16 +356,16 @@ class TestClassifyOff:
     def test_agrees_with_root_finder(self):
         rng = np.random.default_rng(405)
         checked = 0
-        for _ in range(40):
+        for _ in range(400):
             p = random_params(rng)
             if p.tau < 1.0 or abs(p.kappa - abs(p.A - p.B - 1.0)) < 0.05:
                 continue
             label = classify_off(p)
             # real part up to c + kappa <= 7.4 for the draw box
-            m = roots_off(p, (-0.5, 8.0, -8.0, 8.0), re_step=0.2).max_real_part()
+            m = roots_off(p, (-0.5, 8.0, -8.0, 8.0)).max_real_part()
             if label == STABLE:
                 assert m < 0.0
             else:
                 assert m > 0.0
             checked += 1
-        assert checked > 15
+        assert checked > 150
