@@ -3,11 +3,13 @@
 The solver marches an embedded Dormand-Prince 5(4) pair with
 proportional-integral step-size control and keeps every accepted node
 ``(t, y, y')``.  The stages are unrolled for the model's three state
-components, and the nodes are kept in flat buffers.  Cubic Hermite interpolation through those nodes serves
-both as the user-facing dense output and as the internal lookup for the
-delayed term, which is what makes the method of steps work: the maximum
-step is capped at ``tau / 4`` so a delayed lookup never reads the step
-currently being built.
+components, and the nodes are kept in flat buffers.  Cubic Hermite
+interpolation through those nodes serves both as the user-facing dense
+output and as the internal lookup for the delayed term, which is what
+makes the method of steps work: the step is capped at ``tau / 4`` so a
+delayed lookup never reads the step currently being built.  That is the
+only default cap; below it the error estimate alone sets the step, so
+the quiescent stretches between pulses are crossed in long steps.
 
 Derivative discontinuities enter at ``t = 0`` (where the prescribed
 history hands over to the flow) and propagate to ``t = n*tau``; the
@@ -69,9 +71,10 @@ class StepControl:
     atol, rtol : float
         Absolute and relative error tolerances (per component).
     max_step : float or None
-        Upper bound on the step.  The solver additionally enforces
-        ``tau / 4`` whenever ``tau > 0``; if ``max_step`` is None a
-        default absolute cap of 1.0 applies on top of that.
+        Upper bound on the step.  The solver always enforces ``tau / 4``
+        (``t_end`` when ``tau == 0``); that is the only cap when
+        ``max_step`` is None or ``inf``, and below it the error
+        estimate alone sets the step.
     smoothing_rounds : int
         Number of delay intervals whose endpoints ``n * tau`` (and
         images of history discontinuities) are forced to be step
@@ -88,12 +91,15 @@ class StepControl:
     max_steps: int = 5_000_000
 
     def __post_init__(self) -> None:
-        if self.atol <= 0.0 or self.rtol <= 0.0:
-            raise InvalidArgumentError("atol and rtol must be positive")
-        if self.max_step is not None and self.max_step <= 0.0:
+        # Written so that NaN fails every check.
+        if not (0.0 < self.atol < math.inf and 0.0 < self.rtol < math.inf):
+            raise InvalidArgumentError("atol and rtol must be positive and finite")
+        if self.max_step is not None and not self.max_step > 0.0:
             raise InvalidArgumentError("max_step must be positive")
         if self.smoothing_rounds < 0:
             raise InvalidArgumentError("smoothing_rounds must be >= 0")
+        if self.max_steps < 1:
+            raise InvalidArgumentError("max_steps must be >= 1")
 
 
 class Trajectory:
@@ -354,13 +360,11 @@ def solve_dde(
     if tau < 0.0:
         raise InvalidArgumentError("cannot integrate forward with a negative delay")
 
+    # tau / 4 (t_end at tau = 0) is the only default cap; below it the
+    # error estimate alone sets the step.
+    hmax = min(t_end, tau / 4.0) if tau > 0.0 else t_end
     if control.max_step is not None:
-        hmax = control.max_step
-    else:
-        hmax = 1.0
-    if tau > 0.0:
-        hmax = min(hmax, tau / 4.0)
-    hmax = min(hmax, t_end)
+        hmax = min(hmax, control.max_step)
 
     # Breakpoints: images n*tau + d of the handover (d = 0) and of any
     # history jumps, for the first smoothing_rounds delay intervals.
@@ -391,7 +395,7 @@ def solve_dde(
         s = t - tau
         if s <= 0.0:
             return f(t, y, history(s))
-        # max_step <= tau/4 guarantees s is well inside the stored nodes.
+        # hmax <= tau/4 guarantees s is well inside the stored nodes.
         return f(t, y, _node_lookup(nodes_t, nodes_y, nodes_f, s))
 
     f0 = tuple(float(v) for v in eval_f(0.0, y0))

@@ -85,6 +85,13 @@ class TestExcite:
                                 "--horizon", "100"], 2)
         assert "horizon" in err
 
+    @pytest.mark.parametrize("option", ["--atol", "--rtol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, option, value):
+        err = run_fail(capsys, ["excite", "--kappa", "0.1", "--tau", "50",
+                                option, value], 2)
+        assert "finite" in err
+
 
 class TestSimulate:
     def test_negative_delay_rejected(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,16 @@ from yamada_delay import (
     NumericalError,
     StepControl,
     StiffnessError,
+    extract_orbit,
     integrate,
+    monodromy_multipliers,
     preset,
     rhs,
 )
 from yamada_delay.integrator import solve_dde
+from yamada_delay.pulses import (
+    classify_response, measure_train, scan_kappa_min, settle_train, single_pulse_seed,
+)
 
 import integrator_reference as reference
 from conftest import random_params
@@ -78,21 +84,34 @@ def _model_case(name):
         return p, HistorySpec.constant(State(6.0, 5.0, 0.3)), 40.0, StepControl(atol=1e-12, rtol=1e-10)
     p = preset("figure1", kappa=0.1, tau=7.3)
     if name == "off-plus-pulse":
-        return p, HistorySpec.off_plus_pulse(1.0, 1.0), 60.0, None
+        return p, HistorySpec.off_plus_pulse(1.0, 1.0), 60.0, StepControl()
     if name == "from-tail":
         source = integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 80.0)
-        return p.replace(tau=11.9), HistorySpec.from_tail(source), 50.0, None
+        return p.replace(tau=11.9), HistorySpec.from_tail(source), 50.0, StepControl()
     if name == "from-tail-shifted":
         source = integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 80.0)
-        return p.replace(tau=5.0), HistorySpec.from_tail(source, 37.2), 50.0, None
+        return p.replace(tau=5.0), HistorySpec.from_tail(source, 37.2), 50.0, StepControl()
     rng = np.random.default_rng(int(name.split("-")[1]))
     q = random_params(rng)
     y0 = (rng.uniform(0.0, q.A), rng.uniform(0.0, q.B), rng.uniform(0.0, 2.0))
-    return q, HistorySpec.constant(State(*y0)), 50.0, None
+    return q, HistorySpec.constant(State(*y0)), 50.0, StepControl()
+
+
+_MODEL_CASES = [
+    "tau-zero", "off-plus-pulse", "from-tail", "from-tail-shifted",
+    *(f"random-{seed}" for seed in range(5)),
+]
 
 
 class TestReferenceMarch:
-    """The unrolled three-component march equals the generic reference bit for bit."""
+    """The unrolled three-component march equals the generic reference bit for bit.
+
+    The reference still applies an absolute cap of 1.0 when
+    ``max_step`` is None, so the capped runs set that cap explicitly on
+    both sides, and the default (uncapped) runs meet a reference whose
+    ``max_step`` is too large to bind: both reduce to
+    ``min(tau / 4, t_end)``.
+    """
 
     @staticmethod
     def assert_same_nodes(new, ref):
@@ -104,15 +123,21 @@ class TestReferenceMarch:
         args = _scalar_oracle_args()
         self.assert_same_nodes(solve_dde(*args), reference.solve_dde(*args))
 
-    @pytest.mark.parametrize("name", [
-        "tau-zero", "off-plus-pulse", "from-tail", "from-tail-shifted",
-        *(f"random-{seed}" for seed in range(5)),
-    ])
+    @pytest.mark.parametrize("name", _MODEL_CASES)
     def test_model_runs(self, name):
+        params, history, t_end, control = _model_case(name)
+        capped = replace(control, max_step=1.0)
+        traj = integrate(params, history, t_end, capped)
+        self.assert_same_nodes((traj.t, traj.y, traj.yp),
+                               reference.integrate(params, history, t_end, capped))
+
+    @pytest.mark.parametrize("name", _MODEL_CASES)
+    def test_model_runs_uncapped(self, name):
         params, history, t_end, control = _model_case(name)
         traj = integrate(params, history, t_end, control)
         self.assert_same_nodes((traj.t, traj.y, traj.yp),
-                               reference.integrate(params, history, t_end, control))
+                               reference.integrate(params, history, t_end,
+                                                   replace(control, max_step=1e9)))
 
     def test_nan_derivative_message(self):
         def f(t, y, yd):
@@ -217,6 +242,77 @@ class TestAccuracy:
             assert np.abs(nodes - m * 7.3).min() < 1e-12
 
 
+class TestUncappedSteps:
+    """Below tau / 4 the error estimate alone sets the step.
+
+    A pulse that comes back one delay later after a long quiescent
+    stretch must still fire: the default run and a run capped at 1.0
+    find the same pulses.
+    """
+
+    @pytest.mark.parametrize("kappa, tau", [(0.1, 3000.0), (0.007, 400.0)])
+    def test_delayed_pulses_are_reinjected(self, kappa, tau):
+        p = preset("figure1", kappa=kappa, tau=tau)
+        hist = HistorySpec.off_plus_pulse(amplitude=1.0, width=0.5)
+        free = integrate(p, hist, 3.5 * tau)
+        capped = integrate(p, hist, 3.5 * tau, StepControl(max_step=1.0))
+        assert np.diff(free.t).max() > 1.0
+        got = measure_train(free, tau).pulse_times
+        want = measure_train(capped, tau).pulse_times
+        # the kicked pulse and one re-injection per delay interval
+        assert len(got) == len(want) == 4
+        assert np.abs(got - want).max() < 1e-2
+
+
+class TestUncappedMatchesCapped:
+    """The session results of the default step control equal those of a 1.0 cap."""
+
+    CAPPED = StepControl(max_step=1.0)
+
+    def test_excitation_classes(self, fig1_runs):
+        for kappa, stats in fig1_runs.items():
+            p = preset("figure1", kappa=kappa, tau=100.0)
+            capped = classify_response(p, single_pulse_seed(p), 2000.0, self.CAPPED)
+            assert stats.classification == capped.classification
+            assert stats.k == capped.k
+
+    @pytest.mark.parametrize("tau", [200.0, 400.0])
+    def test_kappa_onset(self, kappa_onsets, tau):
+        # The session scan bisects (0.004, 0.02) down to a bracket no
+        # wider than 2.5e-4 and returns its midpoint, so replaying the
+        # bisection against that midpoint recovers its final bracket.
+        # Handed that bracket, the scan checks both ends with the capped
+        # oracle (the lower must decay, the upper sustain) and returns
+        # the same midpoint: the capped onset lies in the same bracket.
+        kappa = kappa_onsets[tau]
+        lo, hi = 0.004, 0.02
+        while hi - lo > 2.5e-4:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if mid > kappa else (mid, hi)
+        p = preset("figure1", tau=tau)
+        assert scan_kappa_min(p, tau, (lo, hi), 2.5e-4, self.CAPPED) == kappa
+
+    @pytest.fixture(scope="class")
+    def capped_orbits(self):
+        out = {}
+        for k, tau in ((1, 200.0), (2, 400.0)):
+            p = preset("figure1", kappa=0.1, tau=tau)
+            out[(k, tau)] = extract_orbit(settle_train(p, k=k, control=self.CAPPED))
+        return out
+
+    def test_periods(self, orbits, capped_orbits):
+        for key, capped in capped_orbits.items():
+            assert abs(orbits[key].period - capped.period) < 1e-6
+
+    def test_multipliers(self, floquet_sets, capped_orbits):
+        # nearest-neighbour match both ways, so that two multipliers of
+        # nearly equal modulus may trade places in the sorted lists
+        free = floquet_sets[(1, 200.0)].multipliers
+        capped = monodromy_multipliers(capped_orbits[(1, 200.0)]).multipliers
+        for a, b in ((free, capped), (capped, free)):
+            assert max(np.abs(b - mu).min() for mu in a[:20]) < 1e-5
+
+
 class TestTrajectory:
     def setup_method(self):
         p = preset("figure1", kappa=0.05, tau=10.0)
@@ -260,6 +356,21 @@ class TestValidation:
         traj = integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 30.0)
         with pytest.raises(InvalidArgumentError):
             HistorySpec.from_tail(traj).realize(p.replace(tau=100.0))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"atol": math.nan}, {"atol": math.inf}, {"rtol": math.nan}, {"rtol": math.inf},
+        {"max_step": math.nan}, {"max_step": 0.0}, {"max_steps": 0},
+    ])
+    def test_step_control_rejects(self, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            StepControl(**kwargs)
+
+    def test_infinite_max_step_is_no_cap(self):
+        p = preset("figure1", kappa=0.1, tau=7.3)
+        hist = HistorySpec.off_plus_pulse(1.0, 1.0)
+        free = integrate(p, hist, 60.0)
+        unbounded = integrate(p, hist, 60.0, StepControl(max_step=math.inf))
+        assert np.array_equal(free.t, unbounded.t) and np.array_equal(free.y, unbounded.y)
 
     def test_step_budget_raises_stiffness(self):
         p = preset("figure1", kappa=0.1, tau=10.0)
