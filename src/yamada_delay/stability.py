@@ -2,18 +2,15 @@
 
 The linearization about a steady state ``x`` of the delayed system is
 ``y'(t) = M1(x) y(t) + M2 y(t-tau)``, whose exponential solutions
-``y = e^{lambda t} v`` exist where the transcendental characteristic
-function vanishes.  For the off state the determinant factorizes::
-
-    char_off(lambda) = (lambda + gamma_G) (lambda + gamma_Q)
-                       * (-lambda + A - B - 1 + kappa * e^{-tau lambda})
-
-so all delay-dependent structure lives in the scalar transcendental
-factor, whose roots are ``c + W_j(tau kappa e^{-tau c}) / tau`` with
-``c = A - B - 1`` on the Lambert-W branches ``j``; the off-state spectrum
-is taken from those branches, with no search grid.  At other equilibria
-the roots, on chains with imaginary spacing about ``2 pi / |tau|``, are
-found by Newton's method from a grid with that spacing, all at once.
+``y = e^{lambda t} v`` exist where ``det(lambda I - M1 - M2 e^{-tau
+lambda})`` vanishes.  Only ``I`` is delayed, ``M2 = kappa e3 e3^T``, so
+this is ``p0 - kappa e^{-tau lambda} p1`` with ``p0 = det(lambda I -
+M1)`` and the quadratic ``p1 = (lambda + gamma_G (1 + I))(lambda +
+gamma_Q (1 + a I))``, and its roots lie on the branches of ``tau lambda
++ Log(p0 / p1) = log kappa + 2 pi i j``, which one search follows for
+every steady state, with no search grid.  At the off state ``p0 / p1 =
+lambda - c``, ``c = A - B - 1``, and the roots of :func:`char_off_factor`
+are ``c + W_j(tau kappa e^{-tau c}) / tau`` on the Lambert-W branches.
 """
 
 from __future__ import annotations
@@ -50,6 +47,7 @@ INFINITELY_MANY_UNSTABLE = "infinitely-many-unstable"
 
 _DEDUP_TOL = 1e-7
 _RESIDUAL_TOL = 1e-9
+_MAX_BRANCHES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class SpectrumSet:
     roots : ndarray of complex
         Sorted by real part, then imaginary part.
     residuals : ndarray of float
-        ``|char(root)|``; every entry is below 1e-9.
+        ``|char(root)|``, below 1e-9: a root that misses the bound raises.
     multiple : ndarray of bool
         True where the derivative of the characteristic function also
         vanishes (a multiple root, e.g. at a double zero).
@@ -112,8 +110,7 @@ def char_off_factor_deriv(lam: complex, params: ModelParams) -> complex:
 
 
 def _cexp(z: complex) -> complex:
-    # exp with overflow guard: arguments beyond +/-700 are clamped to
-    # values whose Newton iterates will be discarded anyway.
+    # exp with overflow guard: arguments beyond 700 give an infinite modulus
     if z.real > 700.0:
         return cmath.rect(math.inf, z.imag)
     return cmath.exp(z)
@@ -133,43 +130,21 @@ def _window4(window) -> tuple[float, float, float, float]:
     return re_min, re_max, im_min, im_max
 
 
-def _grid_starts(window, tau: float, re_step: float, im_step: float | None) -> np.ndarray:
-    re_min, re_max, im_min, im_max = window
-    if im_step is None:
-        im_step = min(math.pi / abs(tau), 0.5) if tau != 0.0 else 0.5
-    n_re = int((re_max - re_min) / re_step) + 2
-    n_im = int((im_max - im_min) / im_step) + 2
-    if n_re * n_im > 2_000_000:
-        raise InvalidArgumentError("window too large for the grid spacing")
-    res = np.linspace(re_min, re_max, n_re)
-    ims = np.linspace(im_min, im_max, n_im)
-    return np.add.outer(res, 1j * ims).ravel()
-
-
-def _polish_multiple(f, fp, z: complex) -> complex:
-    """Sharpen a near-multiple root by Newton on the derivative.
+def _polish_multiple(f_fp, z: np.ndarray) -> np.ndarray:
+    """Sharpen near-multiple roots by 5 Newton steps on the derivative.
 
     Around a double root the residual of ``f`` is quadratically flat,
-    so plain Newton stalls anywhere inside the roundoff basin; ``fp``
-    has a simple root there and converges quadratically.  Falls back to
-    the input if the polish drifts off the root of ``f`` itself.
+    so plain Newton stalls anywhere inside the roundoff basin; ``f'``
+    has a simple root there and converges quadratically.  A point keeps
+    its input value if the polish drifts off the root of ``f`` itself.
     """
     w = z
-    for _ in range(30):
-        d = fp(w)
-        h = 1e-6 * (1.0 + abs(w))
-        d2 = (fp(w + h) - fp(w - h)) / (2.0 * h)
-        if d2 == 0.0:
-            break
-        step = d / d2
-        w = w - step
-        if abs(step) < 1e-12 * (1.0 + abs(w)):
-            break
-    if math.isfinite(w.real) and math.isfinite(w.imag) and abs(f(w)) <= max(
-        abs(f(z)), 1e-13
-    ):
-        return w
-    return z
+    for _ in range(5):
+        h = 1e-6 * (1.0 + np.abs(w))
+        step = f_fp(w)[1] / ((f_fp(w + h)[1] - f_fp(w - h)[1]) / (2.0 * h))
+        w = np.where(np.isfinite(step), w - step, w)
+    return np.where(np.isfinite(w) & (np.abs(f_fp(w)[0]) <= np.maximum(np.abs(f_fp(z)[0]), 1e-13)),
+                    w, z)
 
 
 def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.ndarray]:
@@ -178,9 +153,8 @@ def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.nda
     ``f_fp(z)`` returns ``f`` and its derivative.  Per start: at most 60
     iterations; converged on ``|f| < 1e-14`` or a step below
     ``1e-13 (1 + |z|)``, failed on a non-finite ``f``, a zero derivative
-    or an escape beyond ``|z0| + 20 span``.  Converged near-double roots
-    go through :func:`_polish_multiple`.  Returns the final points and
-    the mask of the converged ones.
+    or an escape beyond ``|z0| + 20 span``; converged near-double roots
+    with ``f != 0`` are polished.  Returns the points and the converged mask.
     """
     re_min, re_max, im_min, im_max = window
     limit = np.abs(starts) + 20.0 * max(re_max - re_min, im_max - im_min)
@@ -200,14 +174,15 @@ def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.nda
         live = live[~escaped & ~stopped]
     ok &= np.isfinite(z)
     fz, d = f_fp(z)
-    for i in np.flatnonzero(ok & (np.abs(d) < 1e-6) & (np.abs(fz) < 1e-12)):
-        z[i] = _polish_multiple(lambda w: f_fp(w)[0], lambda w: f_fp(w)[1], complex(z[i]))
+    near = np.flatnonzero(ok & (np.abs(d) < 1e-6) & (np.abs(fz) < 1e-12) & (fz != 0.0))
+    z[near] = _polish_multiple(f_fp, z[near])
     return z, ok
 
 
-def _window_roots(found: np.ndarray, window) -> np.ndarray:
+def _window_roots(found: np.ndarray, window, f_fp):
     """Roots and their conjugates inside the window, sorted by real, then
-    imaginary part; of points closer than 1e-7 the first one is kept."""
+    imaginary part, with ``f`` and ``f'`` there; of points closer than
+    1e-7 the one of least ``|f|`` is kept."""
     re_min, re_max, im_min, im_max = window
     z = np.concatenate([found, found.conj()])
     z = z[(re_min - 1e-9 <= z.real) & (z.real <= re_max + 1e-9)
@@ -219,136 +194,160 @@ def _window_roots(found: np.ndarray, window) -> np.ndarray:
     order = np.lexsort((z.imag, run))
     new = np.diff(z.imag[order], prepend=-np.inf) >= _DEDUP_TOL
     new |= np.diff(run[order], prepend=-1) != 0
-    first = np.full(np.count_nonzero(new), len(z))
-    np.minimum.at(first, np.cumsum(new) - 1, order)
-    return z[np.sort(first)]
+    cluster = np.empty(len(z), dtype=int)
+    cluster[order] = np.cumsum(new) - 1
+    fz, dz = f_fp(z)
+    best = np.lexsort((np.abs(fz), cluster))
+    keep = np.sort(best[np.diff(cluster[best], prepend=-1) != 0])
+    return z[keep], fz[keep], dz[keep]
+
+
+def _times(a, b):
+    # a * b with 0 * b = 0: exact at the zeros of p1, also where e^{-tau lambda} overflows
+    return np.where(a == 0.0, 0.0, a * b)
+
+
+def _real_roots(p0, p1, kappa: float, tau: float, lo: float, hi: float) -> np.ndarray:
+    """Real roots of ``p0 - kappa e^{-tau x} p1`` on ``[lo, hi]`` and the
+    zeros of the derivatives of ``F = e^{tau x} p0 - kappa p1``.  Its third
+    derivative is ``e^{tau x}`` times a cubic, so between the zeros of
+    ``F^(k+1)`` each ``F^(k)`` is monotone; its zero there is bisected on
+    the sign of ``(d/dx + tau)^k p0 - kappa e^{-tau x} p1^(k)``.
+    """
+    polys = [(p0, p1)]
+    for _ in range(3):
+        p, q = polys[-1]
+        polys.append((np.polyadd(tau * p, np.polyder(p)), np.polyder(q)))
+    cuts = np.roots(polys[3][0]).real  # extra cuts do no harm
+    for p, q in polys[2::-1]:
+        def sign(x):
+            return np.sign(np.polyval(p, x) - _times(np.polyval(q, x), kappa * np.exp(-tau * x)))
+
+        x = np.sort(np.clip(np.concatenate([[lo, hi], cuts]), lo, hi))
+        sx = sign(x)
+        brackets = sx[:-1] * sx[1:] < 0.0
+        a, b, sa = x[:-1][brackets], x[1:][brackets], sx[:-1][brackets]
+        for _ in range(20):
+            mid = 0.5 * (a + b)
+            left = sign(mid) == sa
+            a, b = np.where(left, mid, a), np.where(left, b, mid)
+        cuts = np.concatenate([x[sx == 0.0], 0.5 * (a + b), cuts])
+    return cuts
+
+
+def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
+    """Characteristic roots of ``y' = M1 y + kappa e3 e3^T y(t - tau)``.
+
+    Every state of the model has ``M1[0][1] = M1[1][0] = 0``, so ``char =
+    p1 (lambda - a33 - kappa e^{-tau lambda}) - s`` with ``p1 = (lambda -
+    a11)(lambda - a22)`` and ``s = a13 a31 (lambda - a22) + a23 a32
+    (lambda - a11)``; off the poles of ``g = lambda - a33 - s / p1`` the
+    roots solve ``tau (lambda - a33) + Log g = log kappa - tau a33 + 2 pi
+    i j`` (Lichtner, Wolfrum & Yanchuk, SIAM J. Math. Anal. 43, 2011).
+    Newton on ``g - kappa e^{-tau lambda}`` starts twice on each branch
+    that can reach the window: at the Lambert-W root of ``g = lambda -
+    a33`` (exact at the off state, ``s = 0``), and after 30 Newton steps
+    on the log form, ``Log g`` summed over the factors of ``g``.  Where
+    branches meet, Newton on ``char`` starts at the poles, the zeros of
+    ``g`` (eigenvalues of ``M1``), the critical points of the log form,
+    the roots at ``tau = 0`` and the real roots (:func:`_real_roots`),
+    each also shifted by ``i pi k / tau``, ``|k| <= 4``.  Errors as in
+    :func:`roots_generic`.
+    """
+    win = _window4(window)
+    (a11, _, a13), (_, a22, a23), (a31, a32, a33) = m1
+    b1, b2 = a13 * a31, a23 * a32
+    tau = tau if kappa != 0.0 else 0.0  # without feedback the delay drops out
+    # Im W_j lies within 2 pi (|j| + 1) of the real axis, Im lambda = Im W / tau
+    n = math.ceil(abs(tau) * max(abs(win[2]), abs(win[3])) / (2.0 * math.pi)) + 2
+    if 2 * n + 1 > _MAX_BRANCHES:
+        raise InvalidArgumentError(f"the window reaches {2 * n + 1} delay branches, more "
+                                   f"than {_MAX_BRANCHES}; narrow the window")
+    zeros, poles = np.linalg.eigvals(m1), np.array([a11, a22])
+    p0, p1 = np.poly(zeros).real, np.poly(poles)
+
+    def branch_fp(lam):  # g - kappa e^{-tau lambda}
+        ex = kappa * np.exp(-tau * lam)
+        u, v = lam - a11, lam - a22
+        uv, s = u * v, b1 * v + b2 * u
+        return lam - a33 - s / uv - ex, 1.0 + (s * (u + v) - (b1 + b2) * uv) / (uv * uv) + tau * ex
+
+    def char_fp(lam):
+        ex = kappa * np.exp(-tau * lam)
+        u, v = lam - a11, lam - a22
+        uv, h = u * v, lam - a33 - ex
+        return (_times(uv, h) - b1 * v - b2 * u,
+                _times(u + v, h) + _times(uv, 1.0 + tau * ex) - (b1 + b2))
+
+    with np.errstate(all="ignore"):
+        # zeros of tau + g'/g: where the branches of the log form meet
+        crit = np.polyadd(tau * np.polymul(p0, p1), np.polysub(
+            np.polymul(np.polyder(p0), p1), np.polymul(p0, np.polyder(p1))))
+        starts = np.concatenate([
+            poles, zeros, np.roots(crit), np.linalg.eigvals(m1 + np.diag([0.0, 0.0, kappa])),
+            _real_roots(p0, p1, kappa, tau, win[0], win[1])])
+        found = []
+        if tau != 0.0:
+            # the log form on branch j is tau (lambda - a33) + Log g = ell_j, and big_l
+            # is log z + 2 pi i j for the real z = tau kappa e^{-tau a33}, which overflows
+            ell = math.log(kappa) - tau * a33 + 2j * math.pi * np.arange(-n, n + 1)
+            big_l = ell + math.log(abs(tau)) + 1j * math.pi * (tau < 0.0)
+            w = big_l - np.log(big_l) + np.log(big_l) / big_l  # asymptotic series
+            seeds = refined = a33 + w / tau
+            for _ in range(30):
+                u, v = refined[:, None] - zeros, refined[:, None] - poles
+                log_g = np.log(u).sum(1) - np.log(v).sum(1)
+                step = (tau * (refined - a33) + log_g - ell) / (
+                    tau + (1.0 / u).sum(1) - (1.0 / v).sum(1))
+                refined = np.where(np.isfinite(step), refined - step, refined)
+            lam, ok = _newton_search(branch_fp, np.concatenate([seeds, refined]), win)
+            # an unconverged branch keeps its refined seed, for the check below
+            found = [lam[ok], refined[~ok[len(seeds) :]]]
+            starts = (starts[:, None] + 1j * math.pi / tau * np.arange(-4, 5)).ravel()
+        lam, ok = _newton_search(char_fp, starts.astype(complex), win)
+        roots, fz, dz = _window_roots(np.concatenate(found + [lam[ok]]), win, char_fp)
+    resid = np.abs(fz)
+    missed = np.count_nonzero(~(resid < _RESIDUAL_TOL))
+    if missed:
+        state = "off-state" if a31 == 0.0 else "lasing-state"  # a31 = I
+        raise NumericalError(f"{missed} of {len(roots)} {state} roots in the window miss "
+                             f"the residual bound {_RESIDUAL_TOL:g}; narrow the window")
+    return SpectrumSet(roots, resid, np.abs(dz) < 1e-6, win)
 
 
 def roots_off(params: ModelParams, window) -> SpectrumSet:
     """All characteristic roots of the off state inside a window.
 
-    The transcendental factor has one root on every Lambert-W branch,
-    ``lambda_j = c + W_j(tau kappa e^{-tau c}) / tau`` with ``c = A-B-1``
-    (Corless et al., Adv. Comput. Math. 5, 1996), so there is no search:
-    each branch that can reach the window is seeded from a series for
-    ``W_j`` and polished by Newton steps on the factor.  The polynomial
-    roots ``-gamma_G`` and ``-gamma_Q`` are added when inside the window.
-    An empty result is valid.
-
-    Raises
-    ------
-    NumericalError
-        If a root inside the window misses the residual bound 1e-9: the
-        roundoff of ``e^{-tau lambda}`` grows with ``tau |lambda|``.
+    :func:`roots_generic` at ``(A, B, 0)``, where the factor has one root
+    ``c + W_j(tau kappa e^{-tau c}) / tau`` on each Lambert-W branch
+    (Corless et al., Adv. Comput. Math. 5, 1996).
     """
-    win = _window4(window)
-    c = params.A - params.B - 1.0
-    kap = params.kappa
-    tau = params.tau if kap != 0.0 else 0.0  # without feedback the delay drops out
-
-    def f_fp(lam):
-        ex = kap * np.exp(-tau * lam)
-        return -lam + c + ex, -1.0 - tau * ex
-
-    if tau == 0.0:
-        lam = np.array([c + kap], dtype=complex)  # the factor is linear
-    else:
-        # Im W_j lies within 2 pi (|j| + 1) of the real axis, Im lambda = Im W / tau
-        n = math.ceil(abs(tau) * max(abs(win[2]), abs(win[3])) / (2.0 * math.pi)) + 2
-        # log z + 2 pi i j for the real z = tau kappa e^{-tau c}, kept in log
-        # space because e^{-tau c} overflows for long delays
-        log_z = math.log(abs(tau) * kap) - tau * c
-        ell = log_z + 1j * (math.pi * (tau < 0.0) + 2.0 * math.pi * np.arange(-n, n + 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = ell - np.log(ell) + np.log(ell) / ell  # asymptotic series
-        z = math.copysign(math.exp(min(log_z, 1.0)), tau)
-        if abs(z + 1.0 / math.e) < 0.3:  # branch-point series for W_0, W_-1
-            p = cmath.sqrt(2.0 * (math.e * z + 1.0))
-            w[n - 1 : n + 1] = [-1.0 + q - q * q / 3.0 + 11.0 * q**3 / 72.0 for q in (-p, p)]
-        elif -1.0 / math.e < z < math.e:
-            w[n] = math.log1p(z)
-        seeds = c + w / tau
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam, ok = _newton_search(f_fp, seeds, win)
-        lam = np.where(ok, lam, seeds)  # an unconverged branch: its seed, for the check below
-    roots = _window_roots(np.concatenate([[-params.gamma_G, -params.gamma_Q], lam]), win)
-    p1, p2 = roots + params.gamma_G, roots + params.gamma_Q
-
-    def times(a, b):  # 0 * b = 0 at -gamma_G, -gamma_Q, also where the factor overflows
-        return np.where(a == 0.0, 0.0, a * b)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        fz, dz = f_fp(roots)
-        resid = np.abs(times(p1 * p2, fz))
-        # multiple if the whole characteristic function has a vanishing
-        # derivative (double polynomial root or double transcendental root)
-        deriv = times(p1 + p2, fz) + times(p1 * p2, dz)
-    missed = np.count_nonzero(~(resid < _RESIDUAL_TOL))
-    if missed:
-        raise NumericalError(f"{missed} of {len(roots)} off-state roots in the window miss "
-                             f"the residual bound {_RESIDUAL_TOL:g}; narrow the window")
-    return SpectrumSet(roots, resid, np.abs(deriv) < 1e-6, win)
+    m1 = jacobians(State(params.A, params.B, 0.0), params)[0]
+    return _spectrum(m1, params.kappa, params.tau, window)
 
 
-def _adj3(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d * i, a * i - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
-
-
-def roots_generic(
-    steady_state: State,
-    params: ModelParams,
-    window,
-    re_step: float = 0.1,
-    im_step: float | None = None,
-) -> SpectrumSet:
+def roots_generic(steady_state: State, params: ModelParams, window) -> SpectrumSet:
     """Characteristic roots of the linearization at any equilibrium.
 
-    Works on ``det(lambda I - M1 - M2 e^{-lambda tau})`` for the
-    Jacobians evaluated at the given state, so it covers the lasing
-    equilibria where no closed-form factorization exists.  Newton's
-    method runs from a grid of starts with the roots' chain spacing
-    (imaginary step ``min(pi/|tau|, 0.5)`` by default).  At the off state
-    it reproduces :func:`roots_off` (the determinant factorizes).
+    The roots of ``det(lambda I - M1 - M2 e^{-lambda tau})`` in the window,
+    found along the delay branches of its exact factorization (no search
+    grid; see ``_spectrum``).  An empty result is valid.
 
     Raises
     ------
     InvalidArgumentError
-        If the state is not an equilibrium (RHS residual above 1e-8).
+        If the state is not an equilibrium (RHS residual above 1e-8), or
+        the window reaches more than 2 000 000 delay branches.
+    NumericalError
+        If a root inside the window misses the residual bound 1e-9, as on
+        wide windows at delays of a few thousand, or next to ``-gamma_G (1
+        + I)`` and ``-gamma_Q (1 + a I)`` for lasing states at long delays;
+        a window that leaves those out can succeed.
     """
     res = float(np.max(np.abs(rhs(steady_state, steady_state.I, params))))
     if res > 1e-8:
         raise InvalidArgumentError(f"state is not an equilibrium (residual {res:.2e})")
-    win = _window4(window)
-    m1 = jacobians(steady_state, params)[0]
-    kap = params.kappa
-    tau = params.tau
-
-    def f_fp(z):
-        # exponents beyond 700 count as infinite: those iterates are dropped
-        ex = kap * np.where(np.real(-tau * z) > 700.0, np.inf, np.exp(-tau * z))
-        m = (
-            (z - m1[0][0], -m1[0][1], -m1[0][2]),
-            (-m1[1][0], z - m1[1][1], -m1[1][2]),
-            (-m1[2][0], -m1[2][1], z - m1[2][2] - ex),
-        )
-        adj = _adj3(m)
-        # det F along the first row, and d det(F)/dz = trace(adj(F) F')
-        # with F' = I + tau e^{-tau z} M2
-        det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
-        return det, adj[0][0] + adj[1][1] + adj[2][2] * (1.0 + tau * ex)
-
-    with np.errstate(all="ignore"):
-        found, ok = _newton_search(f_fp, _grid_starts(win, tau, re_step, im_step), win)
-        roots = _window_roots(found[ok], win)
-        fz, dz = f_fp(roots)
-    resid = np.abs(fz)
-    keep = resid < _RESIDUAL_TOL
-    return SpectrumSet(roots[keep], resid[keep], np.abs(dz[keep]) < 1e-6, win)
+    return _spectrum(jacobians(steady_state, params)[0], params.kappa, params.tau, window)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Reference characteristic-root search: Newton from a rectangular grid.
+"""Reference characteristic-root searches: Newton from a rectangular grid,
+and a root count by the argument principle.
 
 Test-only code: the differential tests in ``test_stability.py`` compare
-:func:`yamada_delay.roots_off` (closed-form Lambert-W branches) and
-:func:`yamada_delay.roots_generic` (Newton on arrays) against these
-scalar, start-by-start searches, which seed Newton's method from a
-rectangular grid with the asymptotic chain spacing of the roots.
-Nothing under ``src/`` imports it.
+:func:`yamada_delay.roots_off` and :func:`yamada_delay.roots_generic`
+(one search along the delay branches) against these scalar,
+start-by-start searches, which seed Newton's method from a rectangular
+grid with the asymptotic chain spacing of the roots, and check that
+they find as many roots as :func:`winding_count` counts.  Nothing under
+``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from yamada_delay.stability import (
     _DEDUP_TOL,
     _RESIDUAL_TOL,
     SpectrumSet,
-    _adj3,
     _cexp,
-    _polish_multiple,
     _window4,
     char_off,
     char_off_factor,
@@ -33,6 +33,39 @@ from yamada_delay.stability import (
 def _det3(m) -> complex:
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _adj3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+
+
+def _polish_multiple(f, fp, z: complex) -> complex:
+    """Sharpen a near-multiple root by Newton on the derivative.
+
+    Around a double root the residual of ``f`` is quadratically flat,
+    so plain Newton stalls anywhere inside the roundoff basin; ``fp``
+    has a simple root there and converges quadratically.  Falls back to
+    the input if the polish drifts off the root of ``f`` itself.
+    """
+    w = z
+    for _ in range(30):
+        d = fp(w)
+        h = 1e-6 * (1.0 + abs(w))
+        d2 = (fp(w + h) - fp(w - h)) / (2.0 * h)
+        if d2 == 0.0:
+            break
+        step = d / d2
+        w = w - step
+        if abs(step) < 1e-12 * (1.0 + abs(w)):
+            break
+    if math.isfinite(w.real) and math.isfinite(w.imag) and abs(f(w)) <= max(abs(f(z)), 1e-13):
+        return w
+    return z
 
 
 def _grid_starts(window, tau: float, re_step: float, im_step: float | None):
@@ -214,3 +247,45 @@ def roots_generic(
         np.array(mult, dtype=bool),
         win,
     )
+
+
+def winding_count(state: State, params: ModelParams, window) -> int:
+    """Zeros of ``det(lambda I - M1 - M2 e^{-lambda tau})`` inside a
+    rectangle, counted with multiplicity by the winding of the phase
+    along its boundary.
+
+    Independent of any start scheme: the determinant comes from
+    ``numpy.linalg.det`` on the matrices, evaluated on the boundary at a
+    spacing of ``min(pi / (8 |tau|), 0.01)``; every step whose phase
+    turns by more than ``pi / 8`` or whose modulus changes by more than a
+    factor ``e^0.5`` is halved until none does.  A root on the boundary
+    fails the assertion; two roots closer to it than the spacing can
+    still go uncounted.
+    """
+    m1, m2 = (np.asarray(m) for m in jacobians(state, params))
+    re_min, re_max, im_min, im_max = window
+    corners = [complex(re_min, im_min), complex(re_max, im_min),
+               complex(re_max, im_max), complex(re_min, im_max)]
+
+    def det(z):
+        e = np.exp(-params.tau * z)[:, None, None]
+        return np.linalg.det(z[:, None, None] * np.eye(3) - m1 - m2 * e)
+
+    sides = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        n = math.ceil(abs(b - a) / min(math.pi / (8.0 * max(abs(params.tau), 1.0)), 0.01))
+        sides.append(a + (b - a) * np.arange(n) / n)
+    z = np.concatenate(sides + [corners[:1]])
+    f = det(z)
+    for _ in range(60):
+        turn = np.angle(f[1:] / f[:-1])
+        coarse = np.flatnonzero((np.abs(turn) > math.pi / 8.0)
+                                | (np.abs(np.log(np.abs(f[1:] / f[:-1]))) > 0.5))
+        if len(coarse) == 0:
+            break
+        mid = 0.5 * (z[coarse] + z[coarse + 1])
+        z, f = np.insert(z, coarse + 1, mid), np.insert(f, coarse + 1, det(mid))
+    assert len(coarse) == 0, "a root on the boundary"
+    total = turn.sum() / (2.0 * math.pi)
+    assert abs(total - round(total)) < 1e-6
+    return round(total)

@@ -149,6 +149,19 @@ class TestSpectrum:
         err = run_fail(capsys, ["spectrum", "--kappa", "0.2", "--tau", "3000"], 3)
         assert "miss the residual bound" in err
 
+    def test_lasing_roots_next_to_the_poles_are_numerical_failure(self, capsys):
+        err = run_fail(capsys, ["spectrum", "--state", "q", "--kappa", "0.2",
+                                "--tau", "200"], 3)
+        assert "2 of 639 lasing-state roots" in err
+        assert "narrow the window" in err
+
+    @pytest.mark.parametrize("state", ["off", "q"])
+    def test_too_many_branches_rejected(self, capsys, state):
+        # 1.6e8 delay branches: refused before their seeds are allocated
+        err = run_fail(capsys, ["spectrum", "--state", state, "--kappa", "0.2", "--tau", "50",
+                                "--im-min=-1e7", "--im-max=1e7"], 2)
+        assert "narrow the window" in err
+
     def test_csv_header(self, capsys):
         header, rows = run_csv(capsys, ["spectrum", "--kappa", "0.2", "--tau", "50"])
         assert header == ["re", "im", "residual", "multiple"]

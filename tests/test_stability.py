@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,21 +183,49 @@ class TestReferenceSearch:
                 pairing(roots_off(p, window).roots, lambert_w_roots(p, window), 1e-9)
 
     def test_roots_generic_matches_scalar_newton(self):
-        # same grid on both sides, so the two searches agree start for start
+        # every root of the grid search is found, and the argument principle
+        # counts as many roots as are returned (a double root twice).  Draw 9's
+        # q state has a root next to the pole a11 of g that no double reaches
+        # within the residual bound: it raises, and is compared on the window
+        # to the right of both poles.
         window = (-1.0, 0.5, -3.0, 3.0)
-        checked = 0
-        for p in DRAWS[:20]:
+        checked, raised = 0, []
+        for i, p in enumerate(DRAWS):
             ss = steady_states(p)
-            for state in (ss.off, ss.p, ss.q):
+            for name in ("off", "p", "q"):
+                state = getattr(ss, name)
                 if state is None:
                     continue
-                a = roots_generic(state, p, window, re_step=1.0)
-                b = grid.roots_generic(state, p, window, re_step=1.0)
-                nearest = pairing(a.roots, b.roots, 1e-12)
-                assert np.array_equal(a.multiple, b.multiple[nearest])
+                win = window
+                try:
+                    a = roots_generic(state, p, win)
+                except NumericalError:
+                    raised.append((i, name))
+                    m1 = jacobians(state, p)[0]
+                    win = (max(m1[0][0], m1[1][1]) + 0.01,) + window[1:]
+                    a = roots_generic(state, p, win)
+                b = grid.roots_generic(state, p, win, re_step=1.0)
+                dist = np.abs(b.roots[:, None] - a.roots[None, :])
+                if len(b):
+                    assert dist.min(axis=1).max() <= 1e-9
+                    assert np.array_equal(a.multiple[dist.argmin(axis=1)], b.multiple)
                 assert np.all(a.residuals < 1e-9)
+                assert len(a) + a.multiple.sum() == grid.winding_count(state, p, win)
                 checked += 1
-        assert checked >= 50
+        assert raised == [(9, "q")]
+        assert checked >= 250
+
+    @pytest.mark.parametrize("tau", [20.0, 50.0])
+    @pytest.mark.parametrize("name", ["off", "p", "q"])
+    def test_figure1_counts_match_the_winding(self, tau, name):
+        # the figure-1 preset's -gamma_G = -gamma_Q is a double root of the
+        # off state, flagged as multiple and counted twice
+        p = preset("figure1", kappa=0.2, tau=tau)
+        state = getattr(steady_states(p), name)
+        window = (-0.5, 0.5, -2.95, 2.95)
+        spec = roots_generic(state, p, window)
+        assert spec.multiple.sum() == (name == "off")
+        assert len(spec) + spec.multiple.sum() == grid.winding_count(state, p, window)
 
 
 class TestLongDelays:
@@ -219,6 +248,42 @@ class TestLongDelays:
         p = preset("figure1", kappa=0.2, tau=3000.0)
         with pytest.raises(NumericalError, match=r"\d+ of \d+ off-state roots .* miss"):
             roots_off(p, WINDOW)
+
+    def test_generic_route_keeps_every_branch_root(self):
+        # the grid search returned 417 of these 956 roots and raised nothing
+        p = preset("figure1", kappa=0.2, tau=3000.0)
+        window = (-1.0, 0.5, -1.0, 1.0)
+        spec = roots_generic(steady_states(p).off, p, window)
+        assert len(spec) == 956
+        assert np.all(spec.residuals < 1e-9)
+        pairing(spec.roots, roots_off(p, window).roots, 1e-9)
+
+    def test_lasing_roots_next_to_the_poles_raise(self):
+        # two genuine roots sit next to a22 = -0.2210 and a11 = -0.1406, where
+        # |char'| is 1e10 to 1e17: no double reaches the residual bound there
+        p = preset("figure1", kappa=0.2, tau=200.0)
+        q = steady_states(p).q
+        with pytest.raises(NumericalError, match=r"2 of 639 lasing-state roots .* miss"):
+            roots_generic(q, p, WINDOW)
+        window = (-0.13, 0.5, -10.0, 10.0)
+        spec = roots_generic(q, p, window)
+        assert len(spec) == 637
+        pairing(spec.roots, grid.roots_generic(q, p, window, re_step=0.7).roots, 1e-9)
+
+    def test_branch_count_is_checked_before_allocating(self):
+        # 1.6e8 branches: refused before any array of that length exists
+        p = preset("figure1", kappa=0.2, tau=50.0)
+        window = (-1.0, 0.5, -1e7, 1e7)
+        for call in (lambda: roots_off(p, window),
+                     lambda: roots_generic(steady_states(p).q, p, window)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidArgumentError, match="branches"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
 
     def test_root_finders_do_not_import_scipy_special(self):
         # importing scipy.special costs 0.3-0.5 s of every spectrum cold start
