@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -411,6 +412,12 @@ def main(argv=None) -> int:
         ns = _resolve(args)
         payload = args._command.handler(ns)
         _emit(payload, ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,12 @@ The operator is discretized on ``N`` uniform nodes with cubic
 interpolation for off-node lookups.  Only ``I(t - tau)`` feeds back
 (``M2`` has a single nonzero entry), so the ``G`` and ``Q`` history
 before ``t = 0`` never reaches the future: the map acts on ``N + 2``
-unknowns, ``I`` at every node plus ``G`` and ``Q`` at the last node,
-whose basis histories are advanced in one vectorized fixed-step
-Runge-Kutta pass.
+unknowns, ``I`` at every node plus ``G`` and ``Q`` at the last node.
+Over one period the march reads the history only on ``[-tau, T - tau]``,
+so one vectorized fixed-step Runge-Kutta pass advances just those basis
+histories and the last node's; the new nodes that still lie in the old
+history are four-point interpolation rows.  ARPACK takes the leading
+multipliers from products with these two blocks.
 
 As the delay grows, most multipliers condense onto the asymptotic
 continuous spectrum, the closed curve ``mu^k = kappa e^{i omega
@@ -171,24 +174,59 @@ class FloquetSet:
         return _io.floquet_rows(self)
 
 
-def _cardinal_weights(s: float, n_nodes: int, spacing: float):
-    """Cubic Lagrange weights for interpolating node data at offset s.
+def _cubic_stencils(s: np.ndarray, n_nodes: int, spacing: float):
+    """Cubic Lagrange stencils for interpolating node data at offsets s.
 
-    ``s`` is measured from the first node in units of the spacing; the
-    four-point stencil is clamped at the ends of the grid.
+    ``s`` is measured from the first node, in time units; each four-point
+    stencil is clamped at the ends of the grid.  Returns the first node of
+    every stencil and the weights, shape ``(len(s), 4)``.
     """
     u = s / spacing
-    j0 = int(math.floor(u)) - 1
-    j0 = min(max(j0, 0), n_nodes - 4)
+    j0 = np.clip(np.floor(u).astype(int) - 1, 0, n_nodes - 4)
     x = u - j0
-    w = []
+    w = np.ones((len(u), 4))
     for l in range(4):
-        num = 1.0
         for mth in range(4):
             if mth != l:
-                num *= (x - mth) / (l - mth)
-        w.append(num)
+                w[:, l] *= (x - mth) / (l - mth)
     return j0, w
+
+
+@dataclass(frozen=True)
+class _PeriodMap:
+    """The discretized period map, stored as two blocks.
+
+    The first ``n_shift`` rows are the new history nodes that still lie
+    in the initial history (``T + theta_j < 0``, only when ``T < tau``):
+    row ``j`` is the cubic stencil ``shift_w[j]`` at columns
+    ``shift_idx[j]``.  The other rows come from the march, which reads
+    only the columns ``cols``; ``block`` holds them on those columns.
+
+    ``shape``, ``dtype`` and ``matvec`` make it an operator for ARPACK;
+    ``np.asarray`` assembles the dense matrix.
+    """
+
+    shift_idx: np.ndarray
+    shift_w: np.ndarray
+    cols: np.ndarray
+    block: np.ndarray
+    dtype = np.dtype(float)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.shift_w) + len(self.block)
+        return n, n
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        shifted = (self.shift_w * x[self.shift_idx]).sum(axis=1)
+        return np.concatenate([shifted, self.block @ x[self.cols]])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        n_shift = len(self.shift_w)
+        M = np.zeros(self.shape, dtype=dtype)
+        np.put_along_axis(M[:n_shift], self.shift_idx, self.shift_w, axis=1)
+        M[n_shift:, self.cols] = self.block
+        return M
 
 
 def monodromy_multipliers(
@@ -200,11 +238,12 @@ def monodromy_multipliers(
     """Leading Floquet multipliers via the discretized period map.
 
     The map acts on ``I`` at the ``N`` nodes plus ``G`` and ``Q`` at the
-    last node and takes ``(N + 2)**2 * 8`` bytes.  Leaving out interior
-    ``G``/``Q`` is exact: on all ``3N`` unknowns the map is block
-    lower-triangular, and its interior ``G``/``Q`` block only shifts
-    values to later nodes (the period spans three or more node
-    spacings), so it adds nothing but zero multipliers.
+    last node.  Leaving out interior ``G``/``Q`` is exact: on all ``3N``
+    unknowns the map is block lower-triangular, and its interior
+    ``G``/``Q`` block only shifts values to later nodes (the period spans
+    three or more node spacings), so it adds nothing but zero
+    multipliers.  The map is kept as two blocks (see the module notes),
+    and ARPACK finds the multipliers from products with them.
 
     Parameters
     ----------
@@ -235,13 +274,35 @@ def monodromy_multipliers(
     tau = params.tau
     if tau <= 0.0:
         raise InvalidArgumentError("Floquet computation requires tau > 0")
-    T = orbit.period
     if N is None:
         N = min(4000, int(math.ceil(tau / 0.25)) + 1)
     if N < 8:
         raise InvalidArgumentError("need at least 8 history nodes")
+
+    mults = _leading_eigs(_period_map(orbit, N, step), m)
+    trivial = complex(mults[np.argmin(np.abs(mults - 1.0))])
+    if abs(trivial - 1.0) > 5e-2:
+        warnings.warn(
+            f"trivial multiplier {trivial:.4f} deviates from 1 by "
+            f"{abs(trivial - 1.0):.3f}; increase N or reduce the march step",
+            stacklevel=2,
+        )
+    return FloquetSet(mults, N, trivial, orbit.period)
+
+
+def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
+    """Period map on ``I`` at ``N`` nodes plus ``G``, ``Q`` at the last node.
+
+    Basis column ``j < N`` is the history that is 1 in ``I`` at node
+    ``j`` and 0 elsewhere; columns ``N`` and ``N + 1`` are ``G`` and
+    ``Q`` at the last node, where the initial state lives.  Row ``j`` is
+    ``I`` at the new node ``T + theta_j``; rows ``N`` and ``N + 1`` are
+    ``G`` and ``Q`` at ``T``.
+    """
+    params = orbit.params
+    tau = params.tau
+    T = orbit.period
     spacing = tau / (N - 1)
-    dim = N + 2
     kap = params.kappa
 
     n_steps = max(1, int(math.ceil(T / step)))
@@ -252,18 +313,20 @@ def monodromy_multipliers(
     m1_nodes = _m1_along(orbit, t_nodes)
     m1_mids = _m1_along(orbit, t_nodes[:-1] + 0.5 * h)
 
-    # Basis: column j < N is the history that is 1 in I at node j and 0
-    # elsewhere; columns N and N + 1 are G and Q at the last node, where
-    # the initial state lives.
-    Y = np.zeros((3, dim))
-    Y[0, N] = Y[1, N + 1] = Y[2, N - 1] = 1.0
+    # The delayed lookups I(t - tau) of the RK4 stages, at the march
+    # nodes, midpoints and step ends.  Where t - tau <= 0 they read the
+    # initial history through a cubic stencil.
+    lags = (t_nodes - tau, (t_nodes[:-1] + 0.5 * h) - tau, (t_nodes[:-1] + h) - tau)
+    stencils = [_cubic_stencils(s + tau, N, spacing) for s in lags]
+    reach = max(int(j0[s <= 0.0].max(initial=0)) for s, (j0, _) in zip(lags, stencils))
 
-    def history_row(s: float) -> np.ndarray:
-        """Intensity row of the interpolated initial history at s < 0."""
-        j0, w = _cardinal_weights(s + tau, N, spacing)
-        row = np.zeros(dim)
-        row[j0:j0 + 4] = w
-        return row
+    # Only the basis histories the march reads are marched: the nodes
+    # its stencils reach plus I, G and Q at the last node.  Stencil
+    # columns keep their index, since cols starts with 0 .. reach + 3.
+    cols = np.union1d(np.arange(reach + 4), [N - 1, N, N + 1])
+    i_last, g_last, q_last = np.searchsorted(cols, [N - 1, N, N + 1])
+    Y = np.zeros((3, len(cols)))
+    Y[0, g_last] = Y[1, q_last] = Y[2, i_last] = 1.0
 
     # Stored intensity rows (value and derivative) at past march nodes,
     # needed only when t - tau lands in the computed part (k = 1 orbits).
@@ -280,31 +343,31 @@ def monodromy_multipliers(
         h11 = x * x * (x - 1.0)
         return h00 * y0 + (h * h10) * f0 + h01 * y1 + (h * h11) * f1
 
-    def delayed_row(s: float) -> np.ndarray:
+    def add_delayed(row: np.ndarray, kind: int, i: int) -> None:
+        """Add kappa I(t - tau) of lookup i of the given kind to row."""
+        s = lags[kind][i]
         if s <= 0.0:
-            return history_row(s)
-        j = int(s / h)
-        x = (s - j * h) / h
-        return hermite(x, stored_i[j], stored_d[j], stored_i[j + 1], stored_d[j + 1])
+            j0, w = stencils[kind][0][i], stencils[kind][1][i]
+            row[j0:j0 + 4] += kap * w
+        else:
+            j = int(s / h)
+            x = (s - j * h) / h
+            row += kap * hermite(x, stored_i[j], stored_d[j], stored_i[j + 1], stored_d[j + 1])
 
-    # Output sample times: the new history nodes T + theta_j.  Row j is
-    # I at node j; rows N and N + 1 are G and Q at the last node.
-    theta = -tau + spacing * np.arange(N)
-    out_times = T + theta
-    M = np.empty((dim, dim))
-    out_j = 0
-    # rows for nodes that remain inside the original history
-    while out_j < N and out_times[out_j] < 0.0:
-        M[out_j] = history_row(out_times[out_j])
-        out_j += 1
+    # New history nodes T + theta_j that still lie in the initial
+    # history are stencil rows; the march samples the others.
+    out_times = T + (-tau + spacing * np.arange(N))
+    n_shift = int(np.count_nonzero(out_times < 0.0))
+    shift_j0, shift_w = _cubic_stencils(out_times[:n_shift] + tau, N, spacing)
+    block = np.empty((N + 2 - n_shift, len(cols)))
+    out_j = n_shift
 
     prev_Y = None
     prev_F = None
     for i in range(n_steps + 1):
         t = i * h
-        d1 = delayed_row(t - tau)
         F = m1_nodes[i] @ Y
-        F[2] += kap * d1
+        add_delayed(F[2], 0, i)
         if t <= store_max:
             stored_i.append(Y[2].copy())
             stored_d.append(F[2].copy())
@@ -313,40 +376,29 @@ def monodromy_multipliers(
             while out_j < N and out_times[out_j] <= t + 1e-12 * max(1.0, t):
                 x = (out_times[out_j] - (t - h)) / h
                 x = min(max(x, 0.0), 1.0)
-                M[out_j] = hermite(x, prev_Y[2], prev_F[2], Y[2], F[2])
+                block[out_j - n_shift] = hermite(x, prev_Y[2], prev_F[2], Y[2], F[2])
                 out_j += 1
         elif out_j < N and abs(out_times[out_j]) <= 1e-12:
-            M[out_j] = Y[2]
+            block[out_j - n_shift] = Y[2]
             out_j += 1
         if i == n_steps:
             break
 
         mid = m1_mids[i]
-        d2 = delayed_row(t + 0.5 * h - tau)
         k2 = mid @ (Y + (0.5 * h) * F)
-        k2[2] += kap * d2
+        add_delayed(k2[2], 1, i)
         k3 = mid @ (Y + (0.5 * h) * k2)
-        k3[2] += kap * d2
-        d4 = delayed_row(t + h - tau)
+        add_delayed(k3[2], 1, i)
         k4 = m1_nodes[i + 1] @ (Y + h * k3)
-        k4[2] += kap * d4
+        add_delayed(k4[2], 2, i)
         prev_Y = Y
         prev_F = F
         Y = Y + (h / 6.0) * (F + 2.0 * k2 + 2.0 * k3 + k4)
 
     if out_j != N:
         raise NumericalError("internal sampling walk failed to fill the period map")
-    M[N:] = Y[:2]  # the march ends at t = T, the last node
-
-    mults = _leading_eigs(M, m)
-    trivial = complex(mults[np.argmin(np.abs(mults - 1.0))])
-    if abs(trivial - 1.0) > 5e-2:
-        warnings.warn(
-            f"trivial multiplier {trivial:.4f} deviates from 1 by "
-            f"{abs(trivial - 1.0):.3f}; increase N or reduce the march step",
-            stacklevel=2,
-        )
-    return FloquetSet(mults, N, trivial, T)
+    block[-2:] = Y[:2]  # the march ends at t = T, the last node
+    return _PeriodMap(shift_j0[:, None] + np.arange(4), shift_w, cols, block)
 
 
 def _m1_along(orbit: PeriodicOrbit, ts: np.ndarray) -> np.ndarray:
@@ -365,11 +417,16 @@ def _m1_along(orbit: PeriodicOrbit, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leading_eigs(M: np.ndarray, m: int) -> np.ndarray:
-    """The m largest-modulus eigenvalues, deterministically ordered."""
+def _leading_eigs(M, m: int) -> np.ndarray:
+    """The m largest-modulus eigenvalues, deterministically ordered.
+
+    ``M`` is an ndarray or a :class:`_PeriodMap`.  ARPACK finds them from
+    matrix-vector products; only where it cannot run (``m >= n - 2``)
+    does ``eigvals`` take the dense matrix.
+    """
     n = M.shape[0]
-    if n <= 1000 or m >= n - 2:
-        vals = np.linalg.eigvals(M)
+    if m >= n - 2:
+        vals = np.linalg.eigvals(np.asarray(M))
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, eigs
 

@@ -17,6 +17,7 @@ feedback loop.  Every experiment reads its runs through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -667,7 +668,10 @@ def scan_kappa_min(
         raise InvalidArgumentError("lower bracket endpoint already sustains a train")
     if not sustained(hi):
         raise InvalidArgumentError("upper bracket endpoint does not sustain a train")
-    while hi - lo > tol:
+    # the halvings leave about an ulp of roundoff on hi - lo: without the
+    # slack a bracket that is tol wide in exact arithmetic halves once
+    # more, and one between adjacent floats halves forever
+    while hi - lo > tol + 4.0 * math.ulp(hi):
         mid = 0.5 * (lo + hi)
         if sustained(mid):
             hi = mid

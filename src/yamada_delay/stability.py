@@ -162,6 +162,8 @@ def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.nda
     live = np.arange(len(z))
     ok = np.zeros(len(z), dtype=bool)
     for _ in range(60):
+        if not len(live):
+            break
         fz, d = f_fp(z[live])
         small = np.abs(fz) < 1e-14
         ok[live[small]] = True

@@ -1,10 +1,17 @@
-"""Reference period map on the full 3N-dimensional history space.
+"""Reference period maps, dense, as the library built them before.
 
-Test-only code: the differential test in ``test_floquet.py`` compares
-the (N+2)-dimensional map of :func:`yamada_delay.monodromy_multipliers`
-against this function, which discretizes all three components at every
-history node (column ``3j + c`` is component ``c`` at node ``j``).
-Nothing under ``src/`` imports it.
+Test-only code: the differential tests in ``test_floquet.py`` compare
+:func:`yamada_delay.monodromy_multipliers` and its two-block operator
+against these functions.
+
+* :func:`reduced_period_map` assembles the dense ``(N+2) x (N+2)`` map on
+  ``I`` at every node plus ``G`` and ``Q`` at the last node, marching all
+  ``N + 2`` basis histories and calling :func:`_cardinal_weights` once
+  per delayed lookup.
+* :func:`full_period_map` discretizes all three components at every
+  history node (column ``3j + c`` is component ``c`` at node ``j``).
+
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -13,7 +20,134 @@ import math
 
 import numpy as np
 
-from yamada_delay.floquet import _cardinal_weights, _m1_along
+from yamada_delay.floquet import _m1_along
+
+
+def _cardinal_weights(s: float, n_nodes: int, spacing: float):
+    """Cubic Lagrange weights for interpolating node data at offset s.
+
+    ``s`` is measured from the first node in units of the spacing; the
+    four-point stencil is clamped at the ends of the grid.
+    """
+    u = s / spacing
+    j0 = int(math.floor(u)) - 1
+    j0 = min(max(j0, 0), n_nodes - 4)
+    x = u - j0
+    w = []
+    for l in range(4):
+        num = 1.0
+        for mth in range(4):
+            if mth != l:
+                num *= (x - mth) / (l - mth)
+        w.append(num)
+    return j0, w
+
+
+def reduced_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.ndarray:
+    """Dense (N+2) x (N+2) period map: same unknowns, grid and march as the library."""
+    params = orbit.params
+    tau = params.tau
+    T = orbit.period
+    if N is None:
+        N = min(4000, int(math.ceil(tau / 0.25)) + 1)
+    spacing = tau / (N - 1)
+    dim = N + 2
+    kap = params.kappa
+
+    n_steps = max(1, int(math.ceil(T / step)))
+    h = T / n_steps
+
+    # M1 along the orbit at nodes and midpoints of the march grid.
+    t_nodes = np.arange(n_steps + 1) * h
+    m1_nodes = _m1_along(orbit, t_nodes)
+    m1_mids = _m1_along(orbit, t_nodes[:-1] + 0.5 * h)
+
+    # Basis: column j < N is the history that is 1 in I at node j and 0
+    # elsewhere; columns N and N + 1 are G and Q at the last node, where
+    # the initial state lives.
+    Y = np.zeros((3, dim))
+    Y[0, N] = Y[1, N + 1] = Y[2, N - 1] = 1.0
+
+    def history_row(s: float) -> np.ndarray:
+        """Intensity row of the interpolated initial history at s < 0."""
+        j0, w = _cardinal_weights(s + tau, N, spacing)
+        row = np.zeros(dim)
+        row[j0:j0 + 4] = w
+        return row
+
+    # Stored intensity rows (value and derivative) at past march nodes,
+    # needed only when t - tau lands in the computed part (k = 1 orbits).
+    store_max = max(0.0, T - tau) + 2.0 * h
+    stored_i: list[np.ndarray] = []
+    stored_d: list[np.ndarray] = []
+
+    def hermite(x: float, y0, f0, y1, f1):
+        """Cubic Hermite interpolant across one march step, x in [0, 1]."""
+        om = 1.0 - x
+        h00 = (1.0 + 2.0 * x) * om * om
+        h10 = x * om * om
+        h01 = x * x * (3.0 - 2.0 * x)
+        h11 = x * x * (x - 1.0)
+        return h00 * y0 + (h * h10) * f0 + h01 * y1 + (h * h11) * f1
+
+    def delayed_row(s: float) -> np.ndarray:
+        if s <= 0.0:
+            return history_row(s)
+        j = int(s / h)
+        x = (s - j * h) / h
+        return hermite(x, stored_i[j], stored_d[j], stored_i[j + 1], stored_d[j + 1])
+
+    # Output sample times: the new history nodes T + theta_j.  Row j is
+    # I at node j; rows N and N + 1 are G and Q at the last node.
+    theta = -tau + spacing * np.arange(N)
+    out_times = T + theta
+    M = np.empty((dim, dim))
+    out_j = 0
+    # rows for nodes that remain inside the original history
+    while out_j < N and out_times[out_j] < 0.0:
+        M[out_j] = history_row(out_times[out_j])
+        out_j += 1
+
+    prev_Y = None
+    prev_F = None
+    for i in range(n_steps + 1):
+        t = i * h
+        d1 = delayed_row(t - tau)
+        F = m1_nodes[i] @ Y
+        F[2] += kap * d1
+        if t <= store_max:
+            stored_i.append(Y[2].copy())
+            stored_d.append(F[2].copy())
+        # emit output samples inside (t-h, t]
+        if prev_Y is not None:
+            while out_j < N and out_times[out_j] <= t + 1e-12 * max(1.0, t):
+                x = (out_times[out_j] - (t - h)) / h
+                x = min(max(x, 0.0), 1.0)
+                M[out_j] = hermite(x, prev_Y[2], prev_F[2], Y[2], F[2])
+                out_j += 1
+        elif out_j < N and abs(out_times[out_j]) <= 1e-12:
+            M[out_j] = Y[2]
+            out_j += 1
+        if i == n_steps:
+            break
+
+        mid = m1_mids[i]
+        d2 = delayed_row(t + 0.5 * h - tau)
+        k2 = mid @ (Y + (0.5 * h) * F)
+        k2[2] += kap * d2
+        k3 = mid @ (Y + (0.5 * h) * k2)
+        k3[2] += kap * d2
+        d4 = delayed_row(t + h - tau)
+        k4 = m1_nodes[i + 1] @ (Y + h * k3)
+        k4[2] += kap * d4
+        prev_Y = Y
+        prev_F = F
+        Y = Y + (h / 6.0) * (F + 2.0 * k2 + 2.0 * k3 + k4)
+
+    if out_j != N:
+        raise RuntimeError("sampling walk failed to fill the period map")
+    M[N:] = Y[:2]  # the march ends at t = T, the last node
+    return M
 
 
 def full_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.ndarray:

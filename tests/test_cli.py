@@ -6,10 +6,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import yamada_delay
 from yamada_delay.cli import main
 
 
@@ -317,3 +321,18 @@ class TestOutputFile:
         second = main(argv + ["--out", str(tmp_path / "b.csv")])
         assert first == second == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_is_quiet(self):
+        # the reader is gone before the CLI writes, so its first write or
+        # the flush meets a broken pipe
+        src = os.path.dirname(os.path.dirname(yamada_delay.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["spectrum", "--kappa", "0.2", "--tau", "50", "--format", "csv"]
+        proc = subprocess.Popen([sys.executable, "-m", "yamada_delay", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == 1

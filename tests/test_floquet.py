@@ -27,9 +27,9 @@ from yamada_delay import (
     settle_train,
     single_pulse_seed,
 )
-from yamada_delay.floquet import _leading_eigs
+from yamada_delay.floquet import _leading_eigs, _period_map
 
-from floquet_reference import full_period_map
+from floquet_reference import full_period_map, reduced_period_map
 
 
 class TestConstantOrbitOracle:
@@ -49,6 +49,26 @@ class TestConstantOrbitOracle:
             # a constant orbit has no translation symmetry, so the
             # "trivial multiplier far from 1" warning must fire
             fs = monodromy_multipliers(orbit, m=40)
+        roots = roots_off(p, (-1.0, 0.5, -10.0, 10.0)).roots
+        expected = np.exp(roots * T)
+        expected = expected[np.argsort(-np.abs(expected))]
+        for mu in expected[:6]:
+            assert np.abs(fs.multipliers - mu).min() < 1e-3
+
+    def test_semigroup_with_stencil_rows_reading_stencil_rows(self):
+        # T < tau/2: a new node that still lies in the initial history
+        # reads nodes that are themselves stencil rows; m < n - 2 takes
+        # the ARPACK route through the two blocks
+        p = preset("figure1", kappa=0.2, tau=10.0)
+        T = 3.0
+        traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 20.0)
+        orbit = PeriodicOrbit(traj, T, 1, p, traj.t1, 0.0)
+        op = _period_map(orbit, 41, 0.05)
+        n_shift = len(op.shift_w)
+        assert n_shift > 0 and (op.shift_idx[:, 0] < n_shift).any()
+        with pytest.warns(UserWarning):
+            fs = monodromy_multipliers(orbit, m=12)
+        assert fs.N == 41 and len(fs) == 12
         roots = roots_off(p, (-1.0, 0.5, -10.0, 10.0)).roots
         expected = np.exp(roots * T)
         expected = expected[np.argsort(-np.abs(expected))]
@@ -138,6 +158,68 @@ class TestReducedPeriodMap:
             kept = a[np.abs(a) > cut]
             assert len(kept) > 100
             assert np.abs(kept[:, None] - b[None, :]).min(axis=1).max() <= 1e-10
+
+
+def set_distance(a, b):
+    """Largest distance from a multiplier of one set to the other set,
+    over the multipliers above the truncation modulus (where clusters of
+    equal modulus are cut in a different order)."""
+    cut = max(abs(a[-1]), abs(b[-1])) + 1e-3
+    dist = 0.0
+    for x, y in ((a, b), (b, a)):
+        kept = x[np.abs(x) > cut]
+        assert len(kept) > 100
+        dist = max(dist, np.abs(kept[:, None] - y[None, :]).min(axis=1).max())
+    return dist
+
+
+class TestTwoBlockPeriodMap:
+    """The two-block operator against the dense (N+2)-unknown reference map."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, orbits, floquet_sets):
+        """(k, tau) -> (multipliers, two-block operator, dense reference map)."""
+        p = preset("figure1", kappa=0.1, tau=30.0)
+        orbit = extract_orbit(settle_train(p, k=1))
+        sets = {(1, 30.0): (orbit, monodromy_multipliers(orbit))}
+        sets.update({key: (orbit, floquet_sets[key]) for key, orbit in orbits.items()})
+        return {
+            key: (fs, _period_map(orbit, fs.N, 0.05), reduced_period_map(orbit))
+            for key, (orbit, fs) in sets.items()
+        }
+
+    def test_matvec_and_dense_assembly(self, cases):
+        rng = np.random.default_rng(5)
+        for key, (fs, op, M) in cases.items():
+            assert op.shape == M.shape
+            assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max(), key
+            for x in rng.standard_normal((3, len(M))):
+                want = M @ x
+                assert np.abs(op.matvec(x) - want).max() <= 1e-13 * np.abs(want).max(), key
+
+    def test_stencil_rows_and_marched_columns(self, cases):
+        # k = 2 (T < tau): about half the rows are stencils and the march
+        # advances about half the basis histories; k = 1 marches them all
+        for (k, tau), (fs, op, M) in cases.items():
+            n = len(M)
+            if k == 1:
+                assert len(op.shift_w) == 0 and len(op.cols) == n
+            else:
+                assert 0.45 * n < len(op.shift_w) < 0.55 * n
+                assert len(op.cols) < 0.55 * n
+
+    def test_multipliers_match_dense_map_route(self, cases):
+        # the eigen route of the dense map: eigvals up to 1000 unknowns,
+        # ARPACK on the dense array above
+        for key, (fs, op, M) in cases.items():
+            if len(M) > 1000:
+                ref = _leading_eigs(M, 200)
+            else:
+                vals = np.linalg.eigvals(M)
+                ref = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))][:200]
+            assert set_distance(fs.multipliers, ref) <= 1e-10, key
+            ref_trivial = ref[np.argmin(np.abs(ref - 1.0))]
+            assert abs(abs(fs.trivial - 1.0) - abs(ref_trivial - 1.0)) <= 1e-10, key
 
 
 class TestLeadingEigs:

@@ -286,7 +286,7 @@ class TestUncappedMatchesCapped:
         # the same midpoint: the capped onset lies in the same bracket.
         kappa = kappa_onsets[tau]
         lo, hi = 0.004, 0.02
-        while hi - lo > 2.5e-4:
+        while hi - lo > 2.5e-4 + 4.0 * math.ulp(hi):
             mid = 0.5 * (lo + hi)
             lo, hi = (lo, mid) if mid > kappa else (mid, hi)
         p = preset("figure1", tau=tau)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,13 @@ from yamada_delay import (
     single_pulse_seed,
     sweep_tau,
 )
+from yamada_delay import pulses
 from yamada_delay.pulses import (
+    DECAY,
     INTERVAL_CV_TOL,
     MIN_THRESHOLD,
     SAMPLE_DT,
+    SUSTAINED_TRAIN,
     THRESHOLD_FRAC,
     _pulse_heights,
     measure_train,
@@ -296,6 +301,44 @@ class TestFeedbackOnset:
 
     def test_longer_delay_does_not_raise_onset(self, kappa_onsets):
         assert kappa_onsets[400.0] <= kappa_onsets[200.0] + 5e-4
+
+    @staticmethod
+    def stub_oracle(monkeypatch):
+        """Replace the integrating oracle by one that sustains above 0.0061
+        and records the kappa of every call."""
+        seen = []
+
+        def oracle(p, history, t_end, control=None):
+            seen.append(p.kappa)
+            sustained = p.kappa > 0.0061
+            return SimpleNamespace(classification=SUSTAINED_TRAIN if sustained else DECAY)
+
+        monkeypatch.setattr(pulses, "classify_response", oracle)
+        return seen
+
+    @pytest.mark.parametrize(
+        "bracket, tol, calls, onset",
+        [
+            # six halvings leave hi - lo = 2.500000000000002e-4 > tol
+            ((0.004, 0.02), 2.5e-4, 8, 0.006125),
+            ((0.0, 1.0), 0.125, 5, 0.0625),
+            ((0.0, 1.0), 0.1, 6, 0.03125),
+        ],
+    )
+    def test_oracle_calls(self, monkeypatch, bracket, tol, calls, onset):
+        # two endpoint checks plus one call per halving down to a bracket
+        # within tol
+        seen = self.stub_oracle(monkeypatch)
+        assert scan_kappa_min(preset("figure1"), 10.0, bracket, tol) == onset
+        assert len(seen) == calls
+
+    def test_tolerance_below_float_spacing_ends(self, monkeypatch):
+        # the bracket stops shrinking at adjacent floats; the scan must
+        # still stop there
+        seen = self.stub_oracle(monkeypatch)
+        onset = scan_kappa_min(preset("figure1"), 10.0, (0.004, 0.02), 1e-20)
+        assert abs(onset - 0.0061) < 1e-17
+        assert len(seen) < 60
 
     def test_bracket_validation(self):
         p = preset("figure1")
