@@ -28,7 +28,7 @@ from .model import (
     rhs,
     steady_states,
 )
-from .integrator import HistorySpec, StepControl, Trajectory, integrate
+from .integrator import HistorySpec, SolverStats, StepControl, Trajectory, integrate
 from .stability import (
     BTPoint,
     HopfCurvePoint,

@@ -1,12 +1,14 @@
 """Delay differential equation integration by the method of steps.
 
-The solver marches an embedded Dormand-Prince 5(4) pair with
-proportional-integral step-size control and keeps every accepted node
-``(t, y, y')``.  The stages are unrolled for the model's three state
-components, and the nodes are kept in flat buffers.  Cubic Hermite
-interpolation through those nodes serves both as the user-facing dense
-output and as the internal lookup for the delayed term, which is what
-makes the method of steps work: the step is capped at ``tau / 4`` so a
+The solver marches the Yamada field with an embedded Dormand-Prince
+5(4) pair and proportional-integral step-size control, and keeps every
+accepted node ``(t, y, y')`` in flat buffers.  The march uses the
+model's exact structure: the stages are unrolled for its three state
+components, each stage writes the rate equations inline from the six
+rate constants, and since only the intensity is delayed, each stage
+looks up ``I(t - tau)`` alone, from a cubic Hermite interpolant of the
+``I`` column of the nodes.  The same Hermite interpolation serves as
+the user-facing dense output.  The step is capped at ``tau / 4`` so a
 delayed lookup never reads the step currently being built.  That is the
 only default cap; below it the error estimate alone sets the step, so
 the quiescent stretches between pulses are crossed in long steps.
@@ -16,11 +18,15 @@ history hands over to the flow) and propagate to ``t = n*tau``; the
 solver places nodes exactly on those breakpoints for the first few
 rounds, after which the solution is smooth enough that step control
 alone handles them.
+
+Each run reports its own counts (:class:`SolverStats`, carried by the
+:class:`Trajectory`).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -34,6 +40,7 @@ from .model import ModelParams, State
 __all__ = [
     "StepControl",
     "HistorySpec",
+    "SolverStats",
     "Trajectory",
     "integrate",
 ]
@@ -110,14 +117,16 @@ class Trajectory:
     which matches the order of accuracy of the dense representation
     the integrator itself used for delayed lookups.  A trajectory also
     serves as the history source for a follow-up run (see
-    :meth:`HistorySpec.from_tail`).
+    :meth:`HistorySpec.from_tail`).  ``stats`` is the march's
+    :class:`SolverStats` (None for a trajectory built from given nodes).
     """
 
-    def __init__(self, t, y, yp, params: ModelParams):
+    def __init__(self, t, y, yp, params: ModelParams, stats: SolverStats | None = None):
         self.t = np.asarray(t, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.yp = np.asarray(yp, dtype=float)
         self.params = params
+        self.stats = stats
         if self.t.ndim != 1 or len(self.t) < 2:
             raise InvalidArgumentError("a trajectory needs at least two nodes")
         if np.any(np.diff(self.t) <= 0.0):
@@ -225,9 +234,10 @@ class HistorySpec:
         time units of the history, ending at ``t = 0``; it is the
         standard trigger for a single excitable pulse.
         """
-        if amplitude < 0.0:
-            raise InvalidArgumentError("pulse amplitude must be nonnegative")
-        if width <= 0.0:
+        # Written so that NaN fails both checks.
+        if not 0.0 <= amplitude < math.inf:
+            raise InvalidArgumentError("pulse amplitude must be nonnegative and finite")
+        if not width > 0.0:
             raise InvalidArgumentError("pulse width must be positive")
         return cls("off_plus_pulse", amplitude=float(amplitude), width=float(width))
 
@@ -319,27 +329,66 @@ def _node_lookup(ts: list, ys, fs, x: float) -> tuple:
     )
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """How one :func:`solve_dde` march went.
+
+    Attributes
+    ----------
+    accepted, rejected : int
+        Accepted and rejected DP5 steps.
+    rhs_evals : int
+        Right-hand-side evaluations: one at ``t = 0`` and six per
+        attempted step (stages 2 to 7; stage 1 reuses the last one).
+    h_min, h_max : float
+        Smallest and largest accepted step.
+    breakpoints : int
+        Breakpoints (delayed images of the handover and of history
+        jumps) the march stepped onto, ``t_end`` not included.
+    wall_s : float
+        Wall time of the march, in seconds.
+    """
+
+    accepted: int
+    rejected: int
+    rhs_evals: int
+    h_min: float
+    h_max: float
+    breakpoints: int
+    wall_s: float
+
+
 def solve_dde(
-    f: Callable[[float, tuple, tuple], tuple],
+    rates: Sequence[float],
     history: Callable[[float], tuple],
     tau: float,
     t_end: float,
     control: StepControl,
     extra_breakpoints: Sequence[float] = (),
 ):
-    """Method-of-steps march of a three-component field; returns node arrays ``(t, y, yp)``.
+    """Method-of-steps march of the Yamada field; returns ``(t, y, yp, stats)``.
 
-    The stages are unrolled for exactly three state components, so the
-    history must supply three values.
+    Every stage writes the rate equations inline,
+
+    ``G' = gamma_G (A - G (1 + I))``,
+    ``Q' = gamma_Q (B - Q (1 + a I))``,
+    ``I' = (G - Q - 1) I + kappa I(t - tau)``,
+
+    and looks up only the delayed intensity: one cubic Hermite
+    interpolant of the ``I`` column of the accepted nodes, the same
+    arithmetic as the third component of :meth:`Trajectory.evaluate`.
+    Stages 6 and 7 both sit at ``t + h`` and share one lookup.
 
     Parameters
     ----------
-    f : callable
-        ``f(t, y, y_delayed) -> derivative`` on 3-tuples.  For
-        ``tau == 0`` the current stage value is passed as ``y_delayed``
-        and the march reduces to an ordinary Runge-Kutta integration.
+    rates : sequence of six floats
+        ``(gamma_G, A, gamma_Q, B, a, kappa)``, used as given:
+        :func:`integrate` passes those of a validated :class:`ModelParams`.
     history : callable
-        State on ``[-tau, 0]``; ``history(0.0)`` is the initial state.
+        State ``(G, Q, I)`` on ``[-tau, 0]``; ``history(0.0)`` is the
+        initial state, and only the ``I`` component is read at ``t < 0``.
+        For ``tau == 0`` the current intensity is fed back and the march
+        reduces to an ordinary Runge-Kutta integration.
     tau : float
         Delay, >= 0.
     t_end : float
@@ -349,16 +398,24 @@ def solve_dde(
         Interior history jump times (< 0) whose delayed images get
         breakpoint treatment alongside the multiples of tau.
 
+    Returns
+    -------
+    t, y, yp : ndarray
+        Node times, shape (n,), and states and derivatives, shape (n, 3).
+    stats : SolverStats
+
     Raises
     ------
     InvalidArgumentError
         For ``t_end <= 0``, ``tau < 0``, or a history whose state does
         not have three components.
     """
+    wall0 = time.perf_counter()
     if t_end <= 0.0:
         raise InvalidArgumentError("t_end must be positive")
     if tau < 0.0:
         raise InvalidArgumentError("cannot integrate forward with a negative delay")
+    gg, aa, gq, bb, sat, kap = (float(v) for v in rates)
 
     # tau / 4 (t_end at tau = 0) is the only default cap; below it the
     # error estimate alone sets the step.
@@ -384,22 +441,45 @@ def solve_dde(
             f"solve_dde marches three-component states, got {len(y0)} components"
         )
     # Accepted nodes: times in a list (for bisect), states and derivatives
-    # flat, three floats per node.
+    # flat, three floats per node.  The delayed lookup reads I and I' from
+    # lists of their own, whose indexing hands back the stored float
+    # where an array would box a new one.
     nodes_t = [0.0]
     nodes_y = array("d", y0)
     nodes_f = array("d")
+    col_i = [y0[2]]
+    col_fi = []
 
-    def eval_f(t: float, y: tuple) -> tuple:
-        if tau == 0.0:
-            return f(t, y, y)
-        s = t - tau
+    def lagged(x: float) -> float:
+        """I(x - tau), for tau > 0."""
+        s = x - tau
         if s <= 0.0:
-            return f(t, y, history(s))
-        # hmax <= tau/4 guarantees s is well inside the stored nodes.
-        return f(t, y, _node_lookup(nodes_t, nodes_y, nodes_f, s))
+            return history(s)[2]
+        # 0 < s <= t - 3 tau / 4 (the step is at most tau / 4), so s lies
+        # inside the stored nodes and the interval index needs no clamp.
+        # The third component of _node_lookup, term for term.
+        i = bisect_right(nodes_t, s) - 1
+        t0 = nodes_t[i]
+        dt = nodes_t[i + 1] - t0
+        u = (s - t0) / dt
+        om = 1.0 - u
+        return (
+            (1.0 + 2.0 * u) * om * om * col_i[i]
+            + dt * (u * om * om) * col_fi[i]
+            + u * u * (3.0 - 2.0 * u) * col_i[i + 1]
+            + dt * (u * u * (u - 1.0)) * col_fi[i + 1]
+        )
 
-    f0 = tuple(float(v) for v in eval_f(0.0, y0))
+    delayed = tau > 0.0
+    g, q, i = y0
+    z = lagged(0.0) if delayed else i
+    f0 = (
+        gg * (aa - g * (1.0 + i)),
+        gq * (bb - q * (1.0 + sat * i)),
+        (g - q - 1.0) * i + kap * z,
+    )
     nodes_f.extend(f0)
+    col_fi.append(f0[2])
 
     atol, rtol = control.atol, control.rtol
     sc0 = [atol + rtol * abs(v) for v in y0]
@@ -419,10 +499,11 @@ def solve_dde(
 
     t = 0.0
     ya, yb, yc = y0
-    fcur = f0
+    k1a, k1b, k1c = f0
     err_old = 1e-4
     ibreak = 0
     naccept = 0
+    nreject = 0
     facmax = 5.0
 
     while t < t_end - 1e-12 * max(1.0, t_end):
@@ -436,42 +517,59 @@ def solve_dde(
             raise StiffnessError(t)
 
         # Stages.  k1 is the FSAL derivative carried over from the last
-        # accepted step.
-        k1a, k1b, k1c = fcur
-        k2a, k2b, k2c = eval_f(t + c2 * h, (
-            ya + h * (a21 * k1a),
-            yb + h * (a21 * k1b),
-            yc + h * (a21 * k1c),
-        ))
-        k3a, k3b, k3c = eval_f(t + c3 * h, (
-            ya + h * (a31 * k1a + a32 * k2a),
-            yb + h * (a31 * k1b + a32 * k2b),
-            yc + h * (a31 * k1c + a32 * k2c),
-        ))
-        k4a, k4b, k4c = eval_f(t + c4 * h, (
-            ya + h * (a41 * k1a + a42 * k2a + a43 * k3a),
-            yb + h * (a41 * k1b + a42 * k2b + a43 * k3b),
-            yc + h * (a41 * k1c + a42 * k2c + a43 * k3c),
-        ))
-        k5a, k5b, k5c = eval_f(t + c5 * h, (
-            ya + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
-            yb + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
-            yc + h * (a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c),
-        ))
-        k6a, k6b, k6c = eval_f(t + h, (
-            ya + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a),
-            yb + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b),
-            yc + h * (a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c),
-        ))
+        # accepted step.  Each stage evaluates the field at its state
+        # (g, q, i) with the delayed intensity z.
+        g = ya + h * (a21 * k1a)
+        q = yb + h * (a21 * k1b)
+        i = yc + h * (a21 * k1c)
+        z = lagged(t + c2 * h) if delayed else i
+        k2a = gg * (aa - g * (1.0 + i))
+        k2b = gq * (bb - q * (1.0 + sat * i))
+        k2c = (g - q - 1.0) * i + kap * z
+
+        g = ya + h * (a31 * k1a + a32 * k2a)
+        q = yb + h * (a31 * k1b + a32 * k2b)
+        i = yc + h * (a31 * k1c + a32 * k2c)
+        z = lagged(t + c3 * h) if delayed else i
+        k3a = gg * (aa - g * (1.0 + i))
+        k3b = gq * (bb - q * (1.0 + sat * i))
+        k3c = (g - q - 1.0) * i + kap * z
+
+        g = ya + h * (a41 * k1a + a42 * k2a + a43 * k3a)
+        q = yb + h * (a41 * k1b + a42 * k2b + a43 * k3b)
+        i = yc + h * (a41 * k1c + a42 * k2c + a43 * k3c)
+        z = lagged(t + c4 * h) if delayed else i
+        k4a = gg * (aa - g * (1.0 + i))
+        k4b = gq * (bb - q * (1.0 + sat * i))
+        k4c = (g - q - 1.0) * i + kap * z
+
+        g = ya + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
+        q = yb + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
+        i = yc + h * (a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c)
+        z = lagged(t + c5 * h) if delayed else i
+        k5a = gg * (aa - g * (1.0 + i))
+        k5b = gq * (bb - q * (1.0 + sat * i))
+        k5c = (g - q - 1.0) * i + kap * z
+
+        # Stages 6 and 7 both sit at t + h: one delayed lookup serves both.
+        z6 = lagged(t + h) if delayed else None
+        g = ya + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
+        q = yb + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
+        i = yc + h * (a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c)
+        z = z6 if delayed else i
+        k6a = gg * (aa - g * (1.0 + i))
+        k6b = gq * (bb - q * (1.0 + sat * i))
+        k6c = (g - q - 1.0) * i + kap * z
+
         # Stage 7 is the fifth-order solution (FSAL).
-        ynew = (
-            ya + h * (b1 * k1a + 0.0 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a),
-            yb + h * (b1 * k1b + 0.0 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b),
-            yc + h * (b1 * k1c + 0.0 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c),
-        )
-        k7 = eval_f(t + h, ynew)
-        k7a, k7b, k7c = k7
-        na, nb, nc = ynew
+        na = ya + h * (b1 * k1a + 0.0 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
+        nb = yb + h * (b1 * k1b + 0.0 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
+        nc = yc + h * (b1 * k1c + 0.0 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
+        z = z6 if delayed else nc
+        k7a = gg * (aa - na * (1.0 + nc))
+        k7b = gq * (bb - nb * (1.0 + sat * nc))
+        k7c = (na - nb - 1.0) * nc + kap * z
+
         ea = h * (e1 * k1a + 0.0 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
         eb = h * (e1 * k1b + 0.0 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
         ec = h * (e1 * k1c + 0.0 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
@@ -483,11 +581,13 @@ def solve_dde(
 
         if err <= 1.0:
             t = t + h
-            ya, yb, yc = ynew
-            fcur = k7
+            ya, yb, yc = na, nb, nc
+            k1a, k1b, k1c = k7a, k7b, k7c
             nodes_t.append(t)
-            nodes_y.extend(ynew)
-            nodes_f.extend(k7)
+            nodes_y.extend((na, nb, nc))
+            nodes_f.extend((k7a, k7b, k7c))
+            col_i.append(nc)
+            col_fi.append(k7c)
             naccept += 1
             if naccept > control.max_steps:
                 raise StiffnessError(t, f"exceeded {control.max_steps} steps")
@@ -501,11 +601,24 @@ def solve_dde(
                 raise NumericalError(f"non-finite derivative at t = {t:.6g}")
             h = h * max(0.2, 0.9 * err ** -0.2)
             facmax = 1.0  # no growth right after a rejection
+            nreject += 1
 
+    t_nodes = np.array(nodes_t)
+    steps = np.diff(t_nodes)
+    stats = SolverStats(
+        accepted=naccept,
+        rejected=nreject,
+        rhs_evals=1 + 6 * (naccept + nreject),
+        h_min=float(steps.min(initial=math.inf)),
+        h_max=float(steps.max(initial=0.0)),
+        breakpoints=ibreak,
+        wall_s=time.perf_counter() - wall0,
+    )
     return (
-        np.array(nodes_t),
+        t_nodes,
         np.frombuffer(nodes_y).reshape(-1, 3),
         np.frombuffer(nodes_f).reshape(-1, 3),
+        stats,
     )
 
 
@@ -547,16 +660,6 @@ def integrate(
     control = control or StepControl()
     hist_fn, discont = history.realize(params)
 
-    gg, gq = params.gamma_G, params.gamma_Q
-    aa, bb, sat, kap = params.A, params.B, params.a, params.kappa
-
-    def f(t: float, y: tuple, z: tuple) -> tuple:
-        g, q, i = y
-        return (
-            gg * (aa - g * (1.0 + i)),
-            gq * (bb - q * (1.0 + sat * i)),
-            (g - q - 1.0) * i + kap * z[2],
-        )
-
-    t, y, yp = solve_dde(f, hist_fn, params.tau, float(t_end), control, discont)
-    return Trajectory(t, y, yp, params)
+    rates = (params.gamma_G, params.A, params.gamma_Q, params.B, params.a, params.kappa)
+    t, y, yp, stats = solve_dde(rates, hist_fn, params.tau, float(t_end), control, discont)
+    return Trajectory(t, y, yp, params, stats)

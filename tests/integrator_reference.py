@@ -1,12 +1,14 @@
-"""Reference method-of-steps march: generic dimension, tuple nodes.
+"""Reference method-of-steps march: generic field and dimension, tuple nodes.
 
 Test-only code: the differential test in ``test_integrator.py`` checks
-that :func:`yamada_delay.integrator.solve_dde`, which unrolls the DP5
-stages for the three-component field and keeps its nodes in flat
-buffers, returns node arrays equal bit for bit to :func:`solve_dde`
-here, which sums every stage with ``sum`` over a generator and looks
-delayed values up through :func:`_hermite_tuple`.  A ``from_tail``
-history is looked up through :meth:`Trajectory.evaluate`
+that :func:`yamada_delay.integrator.solve_dde`, which writes the Yamada
+rate equations inline in unrolled DP5 stages, looks up only the delayed
+intensity and keeps its nodes in flat buffers, returns node arrays equal
+bit for bit to :func:`solve_dde` here.  This march takes a generic
+``f(t, y, z)`` (:func:`yamada_field` builds the model's from the rate
+constants), sums every stage with ``sum`` over a generator and looks
+up all delayed components through :func:`_hermite_tuple`.  A
+``from_tail`` history is looked up through :meth:`Trajectory.evaluate`
 (:func:`from_tail_history`).  Nothing under ``src/`` imports it.
 """
 
@@ -54,6 +56,21 @@ def from_tail_history(source: Trajectory, shift: float):
         return (g, q, i)
 
     return h
+
+
+def yamada_field(rates):
+    """``f(t, y, z)`` of the rate equations for ``(gamma_G, A, gamma_Q, B, a, kappa)``."""
+    gg, aa, gq, bb, sat, kap = rates
+
+    def f(t: float, y: tuple, z: tuple) -> tuple:
+        g, q, i = y
+        return (
+            gg * (aa - g * (1.0 + i)),
+            gq * (bb - q * (1.0 + sat * i)),
+            (g - q - 1.0) * i + kap * z[2],
+        )
+
+    return f
 
 
 def _hermite_tuple(t, t0, t1, y0, y1, f0, f1):
@@ -216,15 +233,6 @@ def integrate(
     else:
         hist_fn, discont = history.realize(params)
 
-    gg, gq = params.gamma_G, params.gamma_Q
-    aa, bb, sat, kap = params.A, params.B, params.a, params.kappa
-
-    def f(t: float, y: tuple, z: tuple) -> tuple:
-        g, q, i = y
-        return (
-            gg * (aa - g * (1.0 + i)),
-            gq * (bb - q * (1.0 + sat * i)),
-            (g - q - 1.0) * i + kap * z[2],
-        )
-
+    f = yamada_field((params.gamma_G, params.A, params.gamma_Q, params.B, params.a,
+                      params.kappa))
     return solve_dde(f, hist_fn, params.tau, float(t_end), control, discont)

@@ -96,6 +96,15 @@ class TestExcite:
                                 option, value], 2)
         assert "finite" in err
 
+    @pytest.mark.parametrize("option, value, word", [
+        ("--width", "nan", "width"), ("--amplitude", "nan", "amplitude"),
+        ("--amplitude", "inf", "amplitude"),
+    ])
+    def test_non_finite_kick_rejected(self, capsys, option, value, word):
+        err = run_fail(capsys, ["excite", "--kappa", "0.1", "--tau", "50",
+                                "--horizon", "1000", option, value], 2)
+        assert word in err
+
 
 class TestSimulate:
     def test_negative_delay_rejected(self, capsys):

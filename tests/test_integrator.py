@@ -45,14 +45,29 @@ def piecewise_exact(t: float) -> float:
     raise ValueError("extend the table first")
 
 
+#: Rate constants (gamma_G, A, gamma_Q, B, a, kappa) that, from the
+#: history (G, Q, I) = (1, 0, 1), leave G = 1 and Q = 0 fixed and give
+#: exactly I' = -I(t - tau).
+SCALAR_RATES = (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)
+
+
+def scalar_history(s: float) -> tuple:
+    return (1.0, 0.0, 1.0)
+
+
+def nan_history(s: float) -> tuple:
+    """``scalar_history`` whose intensity turns NaN on [-0.5, 0) (the state at 0 stays finite)."""
+    return (1.0, 0.0, math.nan if -0.5 <= s < 0.0 else 1.0)
+
+
 class TestScalarDelayOracle:
     """x' = -x(t-1): polynomial pieces an order-5 pair must nail exactly."""
 
     def setup_method(self):
         ctl = StepControl(atol=1e-12, rtol=1e-10)
-        self.t, self.y, self.yp = solve_dde(
-            lambda t, y, yd: (0.0, 0.0, -yd[2]),
-            lambda t: (0.0, 0.0, 1.0),
+        self.t, self.y, self.yp, _ = solve_dde(
+            SCALAR_RATES,
+            scalar_history,
             tau=1.0,
             t_end=3.0,
             control=ctl,
@@ -73,8 +88,14 @@ class TestScalarDelayOracle:
             assert x[i] == pytest.approx(value, abs=1e-13)
 
 
-def _scalar_oracle_args(f=lambda t, y, yd: (0.0, 0.0, -yd[2])):
-    return f, (lambda t: (0.0, 0.0, 1.0)), 1.0, 3.0, StepControl(atol=1e-12, rtol=1e-10)
+def _scalar_oracle_args(history=scalar_history, tau=1.0):
+    """(rates, history, tau, t_end, control) of the scalar oracle."""
+    return SCALAR_RATES, history, tau, 3.0, StepControl(atol=1e-12, rtol=1e-10)
+
+
+def _reference_args(rates, *rest):
+    """The same run for the reference march, which takes the field ``f``."""
+    return (reference.yamada_field(rates), *rest)
 
 
 def _model_case(name):
@@ -121,7 +142,8 @@ class TestReferenceMarch:
 
     def test_scalar_oracle(self):
         args = _scalar_oracle_args()
-        self.assert_same_nodes(solve_dde(*args), reference.solve_dde(*args))
+        self.assert_same_nodes(solve_dde(*args)[:3],
+                               reference.solve_dde(*_reference_args(*args)))
 
     @pytest.mark.parametrize("name", _MODEL_CASES)
     def test_model_runs(self, name):
@@ -139,21 +161,89 @@ class TestReferenceMarch:
                                reference.integrate(params, history, t_end,
                                                    replace(control, max_step=1e9)))
 
-    def test_nan_derivative_message(self):
-        def f(t, y, yd):
-            return (0.0, 0.0, -yd[2] if t < 1.5 else math.nan)
+    @pytest.mark.parametrize("name", ["onset-oracle", "reappearance-k2"])
+    def test_bench_shaped_runs(self, name):
+        # the long runs of the onset scan and of a k = 2 train
+        if name == "onset-oracle":
+            params = preset("figure1", kappa=0.0065, tau=400.0)
+            history, t_end = single_pulse_seed(params), 20.0 * 400.0
+        else:
+            p0 = preset("figure1", kappa=0.1, tau=198.6)
+            source = integrate(p0, single_pulse_seed(p0), 600.0)
+            params = p0.replace(tau=400.0)
+            history, t_end = HistorySpec.from_tail(source, 400.0), 1200.0
+        traj = integrate(params, history, t_end)
+        self.assert_same_nodes((traj.t, traj.y, traj.yp),
+                               reference.integrate(params, history, t_end,
+                                                   StepControl(max_step=1e9)))
 
-        args = _scalar_oracle_args(f)
+    def test_nan_derivative_message(self):
+        args = _scalar_oracle_args(nan_history, tau=2.0)
         with pytest.raises(NumericalError) as new:
             solve_dde(*args)
         with pytest.raises(NumericalError) as ref:
-            reference.solve_dde(*args)
+            reference.solve_dde(*_reference_args(*args))
         assert str(new.value) == str(ref.value)
 
     @pytest.mark.parametrize("y0", [(1.0,), (0.0, 0.0, 1.0, 2.0)])
     def test_three_components_required(self, y0):
         with pytest.raises(InvalidArgumentError, match="three-component"):
-            solve_dde(lambda t, y, yd: y, lambda t: y0, 1.0, 3.0, StepControl())
+            solve_dde(SCALAR_RATES, lambda t: y0, 1.0, 3.0, StepControl())
+
+
+class TestInlinedField:
+    """The march's inlined rate equations are the model's :func:`rhs`."""
+
+    @pytest.mark.parametrize("name", ["tau-zero", "off-plus-pulse", "from-tail", "random-0"])
+    def test_node_derivatives_are_model_rhs(self, name):
+        params, history, t_end, control = _model_case(name)
+        traj = integrate(params, history, t_end, control)
+        hist_fn, _ = history.realize(params)
+        s = traj.t - params.tau
+        past = s <= 0.0
+        lagged = np.empty_like(s)
+        lagged[past] = [hist_fn(x)[2] for x in s[past]]
+        lagged[~past] = traj.evaluate_many(s[~past])[:, 2]
+        for y, z, yp in zip(traj.y, lagged, traj.yp):
+            assert np.array_equal(rhs(y, z, params), yp)
+
+
+class TestSolverStats:
+    """The counts a run reports about itself."""
+
+    def test_counts_of_a_run_inside_the_first_delay(self):
+        # t_end < tau: every delayed lookup reads the history, once for
+        # the initial state, once for f(0) and five times per attempted
+        # step (stages 6 and 7 share one), which counts the attempts
+        p = preset("figure1", kappa=0.1, tau=100.0)
+        hist_fn, _ = HistorySpec.off_plus_pulse(1.0, 1.0).realize(p)
+        calls = []
+
+        def history(s):
+            calls.append(s)
+            return hist_fn(s)
+
+        rates = (p.gamma_G, p.A, p.gamma_Q, p.B, p.a, p.kappa)
+        loose = StepControl(atol=1e-6, rtol=1e-4)  # rejects a few steps at the pulse
+        t, _, _, stats = solve_dde(rates, history, p.tau, 90.0, loose)
+        attempts = (len(calls) - 2) / 5
+        assert stats.accepted == len(t) - 1
+        assert stats.rejected == attempts - stats.accepted > 0
+        assert stats.rhs_evals == 1 + 6 * attempts
+        assert stats.h_min == np.diff(t).min() and stats.h_max == np.diff(t).max()
+        assert stats.breakpoints == 0
+        assert stats.wall_s > 0.0
+
+    def test_breakpoints_and_trajectory_record(self):
+        # images n * tau and n * tau - width of the handover and the kick
+        # edge for n = 1, 2, 3, all before t_end
+        p = preset("figure1", kappa=0.1, tau=7.3)
+        traj = integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 40.0)
+        stats = traj.stats
+        assert stats.breakpoints == 6
+        assert stats.accepted == len(traj.t) - 1
+        assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
+        assert stats.h_min == np.diff(traj.t).min() and stats.h_max == np.diff(traj.t).max()
 
 
 class TestOdeReduction:
@@ -380,12 +470,10 @@ class TestValidation:
 
     def test_nan_derivative_is_not_step_underflow(self):
         # a NaN error estimate fails every step test; shrinking the step
-        # cannot help, so the march must name the NaN, not a stiffness
-        def f(t, y, yd):
-            return (0.0, 0.0, -yd[2] if t < 1.5 else math.nan)
-
+        # cannot help, so the march must name the NaN, not a stiffness.
+        # The history's NaN stretch [-0.5, 0) is read from t = 1.5 on.
         with pytest.raises(NumericalError, match="non-finite derivative at t = 1.") as info:
-            solve_dde(f, lambda t: (0.0, 0.0, 1.0), tau=1.0, t_end=3.0, control=StepControl())
+            solve_dde(SCALAR_RATES, nan_history, tau=2.0, t_end=3.0, control=StepControl())
         assert not isinstance(info.value, StiffnessError)
 
 
