@@ -14,10 +14,15 @@ interpolation for off-node lookups.  Only ``I(t - tau)`` feeds back
 before ``t = 0`` never reaches the future: the map acts on ``N + 2``
 unknowns, ``I`` at every node plus ``G`` and ``Q`` at the last node.
 Over one period the march reads the history only on ``[-tau, T - tau]``,
-so one vectorized fixed-step Runge-Kutta pass advances just those basis
-histories and the last node's; the new nodes that still lie in the old
-history are four-point interpolation rows.  ARPACK takes the leading
-multipliers from products with these two blocks.
+so one fixed-step Runge-Kutta pass advances just those basis histories
+and the last node's; the new nodes that still lie in the old history are
+four-point interpolation rows.  The variational field is linear, so each
+Runge-Kutta step is an affine map, fixed before the march: a 3x3 matrix
+on the state plus injection vectors for the three delayed lookups of the
+step.  Where those lookups read the initial history, their stencils form
+one short window of columns, and the step is one 3x3 product and one
+windowed add across all basis histories.  ARPACK takes the leading
+multipliers from products with the two blocks of the map.
 
 As the delay grows, most multipliers condense onto the asymptotic
 continuous spectrum, the closed curve ``mu^k = kappa e^{i omega
@@ -30,8 +35,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +61,9 @@ __all__ = [
 
 #: Largest periodicity residual of an extracted orbit.
 RESIDUAL_TOL = 1e-5
+
+#: March steps per batch of step maps.
+_STEP_MAP_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -148,12 +157,21 @@ class FloquetSet:
         The multiplier closest to 1 (time-translation symmetry); its
         distance from 1 measures the discretization error.
     period : float
+    diagnostics : dict
+        How the set was computed: ``N`` and the map dimension ``dim``,
+        the basis histories the march advanced (``marched_columns``) and
+        the new nodes taken as interpolation rows (``stencil_rows``), the
+        wall seconds of the march and of the eigen-solve (``march_s``,
+        ``eig_s``), the eigen method (``"arpack"`` or ``"dense"``), how
+        many eigenvalues it ``converged``, and the ``trivial_defect``
+        ``|trivial - 1|``.  Not part of equality or of the output.
     """
 
     multipliers: np.ndarray
     N: int
     trivial: complex
     period: float
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __len__(self) -> int:
         return len(self.multipliers)
@@ -255,13 +273,20 @@ def monodromy_multipliers(
         underresolved run is flagged through the trivial-multiplier
         warning.
     m : int, optional
-        Number of leading multipliers to return (default 200).
+        Number of leading multipliers to return (default 200), >= 1.
     step : float, optional
-        Target step of the fixed-step variational march.
+        Target step of the fixed-step variational march, positive and
+        finite.
 
     Returns
     -------
     FloquetSet
+
+    Raises
+    ------
+    InvalidArgumentError
+        For ``tau <= 0``, fewer than 8 nodes, ``m < 1``, or a march step
+        that is not positive and finite.
 
     Warns
     -----
@@ -274,12 +299,21 @@ def monodromy_multipliers(
     tau = params.tau
     if tau <= 0.0:
         raise InvalidArgumentError("Floquet computation requires tau > 0")
+    # Written so that NaN fails both checks.
+    if not 0.0 < step < math.inf:
+        raise InvalidArgumentError(f"march step must be positive and finite, got {step!r}")
+    if not m >= 1:
+        raise InvalidArgumentError(f"need at least 1 multiplier, got m = {m!r}")
     if N is None:
         N = min(4000, int(math.ceil(tau / 0.25)) + 1)
     if N < 8:
         raise InvalidArgumentError("need at least 8 history nodes")
 
-    mults = _leading_eigs(_period_map(orbit, N, step), m)
+    t0 = time.perf_counter()
+    op = _period_map(orbit, N, step)
+    t1 = time.perf_counter()
+    mults, method, converged = _leading_eigs(op, m)
+    t2 = time.perf_counter()
     trivial = complex(mults[np.argmin(np.abs(mults - 1.0))])
     if abs(trivial - 1.0) > 5e-2:
         warnings.warn(
@@ -287,7 +321,18 @@ def monodromy_multipliers(
             f"{abs(trivial - 1.0):.3f}; increase N or reduce the march step",
             stacklevel=2,
         )
-    return FloquetSet(mults, N, trivial, orbit.period)
+    diagnostics = {
+        "N": N,
+        "dim": op.shape[0],
+        "marched_columns": len(op.cols),
+        "stencil_rows": len(op.shift_w),
+        "march_s": t1 - t0,
+        "eig_s": t2 - t1,
+        "eig_method": method,
+        "converged": converged,
+        "trivial_defect": abs(trivial - 1.0),
+    }
+    return FloquetSet(mults, N, trivial, orbit.period, diagnostics)
 
 
 def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
@@ -298,6 +343,15 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     ``Q`` at the last node, where the initial state lives.  Row ``j`` is
     ``I`` at the new node ``T + theta_j``; rows ``N`` and ``N + 1`` are
     ``G`` and ``Q`` at ``T``.
+
+    Each RK4 step is the affine map of :func:`_step_maps`, fixed before
+    the march.  A step whose three lookups ``kappa I(t - tau)`` all read
+    the initial history adds its cubic stencils as one window ``D[i]``
+    of ``W`` columns from column ``o[i]``, so it costs one 3x3 product
+    and one windowed add.  Only steps that look up ``t - tau > 0``
+    (``k = 1`` orbits) read stored march rows of ``I`` and ``I'``, which
+    are Hermite-interpolated across a step.  ``I'`` is evaluated only at
+    the nodes that bracket an output sample or get stored.
     """
     params = orbit.params
     tau = params.tau
@@ -308,97 +362,169 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     n_steps = max(1, int(math.ceil(T / step)))
     h = T / n_steps
 
-    # M1 along the orbit at nodes and midpoints of the march grid.
+    # M1 along the orbit at nodes and midpoints of the march grid, and the
+    # step maps, built a chunk of steps at a time so that their stage
+    # temporaries stay small.
     t_nodes = np.arange(n_steps + 1) * h
     m1_nodes = _m1_along(orbit, t_nodes)
     m1_mids = _m1_along(orbit, t_nodes[:-1] + 0.5 * h)
+    P = np.empty((n_steps, 3, 3))
+    inj = np.empty((n_steps, 3, 3))
+    for lo in range(0, n_steps, _STEP_MAP_CHUNK):
+        hi = min(lo + _STEP_MAP_CHUNK, n_steps)
+        P[lo:hi], inj[lo:hi] = _step_maps(
+            m1_nodes[lo:hi], m1_mids[lo:hi], m1_nodes[lo + 1:hi + 1], h
+        )
+    di_rows = m1_nodes[:, 2].copy()  # the I row of M1, for I' at the nodes
+    del m1_nodes, m1_mids
 
-    # The delayed lookups I(t - tau) of the RK4 stages, at the march
-    # nodes, midpoints and step ends.  Where t - tau <= 0 they read the
-    # initial history through a cubic stencil.
+    # The delayed lookups I(t - tau) of each step, at its start, midpoint
+    # and end (the start ones cover every node).  Where t - tau <= 0 they
+    # read the initial history through a cubic stencil.
     lags = (t_nodes - tau, (t_nodes[:-1] + 0.5 * h) - tau, (t_nodes[:-1] + h) - tau)
     stencils = [_cubic_stencils(s + tau, N, spacing) for s in lags]
     reach = max(int(j0[s <= 0.0].max(initial=0)) for s, (j0, _) in zip(lags, stencils))
+    n_hist = int(np.count_nonzero(lags[2] <= 0.0))  # steps reading only the history
 
     # Only the basis histories the march reads are marched: the nodes
     # its stencils reach plus I, G and Q at the last node.  Stencil
     # columns keep their index, since cols starts with 0 .. reach + 3.
     cols = np.union1d(np.arange(reach + 4), [N - 1, N, N + 1])
+    n_cols = len(cols)
     i_last, g_last, q_last = np.searchsorted(cols, [N - 1, N, N + 1])
-    Y = np.zeros((3, len(cols)))
+    Y = np.zeros((3, n_cols))
     Y[0, g_last] = Y[1, q_last] = Y[2, i_last] = 1.0
 
-    # Stored intensity rows (value and derivative) at past march nodes,
-    # needed only when t - tau lands in the computed part (k = 1 orbits).
-    store_max = max(0.0, T - tau) + 2.0 * h
-    stored_i: list[np.ndarray] = []
-    stored_d: list[np.ndarray] = []
-
-    def hermite(x: float, y0, f0, y1, f1):
-        """Cubic Hermite interpolant across one march step, x in [0, 1]."""
-        om = 1.0 - x
-        h00 = (1.0 + 2.0 * x) * om * om
-        h10 = x * om * om
-        h01 = x * x * (3.0 - 2.0 * x)
-        h11 = x * x * (x - 1.0)
-        return h00 * y0 + (h * h10) * f0 + h01 * y1 + (h * h11) * f1
-
-    def add_delayed(row: np.ndarray, kind: int, i: int) -> None:
-        """Add kappa I(t - tau) of lookup i of the given kind to row."""
-        s = lags[kind][i]
-        if s <= 0.0:
-            j0, w = stencils[kind][0][i], stencils[kind][1][i]
-            row[j0:j0 + 4] += kap * w
-        else:
-            j = int(s / h)
-            x = (s - j * h) / h
-            row += kap * hermite(x, stored_i[j], stored_d[j], stored_i[j + 1], stored_d[j + 1])
+    o, W, D = _history_windows(stencils, inj[:n_hist], kap, n_cols)
+    inj = inj[n_hist:].copy()  # for the steps that read march rows
 
     # New history nodes T + theta_j that still lie in the initial
-    # history are stencil rows; the march samples the others.
+    # history are stencil rows; the march samples the others, each in
+    # the step (t_{i-1}, t_i] of its node at[j], as the cubic Hermite
+    # interpolant of I and I' at the two ends.
     out_times = T + (-tau + spacing * np.arange(N))
     n_shift = int(np.count_nonzero(out_times < 0.0))
     shift_j0, shift_w = _cubic_stencils(out_times[:n_shift] + tau, N, spacing)
-    block = np.empty((N + 2 - n_shift, len(cols)))
-    out_j = n_shift
+    sampled = out_times[n_shift:]
+    at = np.searchsorted(t_nodes + 1e-12 * np.maximum(1.0, t_nodes), sampled)
+    if at[-1] > n_steps:
+        raise NumericalError("internal sampling walk failed to fill the period map")
+    sample_w = _hermite_weights(np.clip((sampled - (t_nodes[at] - h)) / h, 0.0, 1.0), h)
+    first = np.searchsorted(at, np.arange(n_steps + 2))
+    block = np.empty((N + 2 - n_shift, n_cols))
 
-    prev_Y = None
-    prev_F = None
-    for i in range(n_steps + 1):
-        t = i * h
-        F = m1_nodes[i] @ Y
-        add_delayed(F[2], 0, i)
-        if t <= store_max:
-            stored_i.append(Y[2].copy())
-            stored_d.append(F[2].copy())
-        # emit output samples inside (t-h, t]
-        if prev_Y is not None:
-            while out_j < N and out_times[out_j] <= t + 1e-12 * max(1.0, t):
-                x = (out_times[out_j] - (t - h)) / h
-                x = min(max(x, 0.0), 1.0)
-                block[out_j - n_shift] = hermite(x, prev_Y[2], prev_F[2], Y[2], F[2])
-                out_j += 1
-        elif out_j < N and abs(out_times[out_j]) <= 1e-12:
-            block[out_j - n_shift] = Y[2]
-            out_j += 1
+    # Stored I and I' rows at past march nodes, needed only when t - tau
+    # lands in the computed part (k = 1 orbits).
+    n_stored = int(np.count_nonzero(t_nodes <= max(0.0, T - tau) + 2.0 * h))
+    stored = np.empty((n_stored, 2, n_cols))
+    need = np.zeros(n_steps + 1, dtype=bool)
+    need[at] = need[np.maximum(at - 1, 0)] = True
+    need[:n_stored] = True
+
+    def lookup(c: int, i: int) -> np.ndarray:
+        """kappa I(t - tau) of lookup i of kind c, as a row on cols."""
+        s = lags[c][i]
+        if s <= 0.0:
+            row = np.zeros(n_cols)
+            j0 = stencils[c][0][i]
+            row[j0:j0 + 4] = kap * stencils[c][1][i]
+            return row
+        j = int(s / h)
+        w = _hermite_weights((s - j * h) / h, h)
+        return kap * (w @ stored[j:j + 2].reshape(4, n_cols))
+
+    # I, I' at the last needed node and at the current one.
+    ends = np.zeros((4, n_cols))
+    for i, needed in enumerate(need.tolist()):
+        if needed:
+            ends[:2] = ends[2:]
+            ends[2] = Y[2]
+            np.dot(di_rows[i], Y, out=ends[3])
+            ends[3] += lookup(0, i)
+            if i < n_stored:
+                stored[i] = ends[2:]
+            if first[i] < first[i + 1]:
+                block[first[i]:first[i + 1]] = sample_w[first[i]:first[i + 1]] @ ends
         if i == n_steps:
             break
+        if i < n_hist:
+            Y = np.dot(P[i], Y)
+            Y[:, o[i]:o[i] + W] += D[i]
+        else:
+            Y = np.dot(P[i], Y) + inj[i - n_hist] @ np.stack([lookup(c, i) for c in range(3)])
 
-        mid = m1_mids[i]
-        k2 = mid @ (Y + (0.5 * h) * F)
-        add_delayed(k2[2], 1, i)
-        k3 = mid @ (Y + (0.5 * h) * k2)
-        add_delayed(k3[2], 1, i)
-        k4 = m1_nodes[i + 1] @ (Y + h * k3)
-        add_delayed(k4[2], 2, i)
-        prev_Y = Y
-        prev_F = F
-        Y = Y + (h / 6.0) * (F + 2.0 * k2 + 2.0 * k3 + k4)
-
-    if out_j != N:
-        raise NumericalError("internal sampling walk failed to fill the period map")
     block[-2:] = Y[:2]  # the march ends at t = T, the last node
     return _PeriodMap(shift_j0[:, None] + np.arange(4), shift_w, cols, block)
+
+
+def _history_windows(stencils, inj: np.ndarray, kap: float, n_cols: int):
+    """History injections of the first ``len(inj)`` march steps.
+
+    Step ``i`` adds ``D[i]`` to the columns ``o[i] .. o[i] + W - 1``:
+    its three lookup stencils, scaled by ``kap`` and by the step's
+    injection vectors.  ``W`` is as wide as the widest step needs, which
+    is more than the four columns of one stencil once a step spans a
+    node spacing.  Returns ``o``, ``W`` and ``D``.
+    """
+    n = len(inj)
+    j_first = np.stack([j0[:n] for j0, _ in stencils])
+    o = j_first.min(axis=0)
+    W = int((j_first.max(axis=0) - o).max(initial=0)) + 4
+    o = np.minimum(o, n_cols - W)  # inside Y; the columns a step does not reach get zeros
+    D = np.zeros((n, 3, W))
+    rows = np.arange(n)
+    for c, (j0, w) in enumerate(stencils):
+        off = j0[:n] - o
+        for l in range(4):
+            D[rows, :, off + l] += inj[:, :, c] * (kap * w[:n, l])[:, None]
+    return o, W, D
+
+
+def _hermite_weights(x, h: float) -> np.ndarray:
+    """Weights of ``(y0, y0', y1, y1')`` in the cubic Hermite interpolant
+    across a step of length ``h``, at fractions ``x`` in [0, 1]; shape
+    ``x.shape + (4,)``."""
+    om = 1.0 - x
+    return np.stack(
+        [(1.0 + 2.0 * x) * om * om, h * x * om * om, x * x * (3.0 - 2.0 * x), h * x * x * (x - 1.0)],
+        axis=-1,
+    )
+
+
+def _step_maps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: float):
+    """RK4 steps of ``y' = A(t) y + e_I u(t)`` as affine maps.
+
+    ``a0``, ``am`` and ``a1`` stack ``A`` at the start, midpoint and end
+    of each step.  Step ``i`` takes ``y`` to ``P[i] @ y + inj[i] @ (u(t),
+    u(t + h/2), u(t + h))``, the same map as the staged step
+    ``k1 = A0 y + e u(t)``, ``k2 = Am (y + h/2 k1) + e u(t + h/2)``,
+    ``k3 = Am (y + h/2 k2) + e u(t + h/2)``, ``k4 = A1 (y + h k3) + e
+    u(t + h)``, ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``.  Returns ``P`` and
+    ``inj``, both of shape ``(n, 3, 3)``.
+    """
+    eye = np.eye(3)
+    k1 = a0
+    k2 = am @ (eye + (0.5 * h) * k1)
+    k3 = am @ (eye + (0.5 * h) * k2)
+    k4 = a1 @ (eye + h * k3)
+    P = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    # The stages of a unit input in I (the last component, e): u(t)
+    # enters k1, u(t + h/2) enters k2 and k3, u(t + h) enters k4.
+    def times(a, v):
+        return (a @ v[..., None])[..., 0]
+
+    e = eye[2]
+    k2 = (0.5 * h) * am[:, :, 2]
+    k3 = (0.5 * h) * times(am, k2)
+    start = e + 2.0 * k2 + 2.0 * k3 + h * times(a1, k3)
+    k3 = e + (0.5 * h) * am[:, :, 2]
+    mid = 2.0 * e + 2.0 * k3 + h * times(a1, k3)
+    inj = np.zeros_like(P)
+    inj[:, :, 0] = (h / 6.0) * start
+    inj[:, :, 1] = (h / 6.0) * mid
+    inj[:, 2, 2] = h / 6.0
+    return P, inj
 
 
 def _m1_along(orbit: PeriodicOrbit, ts: np.ndarray) -> np.ndarray:
@@ -417,17 +543,21 @@ def _m1_along(orbit: PeriodicOrbit, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leading_eigs(M, m: int) -> np.ndarray:
+def _leading_eigs(M, m: int) -> tuple[np.ndarray, str, int]:
     """The m largest-modulus eigenvalues, deterministically ordered.
 
     ``M`` is an ndarray or a :class:`_PeriodMap`.  ARPACK finds them from
     matrix-vector products; only where it cannot run (``m >= n - 2``)
-    does ``eigvals`` take the dense matrix.
+    does ``eigvals`` take the dense matrix.  Returns the eigenvalues,
+    the method (``"arpack"`` or ``"dense"``) and how many eigenvalues it
+    converged.
     """
     n = M.shape[0]
     if m >= n - 2:
+        method = "dense"
         vals = np.linalg.eigvals(np.asarray(M))
     else:
+        method = "arpack"
         from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
         v0 = np.linspace(1.0, 2.0, n)
@@ -445,7 +575,7 @@ def _leading_eigs(M, m: int) -> np.ndarray:
                 stacklevel=3,
             )
     order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
-    return vals[order][:m]
+    return vals[order][:m], method, len(vals)
 
 
 @dataclass(frozen=True)

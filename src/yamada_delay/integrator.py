@@ -278,9 +278,11 @@ class HistorySpec:
         if self.kind == "from_tail":
             source: Trajectory = self.payload["source"]
             shift: float = self.payload["shift"]
-            if shift - tau < source.t0 - 1e-9 or shift > source.t1 + 1e-9:
+            # Written so that NaN fails the check.
+            if not (source.t0 - 1e-9 <= shift - tau and shift <= source.t1 + 1e-9):
                 raise InvalidArgumentError(
-                    "source trajectory too short to supply a history of length tau"
+                    f"source trajectory on [{source.t0:g}, {source.t1:g}] cannot supply "
+                    f"a history of length tau = {tau:g} ending at shift = {shift!r}"
                 )
 
             # Convert only the source nodes that cover [shift - tau, shift].
@@ -407,12 +409,13 @@ def solve_dde(
     Raises
     ------
     InvalidArgumentError
-        For ``t_end <= 0``, ``tau < 0``, or a history whose state does
-        not have three components.
+        For a ``t_end`` that is not positive and finite, ``tau < 0``, or
+        a history whose state does not have three components.
     """
     wall0 = time.perf_counter()
-    if t_end <= 0.0:
-        raise InvalidArgumentError("t_end must be positive")
+    # Written so that NaN fails the check.
+    if not 0.0 < t_end < math.inf:
+        raise InvalidArgumentError(f"t_end must be positive and finite, got {t_end!r}")
     if tau < 0.0:
         raise InvalidArgumentError("cannot integrate forward with a negative delay")
     gg, aa, gq, bb, sat, kap = (float(v) for v in rates)
@@ -648,8 +651,8 @@ def integrate(
     Raises
     ------
     InvalidArgumentError
-        For ``t_end <= 0``, ``tau < 0``, or a history source shorter
-        than the delay.
+        For a ``t_end`` that is not positive and finite, ``tau < 0``, or
+        a history source that does not cover the delay before ``shift``.
     StiffnessError
         If the adaptive step size underflows.
     NumericalError

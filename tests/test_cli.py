@@ -89,6 +89,11 @@ class TestExcite:
                                 "--horizon", "100"], 2)
         assert "horizon" in err
 
+    def test_nan_horizon_rejected(self, capsys):
+        err = run_fail(capsys, ["excite", "--kappa", "0.01", "--tau", "100",
+                                "--horizon", "nan"], 2)
+        assert "t_end must be positive and finite, got nan" in err
+
     @pytest.mark.parametrize("option", ["--atol", "--rtol"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_rejected(self, capsys, option, value):
@@ -114,6 +119,10 @@ class TestSimulate:
     def test_missing_horizon_rejected(self, capsys):
         err = run_fail(capsys, ["simulate", "--tau", "10"], 2)
         assert "t_end" in err
+
+    def test_nan_horizon_rejected(self, capsys):
+        err = run_fail(capsys, ["simulate", "--tau", "10", "--t-end", "nan"], 2)
+        assert "t_end must be positive and finite, got nan" in err
 
     def test_off_history_stays_off(self, capsys):
         d = run_json(capsys, ["simulate", "--kappa", "0.1", "--tau", "10",
@@ -209,6 +218,18 @@ class TestFloquet:
 
     def test_needs_positive_delay(self, capsys):
         run_fail(capsys, ["floquet", "--kappa", "0.1"], 2)
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--step", "0", "step must be positive and finite, got 0.0"),
+        ("--step", "-1", "got -1.0"),
+        ("--step", "nan", "got nan"),
+        ("--step", "inf", "got inf"),
+        ("--n-multipliers", "0", "need at least 1 multiplier, got m = 0"),
+        ("--n-multipliers", "-3", "got m = -3"),
+    ])
+    def test_bad_march_arguments_rejected(self, capsys, option, value, named):
+        err = run_fail(capsys, ["floquet", "--kappa", "0.1", "--tau", "30", option, value], 2)
+        assert named in err
 
 
 class TestAcs:

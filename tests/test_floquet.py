@@ -27,7 +27,7 @@ from yamada_delay import (
     settle_train,
     single_pulse_seed,
 )
-from yamada_delay.floquet import _leading_eigs, _period_map
+from yamada_delay.floquet import _leading_eigs, _period_map, _step_maps
 
 from floquet_reference import full_period_map, reduced_period_map
 
@@ -75,12 +75,44 @@ class TestConstantOrbitOracle:
         for mu in expected[:6]:
             assert np.abs(fs.multipliers - mu).min() < 1e-3
 
-    def test_node_count_floor(self):
+    @staticmethod
+    def constant_orbit():
         p = preset("figure1", kappa=0.2, tau=5.0)
         traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 20.0)
-        orbit = PeriodicOrbit(traj, 3.0, 1, p, traj.t1, 0.0)
+        return PeriodicOrbit(traj, 3.0, 1, p, traj.t1, 0.0)
+
+    def test_node_count_floor(self):
         with pytest.raises(InvalidArgumentError):
-            monodromy_multipliers(orbit, N=4)
+            monodromy_multipliers(self.constant_orbit(), N=4)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_march_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(InvalidArgumentError, match=f"step .*got {step!r}"):
+            monodromy_multipliers(self.constant_orbit(), step=step)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_needs_at_least_one_multiplier(self, m):
+        with pytest.raises(InvalidArgumentError, match=f"m = {m}"):
+            monodromy_multipliers(self.constant_orbit(), m=m)
+
+    def test_diagnostics(self):
+        orbit = self.constant_orbit()
+        with pytest.warns(UserWarning):
+            fs = monodromy_multipliers(orbit, m=12)
+        op = _period_map(orbit, fs.N, 0.05)
+        d = fs.diagnostics
+        assert d["N"] == fs.N == 21 and d["dim"] == fs.N + 2
+        assert d["marched_columns"] == len(op.cols)
+        assert d["stencil_rows"] == len(op.shift_w) > 0
+        assert d["march_s"] > 0.0 and d["eig_s"] > 0.0
+        assert d["eig_method"] == "arpack" and d["converged"] == 12
+        assert d["trivial_defect"] == abs(fs.trivial - 1.0)
+        # the default output carries none of it
+        assert set(fs.to_json_obj()) == {"multipliers", "N", "trivial", "period"}
+        with pytest.warns(UserWarning):
+            dense = monodromy_multipliers(orbit, m=40)
+        assert dense.diagnostics["eig_method"] == "dense"
+        assert dense.diagnostics["converged"] == dense.N + 2
 
 
 class TestPulseTrainMultipliers:
@@ -150,7 +182,7 @@ class TestReducedPeriodMap:
         orbit = extract_orbit(settle_train(p, k=1))
         fs = monodromy_multipliers(orbit)
         assert fs.N == 121 and len(fs) == fs.N + 2
-        full = _leading_eigs(full_period_map(orbit), 200)
+        full = _leading_eigs(full_period_map(orbit), 200)[0]
         # compare as sets: at the truncation modulus, clusters of equal
         # modulus are cut in a different order
         cut = max(abs(fs.multipliers[-1]), abs(full[-1])) + 1e-3
@@ -173,15 +205,37 @@ def set_distance(a, b):
     return dist
 
 
+class TestStepMaps:
+    def test_step_map_is_one_staged_rk4_step(self):
+        rng = np.random.default_rng(11)
+        h = 0.37
+        a0, am, a1 = rng.standard_normal((3, 5, 3, 3))
+        P, inj = _step_maps(a0, am, a1, h)
+        e = np.array([0.0, 0.0, 1.0])
+        for i in range(5):
+            y = rng.standard_normal(3)
+            u0, um, u1 = rng.standard_normal(3)
+            k1 = a0[i] @ y + e * u0
+            k2 = am[i] @ (y + 0.5 * h * k1) + e * um
+            k3 = am[i] @ (y + 0.5 * h * k2) + e * um
+            k4 = a1[i] @ (y + h * k3) + e * u1
+            want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            got = P[i] @ y + inj[i] @ np.array([u0, um, u1])
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestTwoBlockPeriodMap:
     """The two-block operator against the dense (N+2)-unknown reference map."""
 
     @pytest.fixture(scope="class")
-    def cases(self, orbits, floquet_sets):
-        """(k, tau) -> (multipliers, two-block operator, dense reference map)."""
+    def orbit30(self):
         p = preset("figure1", kappa=0.1, tau=30.0)
-        orbit = extract_orbit(settle_train(p, k=1))
-        sets = {(1, 30.0): (orbit, monodromy_multipliers(orbit))}
+        return extract_orbit(settle_train(p, k=1))
+
+    @pytest.fixture(scope="class")
+    def cases(self, orbit30, orbits, floquet_sets):
+        """(k, tau) -> (multipliers, two-block operator, dense reference map)."""
+        sets = {(1, 30.0): (orbit30, monodromy_multipliers(orbit30))}
         sets.update({key: (orbit, floquet_sets[key]) for key, orbit in orbits.items()})
         return {
             key: (fs, _period_map(orbit, fs.N, 0.05), reduced_period_map(orbit))
@@ -196,6 +250,14 @@ class TestTwoBlockPeriodMap:
             for x in rng.standard_normal((3, len(M))):
                 want = M @ x
                 assert np.abs(op.matvec(x) - want).max() <= 1e-13 * np.abs(want).max(), key
+
+    def test_step_coarser_than_node_spacing(self, orbit30):
+        # step 0.6 against node spacing 0.5: the three lookups of one
+        # step span more than one spacing, so the history window of a
+        # step is wider than the four columns of one stencil
+        op = _period_map(orbit30, 61, 0.6)
+        M = reduced_period_map(orbit30, 61, 0.6)
+        assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max()
 
     def test_stencil_rows_and_marched_columns(self, cases):
         # k = 2 (T < tau): about half the rows are stencils and the march
@@ -213,7 +275,7 @@ class TestTwoBlockPeriodMap:
         # ARPACK on the dense array above
         for key, (fs, op, M) in cases.items():
             if len(M) > 1000:
-                ref = _leading_eigs(M, 200)
+                ref = _leading_eigs(M, 200)[0]
             else:
                 vals = np.linalg.eigvals(M)
                 ref = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))][:200]
@@ -236,8 +298,8 @@ class TestLeadingEigs:
     def test_partial_convergence_warns(self, monkeypatch):
         self.stall_arpack(monkeypatch, 60)
         with pytest.warns(UserWarning, match="converged for 60 of 200"):
-            vals = _leading_eigs(np.zeros((1001, 1001)), 200)
-        assert len(vals) == 60
+            vals, method, converged = _leading_eigs(np.zeros((1001, 1001)), 200)
+        assert len(vals) == converged == 60 and method == "arpack"
 
     def test_too_few_converged_raises(self, monkeypatch):
         self.stall_arpack(monkeypatch, 5)

@@ -441,6 +441,18 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             integrate(p, HistorySpec.constant(State(6.5, 5.8, 0.0)), 0.0)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, t_end):
+        p = preset("figure1")
+        with pytest.raises(InvalidArgumentError, match=f"t_end .*got {t_end!r}"):
+            integrate(p, HistorySpec.constant(State(6.5, 5.8, 0.0)), t_end)
+
+    def test_nan_tail_shift_rejected(self):
+        p = preset("figure1", kappa=0.1, tau=10.0)
+        traj = integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 30.0)
+        with pytest.raises(InvalidArgumentError, match="shift = nan"):
+            integrate(p, HistorySpec.from_tail(traj, shift=math.nan), 10.0)
+
     def test_short_tail_window_rejected(self):
         p = preset("figure1", kappa=0.1, tau=5.0)
         traj = integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 30.0)
