@@ -360,12 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
           help="number of frequency samples")
     c.handler = _run_hopf
 
-    c = _Command(sub, "floquet", "Floquet multipliers of a settled pulse train")
+    c = _Command(sub, "floquet", "Floquet multipliers of a periodic pulse train")
     c.model_opts()
     c.tol_opts()
     c.opt("--k", dest="k", type=int, default=1, help="pulses per delay interval")
     c.opt("--periods", dest="periods", type=float, default=34.0,
-          help="settling run length in delay units")
+          help="length of the pulse train in delay units")
     c.opt("--n-nodes", dest="n_nodes", type=int,
           help="history discretization nodes (default: spacing 0.25)")
     c.opt("--n-multipliers", dest="n_multipliers", type=int, default=200,

@@ -1,5 +1,10 @@
 """Floquet spectra of pulsing orbits and their large-delay limit.
 
+The orbits come from the collocation solve of :mod:`yamada_delay.periodic`
+(:func:`extract_orbit` polishes the tail of any run into one), so they
+are periodic to the solver's tolerance, and the trivial multiplier's
+distance from 1 measures the discretization of the period map alone.
+
 The variational equation about a periodic orbit ``x(t)`` of the
 feedback system is ``y'(t) = M1(x(t)) y(t) + M2 y(t-tau)``; its natural
 phase space is the history segment on ``[-tau, 0]``.  The monodromy
@@ -44,7 +49,9 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalError, SingularParameterError
 from .integrator import Trajectory
 from .model import ModelParams
-# detect_pulses is unused here but stays importable: bench/spans.py patches it by name.
+from .periodic import PeriodicOrbit, solve_periodic
+# detect_pulses and refine_period are unused here (and refine_period in pulses too),
+# but both stay importable from both modules: bench/spans.py patches them there by name.
 from .pulses import PERIOD_INTERVALS, detect_pulses, measure_train, refine_period  # noqa: F401
 
 __all__ = [
@@ -59,62 +66,27 @@ __all__ = [
     "max_pulses",
 ]
 
-#: Largest periodicity residual of an extracted orbit.
-RESIDUAL_TOL = 1e-5
-
 #: March steps per batch of step maps.
 _STEP_MAP_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class PeriodicOrbit:
-    """A settled periodic solution, stored as one period of a trajectory.
-
-    Attributes
-    ----------
-    trajectory : Trajectory
-        Source run; the final period ``[anchor - T, anchor]`` is the
-        orbit's fundamental domain (the trajectory must extend at least
-        ``2 T`` back from the anchor so the periodicity residual can be
-        measured).
-    period : float
-    k : int
-        Pulses per delay interval.
-    params : ModelParams
-    anchor : float
-        Right edge of the fundamental domain.
-    residual : float
-        Measured periodicity defect, relative to the orbit amplitude.
-    """
-
-    trajectory: Trajectory
-    period: float
-    k: int
-    params: ModelParams
-    anchor: float
-    residual: float
-
-    def state_many(self, ts) -> np.ndarray:
-        """Orbit states at arbitrary times, reduced modulo the period."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        phase = np.mod(ts - self.anchor, self.period)
-        return self.trajectory.evaluate_many(self.anchor - self.period + phase)
-
-
 def extract_orbit(trajectory: Trajectory) -> PeriodicOrbit:
-    """Extract the settled periodic orbit from the tail of a long run.
+    """The periodic orbit that the tail of a run has settled near.
 
-    The period is the mean of the last ``PERIOD_INTERVALS`` inter-pulse
-    intervals, polished by :func:`refine_period`; the periodicity
-    residual ``max |x(t) - x(t - T)|`` over the final period, relative
-    to the per-component amplitude, must be below ``RESIDUAL_TOL``.
+    The last whole period of the run, from its second-to-last upward
+    threshold crossing to its last, starts the collocation solve of
+    :func:`yamada_delay.periodic.solve_periodic` at the run's parameters,
+    which makes the orbit exactly periodic.  The orbit's trajectory covers
+    the delay plus two periods; its ``residual`` is the collocation
+    residual and its ``diagnostics`` say how the solve went.
 
     Raises
     ------
     InvalidArgumentError
-        If too few pulses are present, the trajectory is shorter than
-        two periods plus margin, or the residual shows the transient
-        has not settled.
+        If ``tau <= 0``, or fewer than ``PERIOD_INTERVALS + 1`` pulses are
+        present, or their spacing exceeds the delay.
+    NumericalError
+        If the collocation solve fails.
     """
     params = trajectory.params
     if params.tau <= 0.0:
@@ -126,21 +98,9 @@ def extract_orbit(trajectory: Trajectory) -> PeriodicOrbit:
         )
     if train.k < 1:
         raise InvalidArgumentError("pulse spacing exceeds the delay (k < 1)")
-
-    anchor = trajectory.t1
-    period = refine_period(trajectory, train.period)
-    probe = np.linspace(anchor - period, anchor, 257)
-    a = trajectory.evaluate_many(probe)
-    b = trajectory.evaluate_many(probe - period)
-    amp = a.max(axis=0) - a.min(axis=0)
-    amp[amp <= 0.0] = 1.0
-    residual = float((np.abs(a - b) / amp).max())
-    if residual > RESIDUAL_TOL:
-        raise InvalidArgumentError(
-            f"periodicity residual {residual:.2e} above {RESIDUAL_TOL:.0e}; "
-            "transient not settled"
-        )
-    return PeriodicOrbit(trajectory, period, train.k, params, anchor, residual)
+    start, end = (float(t) for t in train.train_times[-2:])
+    return solve_periodic(params, trajectory, start, end - start, train.threshold,
+                          params.tau + 2.0 * (end - start))
 
 
 @dataclass(frozen=True)

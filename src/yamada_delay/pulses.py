@@ -1,12 +1,15 @@
-"""Pulse-train experiments: detection, classification, sweeps.
+"""Pulse-train experiments: detection, classification, sweeps, orbits.
 
-Everything here works on simulated trajectories.  A pulse is an upward
+The experiments work on simulated trajectories.  A pulse is an upward
 crossing of the intensity through a threshold; a sustained train is a
 sequence of pulses whose spacing and height have stabilized.  The
 experiments mirror the standard protocol for a laser with delayed
 feedback: kick the solitary laser once, let the single excitable pulse
 fill the delay line, then switch the feedback on and watch whether the
-re-injected pulse keeps regenerating itself.
+re-injected pulse keeps regenerating itself.  :func:`settle_train` runs
+that protocol only for a few delays, as the guess of the periodic
+collocation solve in :mod:`yamada_delay.periodic`, which returns the
+train as an exactly periodic orbit.
 
 Measured quantities follow the pulse-train bookkeeping ``T = (tau +
 delta) / k``: ``T`` is the inter-pulse interval, ``k`` the number of
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NoBranchError
 from .integrator import HistorySpec, StepControl, Trajectory, integrate
 from .model import ModelParams
+from .periodic import solve_periodic
 
 __all__ = [
     "DECAY",
@@ -64,6 +68,8 @@ MIN_THRESHOLD = 1e-12
 INTERVAL_CV_TOL = 0.01
 #: Trailing intervals averaged into a settled train's period estimate.
 PERIOD_INTERVALS = 8
+#: Length in delays of the simulated guess of :func:`settle_train`.
+GUESS_DELAYS = 4.0
 #: Leading share of a run left out of the train statistics by
 #: :func:`classify_response` and by :func:`sweep_tau`.
 TRANSIENT_FRAC = 0.25
@@ -283,8 +289,11 @@ def classify_response(
     -------
     PulseTrainStats
     """
-    if horizon < 20.0 * max(params.tau, 1.0):
-        raise InvalidArgumentError("horizon must be at least 20 * max(tau, 1)")
+    floor = 20.0 * max(params.tau, 1.0)
+    # Written so that NaN fails the check.
+    if not horizon >= floor:
+        raise InvalidArgumentError(f"horizon must be at least 20 * max(tau, 1) = {floor:g}, "
+                                   f"got {horizon!r}")
     traj = integrate(params, history, horizon, control)
     train = measure_train(traj, params.tau, since=TRANSIENT_FRAC * horizon)
     pulses = train.pulse_times
@@ -419,21 +428,18 @@ def settle_train(
     control: StepControl | None = None,
     drift_estimate: float = 3.0,
 ) -> Trajectory:
-    """Integrate to a settled train with ``k`` pulses per delay interval.
+    """The periodic train with ``k`` pulses per delay interval, over ``periods`` delays.
 
-    For ``k = 1`` the delay line is seeded with one solitary pulse
-    (:func:`single_pulse_seed`) and the run covers ``periods`` delay
-    intervals, which is ample for the train to lock at the working
-    point.
-
-    For ``k >= 2`` the train is grown by reappearance: a one-pulse
-    train at the shorter delay ``tau0`` satisfying ``tau0 + (k-1) * T0
-    = tau`` is re-read as the history at the full delay, interleaving
-    ``k`` equally spaced copies of the pulse.  The inter-pulse phases
-    are nearly neutral — well-separated pulses interact exponentially
-    weakly — so uneven seed spacing would persist for the whole run;
-    ``tau0`` is therefore pinned by measuring the trial period and
-    correcting until the reappearance identity holds to 1e-6.
+    The train is a periodic orbit, found by the collocation solve of
+    :func:`yamada_delay.periodic.solve_periodic` from a short simulated
+    guess.  The guess is a one-pulse train: the delay line at ``tau0 =
+    (tau - (k - 1) * drift_estimate) / k`` is seeded with one solitary
+    pulse (:func:`single_pulse_seed`) and run for ``GUESS_DELAYS`` delays;
+    its last whole period starts the solve.  For ``k >= 2`` the solve runs
+    directly at the full delay: read modulo the period, the delay of a
+    ``k``-pulse train at ``tau`` is that of the one-pulse train at ``tau -
+    (k - 1) T`` (reappearance), so the one-pulse profile is already close
+    and Newton's method only corrects ``T`` and the profile.
 
     Parameters
     ----------
@@ -443,44 +449,48 @@ def settle_train(
     k : int, optional
         Pulses per delay interval.
     periods : float, optional
-        Run length in units of the delay.
+        Length of the returned train in units of the delay, > 0.
+    control : StepControl, optional
+        Step control of the guess run.
     drift_estimate : float, optional
         Starting guess for the regeneration lag ``delta``; only the
-        seeding accuracy of the first trial depends on it.
+        guess depends on it.
 
     Returns
     -------
     Trajectory
-        The full run at ``params``; pass it to the orbit-extraction and
-        monodromy routines, or measure it directly.
+        The converged orbit over the fewest whole periods that reach
+        ``periods * tau``, starting at an upward threshold crossing; pass
+        it to the orbit-extraction and monodromy routines, or measure it
+        directly.
+
+    Raises
+    ------
+    NoBranchError
+        If the guess run does not hold two pulses.
+    NumericalError
+        If the collocation solve fails.
     """
     if params.tau <= 0.0:
         raise InvalidArgumentError("a pulse train needs tau > 0")
     if k < 1:
         raise InvalidArgumentError("k must be a positive integer")
-    if k == 1:
-        horizon = periods * (params.tau + drift_estimate)
-        return integrate(params, single_pulse_seed(params, control=control), horizon, control)
-
+    # Written so that NaN fails the check.
+    if not 0.0 < periods < math.inf:
+        raise InvalidArgumentError(f"periods must be positive and finite, got {periods!r}")
     tau0 = (params.tau - (k - 1) * drift_estimate) / k
     if tau0 <= 0.0:
         raise InvalidArgumentError(f"delay too short to hold {k} pulses")
-    traj0 = None
-    T0 = 0.0
-    for _ in range(3):
-        p0 = params.replace(tau=tau0)
-        horizon0 = periods * (tau0 + drift_estimate)
-        traj0 = integrate(p0, single_pulse_seed(p0, control=control), horizon0, control)
-        train = measure_train(traj0, tau0, last=PERIOD_INTERVALS)
-        if len(train.train_times) <= PERIOD_INTERVALS:
-            raise NoBranchError("too few pulses to measure a period")
-        T0 = refine_period(traj0, train.period)
-        miss = tau0 + (k - 1) * T0 - params.tau
-        if abs(miss) < 1e-6:
-            break
-        tau0 -= miss / k
-    horizon = periods * k * T0
-    return integrate(params, HistorySpec.from_tail(traj0, params.tau), horizon, control)
+    p0 = params.replace(tau=tau0)
+    guess = integrate(p0, single_pulse_seed(p0, control=control),
+                      GUESS_DELAYS * (tau0 + drift_estimate), control)
+    train = measure_train(guess, tau0, last=1)
+    if train.period is None:
+        raise NoBranchError(f"no pulse train to start from: {len(train.pulse_times)} pulse(s) "
+                            f"in {GUESS_DELAYS:g} delays at tau = {tau0:g}")
+    orbit = solve_periodic(params, guess, float(train.train_times[0]), train.period,
+                           train.threshold, periods * params.tau)
+    return orbit.trajectory
 
 
 @dataclass

@@ -303,11 +303,22 @@ def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
                     tau + (1.0 / u).sum(1) - (1.0 / v).sum(1))
                 refined = np.where(np.isfinite(step), refined - step, refined)
             lam, ok = _newton_search(branch_fp, np.concatenate([seeds, refined]), win)
-            # an unconverged branch keeps its refined seed, for the check below
-            found = [lam[ok], refined[~ok[len(seeds) :]]]
+            found = [lam[ok]]
+            stuck = ~ok[len(seeds):]
             starts = (starts[:, None] + 1j * math.pi / tau * np.arange(-4, 5)).ravel()
         lam, ok = _newton_search(char_fp, starts.astype(complex), win)
-        roots, fz, dz = _window_roots(np.concatenate(found + [lam[ok]]), win, char_fp)
+        found = np.concatenate(found + [lam[ok]])
+        if tau != 0.0 and stuck.any():
+            # An unconverged branch keeps its refined seed, for the residual
+            # check below, unless another start found that branch's root:
+            # then the seed only got stuck next to a pole of g.
+            def branch(z):  # j with tau (z - a33) + Log g(z) = ell_j
+                log_g = np.log(z[:, None] - zeros).sum(1) - np.log(z[:, None] - poles).sum(1)
+                return np.round((tau * (z - a33) + log_g - ell[n]).imag / (2.0 * math.pi))
+
+            keep = stuck & ~np.isin(np.arange(-n, n + 1), branch(found))
+            found = np.concatenate([found, refined[keep]])
+        roots, fz, dz = _window_roots(found, win, char_fp)
     resid = np.abs(fz)
     missed = np.count_nonzero(~(resid < _RESIDUAL_TOL))
     if missed:

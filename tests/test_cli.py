@@ -92,7 +92,7 @@ class TestExcite:
     def test_nan_horizon_rejected(self, capsys):
         err = run_fail(capsys, ["excite", "--kappa", "0.01", "--tau", "100",
                                 "--horizon", "nan"], 2)
-        assert "t_end must be positive and finite, got nan" in err
+        assert "horizon must be at least 20 * max(tau, 1) = 2000, got nan" in err
 
     @pytest.mark.parametrize("option", ["--atol", "--rtol"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

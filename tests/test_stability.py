@@ -47,6 +47,9 @@ WINDOW = (-1.0, 0.5, -10.0, 10.0)
 DIFF_WINDOWS = [(-0.5, 8.0, -8.0, 8.0), WINDOW, (-3.0, 3.0, -3.0, 3.0)]
 _rng = np.random.default_rng(406)
 DRAWS = [random_params(_rng) for _ in range(100)]
+# the same draws, run on to 110 for the stuck-seed cases
+_rng = np.random.default_rng(406)
+STUCK_DRAWS = [random_params(_rng) for _ in range(110)]
 
 
 def pairing(found, expected, tol):
@@ -269,6 +272,31 @@ class TestLongDelays:
         spec = roots_generic(q, p, window)
         assert len(spec) == 637
         pairing(spec.roots, grid.roots_generic(q, p, window, re_step=0.7).roots, 1e-9)
+
+    @pytest.mark.parametrize("draw, name, tau, count",
+                             [(102, "q", 20.15, 21), (57, "q", 73.87, 73)])
+    def test_seed_stuck_at_a_pole_is_not_a_missed_root(self, draw, name, tau, count):
+        # the refined seed of branch 0 stalls on the real axis next to a
+        # pole of g, while other starts find that branch's complex pair; it
+        # used to fail the residual check ("1 of 22", "1 of 74")
+        p = STUCK_DRAWS[draw].replace(tau=tau)
+        state = getattr(steady_states(p), name)
+        window = (-1.0, 0.5, -3.0, 3.0)
+        spec = roots_generic(state, p, window)
+        assert len(spec) == count == grid.winding_count(state, p, window)
+        assert np.all(spec.residuals < 1e-9)
+
+    def test_stuck_seed_dropped_but_near_pole_root_still_raises(self):
+        # draw 109's p state raised "2 of 516": a stuck branch-0 seed and a
+        # genuine root 4e-12 from the pole a11 = -0.0458, where |char'| is
+        # 9e8.  Only the genuine root is left to miss the bound.
+        p = STUCK_DRAWS[109].replace(tau=536.81)
+        state = steady_states(p).p
+        with pytest.raises(NumericalError, match=r"1 of 515 lasing-state roots .* miss"):
+            roots_generic(state, p, (-1.0, 0.5, -3.0, 3.0))
+        window = (-0.04, 0.5, -3.0, 3.0)
+        spec = roots_generic(state, p, window)
+        assert len(spec) == 514 == grid.winding_count(state, p, window)
 
     def test_branch_count_is_checked_before_allocating(self):
         # 1.6e8 branches: refused before any array of that length exists
