@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError, SingularParameterError
 from .integrator import Trajectory
-from .model import ModelParams
+from .model import M1_ENTRIES, ModelParams, m1_entries
 from .periodic import PeriodicOrbit, solve_periodic
 # detect_pulses and refine_period are unused here (and refine_period in pulses too),
 # but both stay importable from both modules: bench/spans.py patches them there by name.
@@ -489,17 +489,8 @@ def _step_maps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: float):
 
 def _m1_along(orbit: PeriodicOrbit, ts: np.ndarray) -> np.ndarray:
     """Stack of M1 Jacobians along the orbit, shape (len(ts), 3, 3)."""
-    p = orbit.params
-    states = orbit.state_many(ts)
-    g, q, i = states[:, 0], states[:, 1], states[:, 2]
     out = np.zeros((len(ts), 3, 3))
-    out[:, 0, 0] = -p.gamma_G * (1.0 + i)
-    out[:, 0, 2] = -p.gamma_G * g
-    out[:, 1, 1] = -p.gamma_Q * (1.0 + p.a * i)
-    out[:, 1, 2] = -p.gamma_Q * p.a * q
-    out[:, 2, 0] = i
-    out[:, 2, 1] = -i
-    out[:, 2, 2] = g - q - 1.0
+    out[:, M1_ENTRIES[0], M1_ENTRIES[1]] = m1_entries(orbit.state_many(ts), orbit.params)
     return out
 
 

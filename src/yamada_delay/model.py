@@ -197,6 +197,41 @@ def jacobians(state: State | np.ndarray, params: ModelParams) -> tuple[np.ndarra
     return m1, m2
 
 
+#: The entries ``(row, column)`` of ``M1`` that are not identically zero
+#: (``G`` and ``Q`` do not drive each other), in the order of :func:`m1_entries`.
+M1_ENTRIES = (np.array([0, 0, 1, 1, 2, 2, 2]), np.array([0, 2, 1, 2, 0, 1, 2]))
+
+
+def field_rates(x: np.ndarray, delayed_intensity: np.ndarray, params: ModelParams) -> np.ndarray:
+    """:func:`rhs` over arrays, without the input checks.
+
+    ``x`` holds states with ``(G, Q, I)`` on its last axis, and
+    ``delayed_intensity`` the matching ``I(t - tau)``; the rates come back
+    in the shape of ``x``.
+    """
+    g, q, i = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([
+        params.gamma_G * (params.A - g * (1.0 + i)),
+        params.gamma_Q * (params.B - q * (1.0 + params.a * i)),
+        (g - q - 1.0) * i + params.kappa * delayed_intensity,
+    ], axis=-1)
+
+
+def m1_entries(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The entries :data:`M1_ENTRIES` of :func:`jacobians`' ``M1`` over arrays.
+
+    ``x`` holds states with ``(G, Q, I)`` on its last axis, which the seven
+    entries ``dG'/dG, dG'/dI, dQ'/dQ, dQ'/dI, dI'/dG, dI'/dQ, dI'/dI``
+    replace.
+    """
+    g, q, i = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([
+        -params.gamma_G * (1.0 + i), -params.gamma_G * g,
+        -params.gamma_Q * (1.0 + params.a * i), -params.gamma_Q * params.a * q,
+        i, -i, g - q - 1.0,
+    ], axis=-1)
+
+
 @dataclass(frozen=True)
 class SteadyStateSet:
     """The steady states of the model for one parameter set.

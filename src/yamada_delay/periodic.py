@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .integrator import Trajectory
-from .model import ModelParams
+from .model import M1_ENTRIES, ModelParams, field_rates, m1_entries
 
 __all__ = ["PeriodicOrbit", "solve_periodic"]
 
@@ -53,7 +53,9 @@ MAX_INTERVALS = 2000
 #: Gauss points, relative to the largest rate of change of the component.
 RESIDUAL_TOL = 1e-5
 #: Newton iterations before the solve counts as failed.
-NEWTON_MAX_STEPS = 20
+NEWTON_MAX_STEPS = 40
+#: Smallest fraction of a Newton step tried before the solve counts as failed.
+MIN_DAMPING = 2.0 ** -10
 #: Newton stops once the update is below this, relative to the
 #: amplitude of each component and to the period.
 NEWTON_TOL = 1e-10
@@ -86,11 +88,9 @@ def _basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _LG, _DG = _basis(_GAUSS)
 _LP, _DP = _basis(_PROBES)
-# The (c, c') entries of the field's Jacobian that are not identically zero
-# (G and Q do not drive each other), in the order of _partials, and the
-# D_mj delta_cc' part of the collocation Jacobian on them, shape (4, 7, 5).
-_PAIRS = (np.array([0, 0, 1, 1, 2, 2, 2]), np.array([0, 2, 1, 2, 0, 1, 2]))
-_PAIR_DG = (_PAIRS[0] == _PAIRS[1])[None, :, None] * _DG[:, None, :]
+# The D_mj delta_cc' part of the collocation Jacobian on the entries (c, c')
+# of M1_ENTRIES, shape (4, 7, 5).
+_PAIR_DG = (M1_ENTRIES[0] == M1_ENTRIES[1])[None, :, None] * _DG[:, None, :]
 # Slots of the three Jacobian rows of one Gauss point, stored one after the
 # other: the row of G holds its own-node entries for (G, G) and (G, I) and
 # its T entry, that of Q likewise, that of I its own-node entries for (I, G),
@@ -141,28 +141,6 @@ class PeriodicOrbit:
         return self.trajectory.evaluate_many(self.anchor - self.period + phase)
 
 
-def _field(x: np.ndarray, z: np.ndarray, p: ModelParams) -> np.ndarray:
-    """The rate equations at states ``x`` (last axis G, Q, I) with delayed intensity ``z``."""
-    g, q, i = x[..., 0], x[..., 1], x[..., 2]
-    return np.stack([
-        p.gamma_G * (p.A - g * (1.0 + i)),
-        p.gamma_Q * (p.B - q * (1.0 + p.a * i)),
-        (g - q - 1.0) * i + p.kappa * z,
-    ], axis=-1)
-
-
-def _partials(x: np.ndarray, p: ModelParams) -> np.ndarray:
-    """The partial derivatives of :func:`_field` in the current state at the
-    pairs :data:`_PAIRS`: ``dG'/dG, dG'/dI, dQ'/dQ, dQ'/dI, dI'/dG, dI'/dQ,
-    dI'/dI``, on a last axis of seven."""
-    g, q, i = x[..., 0], x[..., 1], x[..., 2]
-    return np.stack([
-        -p.gamma_G * (1.0 + i), -p.gamma_G * g,
-        -p.gamma_Q * (1.0 + p.a * i), -p.gamma_Q * p.a * q,
-        i, -i, g - q - 1.0,
-    ], axis=-1)
-
-
 class _Mesh:
     """Mesh points ``s_0 = 0 < ... < s_L = 1`` and the node layout on them."""
 
@@ -177,7 +155,7 @@ class _Mesh:
         self.gauss = points[:-1, None] + self.h[:, None] * _GAUSS
         # The Jacobian's columns that do not move with T, in the row slots
         # of _BLOCK; the delayed slots are filled per evaluation.
-        own = 3 * self.nodes[:, None, None, :] + _PAIRS[1][:, None]  # (L, 1, 7, 5)
+        own = 3 * self.nodes[:, None, None, :] + M1_ENTRIES[1][:, None]  # (L, 1, 7, 5)
         self.cols = np.empty((L, _DEGREE, _BLOCK), dtype=np.int32)
         own = np.broadcast_to(own, (L, _DEGREE) + own.shape[2:])
         self.cols[..., _OWN] = own.reshape(L, _DEGREE, -1)
@@ -215,7 +193,7 @@ def _residual(X: np.ndarray, T: float, mesh: _Mesh, p: ModelParams):
     xg = np.einsum("mj,ljc->lmc", _LG, Xi)
     d_nodes, d_val, d_der = mesh.delayed(mesh.gauss, T, p.tau)  # (L, 4, 5) each
     z = (d_val * X[d_nodes, 2]).sum(axis=-1)
-    f = _field(xg, z, p)
+    f = field_rates(xg, z, p)
     hT = (mesh.h * T)[:, None, None]
     F = np.empty(n)
     F[:-1] = (np.einsum("mj,ljc->lmc", _DG, Xi) - hT * f).ravel()
@@ -223,7 +201,7 @@ def _residual(X: np.ndarray, T: float, mesh: _Mesh, p: ModelParams):
     vals = np.empty((mesh.L, _DEGREE, _BLOCK))
     # d/dX on the interval's own nodes, D_mj delta_cc' - h T J_cc' L_mj,
     # for the pairs (c, c') where the field's Jacobian can be nonzero
-    own = _PAIR_DG - hT[..., None] * _partials(xg, p)[..., None] * _LG[:, None, :]
+    own = _PAIR_DG - hT[..., None] * m1_entries(xg, p)[..., None] * _LG[:, None, :]
     vals[..., _OWN] = own.reshape(mesh.L, _DEGREE, -1)
     # d/dX on the I nodes of the delayed interval
     vals[..., _DELAYED] = -(hT * p.kappa) * d_val
@@ -247,7 +225,7 @@ def _interval_residuals(X: np.ndarray, T: float, mesh: _Mesh, p: ModelParams) ->
     x = np.einsum("mj,ljc->lmc", _LP, Xi)
     dx = np.einsum("mj,ljc->lmc", _DP, Xi) / mesh.h[:, None, None]
     d_nodes, d_val, _ = mesh.delayed(mesh.points[:-1, None] + mesh.h[:, None] * _PROBES, T, p.tau)
-    defect = np.abs(dx - T * _field(x, (d_val * X[d_nodes, 2]).sum(axis=-1), p))
+    defect = np.abs(dx - T * field_rates(x, (d_val * X[d_nodes, 2]).sum(axis=-1), p))
     scale = np.abs(dx).max(axis=(0, 1))
     scale[scale <= 0.0] = 1.0
     return (defect / scale).max(axis=(1, 2))
@@ -257,9 +235,10 @@ def solve_periodic(
     params: ModelParams,
     guess: Trajectory,
     start: float,
-    period: float,
+    length: float,
     level: float,
     span: float,
+    period: float | None = None,
 ) -> PeriodicOrbit:
     """Newton's method on the collocated periodic boundary-value problem.
 
@@ -276,18 +255,21 @@ def solve_periodic(
         The parameters to solve at, ``tau > 0``; the guess may come from
         a run at another delay.
     guess : Trajectory
-        Must cover ``[start, start + period]``; that stretch is the
+        Must cover ``[start, start + length]``; that stretch is the
         initial profile.
     start : float
         An upward crossing of ``I`` through ``level``; it becomes the
         orbit's phase origin.
-    period : float
-        Estimate of the period.
+    length : float
+        The guess's own period.
     level : float
         Intensity of the phase condition ``I(0) = level``.
     span : float
         The returned orbit's trajectory covers the fewest whole periods
         (at least one) that reach ``span``.
+    period : float, optional
+        Initial estimate of the period, ``length`` by default; the
+        profile is stretched to it.
 
     Returns
     -------
@@ -298,17 +280,18 @@ def solve_periodic(
     ------
     NumericalError
         If Newton's method does not converge within
-        :data:`NEWTON_MAX_STEPS` iterations, or the collocation residual
+        :data:`NEWTON_MAX_STEPS` iterations or stalls, or the collocation residual
         still exceeds :data:`RESIDUAL_TOL` on :data:`MAX_INTERVALS`
         intervals.
     """
     wall0 = time.perf_counter()
     intervals = INTERVALS
     fine = np.linspace(0.0, 1.0, 16 * intervals + 1)
-    xs = guess.evaluate_many(start + period * fine)
+    xs = guess.evaluate_many(start + length * fine)
     speed = np.sqrt((np.diff(xs, axis=0) ** 2).sum(axis=1)) / np.diff(fine)
     mesh = _Mesh(_equidistributed(fine, np.sqrt(speed), intervals))
-    X, T, steps = _newton(guess.evaluate_many(start + period * mesh.s), period, level, mesh, params)
+    X, T, steps = _newton(guess.evaluate_many(start + length * mesh.s),
+                          length if period is None else period, level, mesh, params)
     residuals = _interval_residuals(X, T, mesh, params)
     remeshed = False
     # Written so that NaN fails the check.
@@ -359,25 +342,45 @@ def _equidistributed(edges: np.ndarray, density: np.ndarray, intervals: int) -> 
 def _newton(X: np.ndarray, T: float, level: float, mesh: _Mesh, p: ModelParams):
     """Newton iterations from the node states ``X`` and period ``T``.
 
+    A step that would not lower the 2-norm of the equations is halved, at
+    most down to :data:`MIN_DAMPING`: near the feedback onset full steps
+    from the start that :func:`yamada_delay.pulses.settle_train` predicts
+    for a three-pulse train lose the pulse (``kappa = 0.008``, ``tau =
+    400``).  Close to the orbit every full step is taken.
+
     Returns the converged ``X``, ``T`` and the number of steps taken.
     """
     from scipy.sparse.linalg import splu
 
-    scale = np.append(np.maximum(X.max(axis=0) - X.min(axis=0), 1e-12), T)
-    for steps in range(1, NEWTON_MAX_STEPS + 1):
+    def equations(X, T):
         F, J = _residual(X, T, mesh, p)
         F[-1] = X[0, 2] - level
+        return F, J, np.linalg.norm(F)
+
+    scale = np.append(np.maximum(X.max(axis=0) - X.min(axis=0), 1e-12), T)
+    F, J, norm = equations(X, T)
+    for steps in range(1, NEWTON_MAX_STEPS + 1):
         try:
             du = splu(J).solve(F)
         except RuntimeError as exc:  # an exactly singular Jacobian
             raise NumericalError(f"periodic orbit: singular Newton system ({exc})") from None
-        X = X - du[:-1].reshape(-1, 3)
-        T -= du[-1]
-        if not (np.all(np.isfinite(du)) and T > 0.0):
+        if not np.all(np.isfinite(du)):
             raise NumericalError("periodic orbit: Newton's method diverged")
-        size = np.append(np.abs(du[:-1].reshape(-1, 3)).max(axis=0), abs(du[-1]))
+        dX, dT = du[:-1].reshape(-1, 3), du[-1]
+        size = np.append(np.abs(dX).max(axis=0), abs(dT))
         if (size / scale).max() <= NEWTON_TOL:
-            return X, T, steps
+            return X - dX, T - dT, steps
+        damping = 1.0
+        while True:
+            X1, T1 = X - damping * dX, T - damping * dT
+            if T1 > 0.0:
+                F1, J1, norm1 = equations(X1, T1)
+                if norm1 < norm:  # a NaN norm fails
+                    break
+            if damping <= MIN_DAMPING:
+                raise NumericalError("periodic orbit: Newton's method stalled")
+            damping *= 0.5
+        X, T, F, J, norm = X1, T1, F1, J1, norm1
     raise NumericalError(
         f"periodic orbit: Newton's method did not converge in {NEWTON_MAX_STEPS} steps"
     )
@@ -396,7 +399,7 @@ def _tile(X: np.ndarray, T: float, mesh: _Mesh, p: ModelParams, n_periods: int) 
     """
     s, x = mesh.s[::2], X[::2]
     d_nodes, d_val, _ = mesh.delayed(s, T, p.tau)
-    f = _field(x, (d_val * X[d_nodes, 2]).sum(axis=-1), p)
+    f = field_rates(x, (d_val * X[d_nodes, 2]).sum(axis=-1), p)
     t = np.append((np.arange(n_periods)[:, None] + s).ravel() * T, n_periods * T)
     y = np.concatenate([np.tile(x, (n_periods, 1)), x[:1]])
     yp = np.concatenate([np.tile(f, (n_periods, 1)), f[:1]])

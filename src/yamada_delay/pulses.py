@@ -373,6 +373,8 @@ def reappearance_shift(tau0: float, T0: float, k: int) -> float:
     return tau0 + k * T0
 
 
+# No longer called in the package (orbits are collocated), but kept importable
+# from here and from floquet: bench/spans.py patches it there by name.
 def refine_period(trajectory: Trajectory, period: float, window: float = 5e-3) -> float:
     """Sharpen a period estimate by minimizing the one-period defect.
 
@@ -435,11 +437,19 @@ def settle_train(
     guess.  The guess is a one-pulse train: the delay line at ``tau0 =
     (tau - (k - 1) * drift_estimate) / k`` is seeded with one solitary
     pulse (:func:`single_pulse_seed`) and run for ``GUESS_DELAYS`` delays;
-    its last whole period starts the solve.  For ``k >= 2`` the solve runs
-    directly at the full delay: read modulo the period, the delay of a
-    ``k``-pulse train at ``tau`` is that of the one-pulse train at ``tau -
-    (k - 1) T`` (reappearance), so the one-pulse profile is already close
-    and Newton's method only corrects ``T`` and the profile.
+    its last whole period starts the solve.  For ``k = 1`` that is the
+    only solve.  For ``k >= 2`` the last solve runs directly at the full
+    delay: read modulo the period, a ``k``-pulse train at ``tau`` is the
+    one-pulse train at ``d = tau - (k - 1) T(d)`` (reappearance), so the
+    one-pulse profile is already close, and only ``T`` needs a good start.
+    It comes from the one-pulse branch ``T(d)``, solved at ``tau0`` and at
+    a delay 1 % shorter for its slope, and followed to ``d`` to first order.
+    Near the feedback onset the regeneration lag ``T - d`` is about 20
+    instead of 3 and changes along the branch: at ``kappa = 0.008``,
+    ``tau = 200``, ``k = 2`` the period ``(tau + lag) / k`` with the
+    guess's lag is 1 % off, and Newton's method loses the pulse from it.
+    Newton's method finds the periodic orbit nearest its start; its Floquet
+    multipliers tell whether that orbit is stable.
 
     Parameters
     ----------
@@ -488,8 +498,20 @@ def settle_train(
     if train.period is None:
         raise NoBranchError(f"no pulse train to start from: {len(train.pulse_times)} pulse(s) "
                             f"in {GUESS_DELAYS:g} delays at tau = {tau0:g}")
-    orbit = solve_periodic(params, guess, float(train.train_times[0]), train.period,
-                           train.threshold, periods * params.tau)
+    start, level, span = float(train.train_times[0]), train.threshold, periods * params.tau
+    if k == 1:
+        return solve_periodic(params, guess, start, train.period, level, span).trajectory
+    # The k-pulse train at tau is the one-pulse train at d = tau - (k - 1) T(d).
+    # Follow the one-pulse branch T(d) from tau0 to that delay to first order,
+    # with its slope from a second solve at a delay 1 % shorter.
+    one = solve_periodic(p0, guess, start, train.period, level, tau0)
+    step = 0.01 * tau0
+    near = solve_periodic(p0.replace(tau=tau0 - step), one.trajectory, 0.0, one.period, level,
+                          tau0, period=one.period - step)
+    slope = (one.period - near.period) / step
+    shift = (params.tau - tau0 - (k - 1) * one.period) / (1.0 + (k - 1) * slope)
+    orbit = solve_periodic(params, one.trajectory, 0.0, one.period, level, span,
+                           period=one.period + slope * shift)
     return orbit.trajectory
 
 

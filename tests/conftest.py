@@ -20,6 +20,8 @@ from yamada_delay import (
 )
 from yamada_delay.pulses import classify_response, scan_kappa_min, settle_train, single_pulse_seed
 
+import pulses_reference
+
 
 def random_params(rng, with_feedback=True):
     """Random parameter draw over the physically sensible box."""
@@ -71,15 +73,21 @@ def floquet_sets(orbits):
 
 @pytest.fixture(scope="session")
 def roundtrip_orbits():
-    """A 1-pulse orbit and its reappearance at tau0 + T0."""
+    """A 1-pulse orbit and its reappearance at tau0 + T0, simulated.
+
+    The collocation solve would return the 1-pulse orbit itself at tau1
+    (read modulo the period, the two delays pose one problem), so the
+    reappearance is measured on the integrator's run from the orbit's tail
+    by the simulated path of ``pulses_reference``.
+    """
     tau0 = 98.5
     p0 = preset("figure1", kappa=0.1, tau=tau0)
     orb0 = extract_orbit(settle_train(p0))
     tau1 = tau0 + orb0.period
     p1 = preset("figure1", kappa=0.1, tau=tau1)
-    # the settled tail of the tau0 run is an exact history for tau1
+    # the orbit's tail is an exact history for tau1
     traj1 = integrate(p1, HistorySpec.from_tail(orb0.trajectory), 34.0 * orb0.period)
-    return orb0, extract_orbit(traj1)
+    return orb0, pulses_reference.extract_orbit(traj1)
 
 
 @pytest.fixture(scope="session")

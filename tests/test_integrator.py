@@ -17,7 +17,6 @@ from yamada_delay import (
     NumericalError,
     StepControl,
     StiffnessError,
-    extract_orbit,
     integrate,
     monodromy_multipliers,
     preset,
@@ -25,10 +24,11 @@ from yamada_delay import (
 )
 from yamada_delay.integrator import solve_dde
 from yamada_delay.pulses import (
-    classify_response, measure_train, scan_kappa_min, settle_train, single_pulse_seed,
+    classify_response, measure_train, scan_kappa_min, single_pulse_seed,
 )
 
 import integrator_reference as reference
+import pulses_reference
 from conftest import random_params
 
 
@@ -383,22 +383,32 @@ class TestUncappedMatchesCapped:
         assert scan_kappa_min(p, tau, (lo, hi), 2.5e-4, self.CAPPED) == kappa
 
     @pytest.fixture(scope="class")
-    def capped_orbits(self):
+    def simulated_orbits(self):
+        """Orbits of the simulated settling path, with default and capped steps.
+
+        The library's orbits come from the collocation solve, where the
+        step control reaches only the guess run; the integrator's own
+        results are the settled runs of ``pulses_reference``.
+        """
         out = {}
         for k, tau in ((1, 200.0), (2, 400.0)):
             p = preset("figure1", kappa=0.1, tau=tau)
-            out[(k, tau)] = extract_orbit(settle_train(p, k=k, control=self.CAPPED))
+            for name, control in (("free", None), ("capped", self.CAPPED)):
+                traj = pulses_reference.settle_train(p, k=k, control=control)
+                out[(k, tau, name)] = pulses_reference.extract_orbit(traj)
         return out
 
-    def test_periods(self, orbits, capped_orbits):
-        for key, capped in capped_orbits.items():
-            assert abs(orbits[key].period - capped.period) < 1e-6
+    def test_periods(self, simulated_orbits):
+        for k, tau in ((1, 200.0), (2, 400.0)):
+            free = simulated_orbits[(k, tau, "free")]
+            capped = simulated_orbits[(k, tau, "capped")]
+            assert abs(free.period - capped.period) < 1e-6
 
-    def test_multipliers(self, floquet_sets, capped_orbits):
+    def test_multipliers(self, simulated_orbits):
         # nearest-neighbour match both ways, so that two multipliers of
         # nearly equal modulus may trade places in the sorted lists
-        free = floquet_sets[(1, 200.0)].multipliers
-        capped = monodromy_multipliers(capped_orbits[(1, 200.0)]).multipliers
+        free = monodromy_multipliers(simulated_orbits[(1, 200.0, "free")]).multipliers
+        capped = monodromy_multipliers(simulated_orbits[(1, 200.0, "capped")]).multipliers
         for a, b in ((free, capped), (capped, free)):
             assert max(np.abs(b - mu).min() for mu in a[:20]) < 1e-5
 

@@ -37,13 +37,54 @@ class TestAgainstSimulatedPath:
         assert abs(orbits[(1, tau)].period - ref.period) < 1e-6
 
     def test_reappearance(self, orbits):
-        # read modulo the period, the two-pulse train at tau is the
-        # one-pulse train at tau - T
+        # the two-pulse train at tau is the one-pulse train at tau - T: the
+        # simulated one (whose pulses cannot drift apart) has the same period
         two = orbits[(2, 400.0)]
         p = preset("figure1", kappa=0.1, tau=400.0 - two.period)
-        one = extract_orbit(settle_train(p))
+        control = StepControl(rtol=1e-9, atol=1e-11)
+        one = pulses_reference.extract_orbit(pulses_reference.settle_train(p, control=control))
         assert one.k == 1
         assert abs(one.period - two.period) < 1e-6
+
+
+class TestNearOnset:
+    """Close to the feedback onset (about 0.0065 at tau = 200).
+
+    The regeneration lag there is 19 to 28 instead of 3, and it changes
+    along the one-pulse branch between the guess's delay tau0 and the
+    reappearance delay.  Started at the guess's own period (7 % off at
+    kappa = 0.01), or at the period the guess's lag gives (1 % off at
+    kappa = 0.008), Newton's method lost the two-pulse train.
+    """
+
+    CONTROL = StepControl(rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.008])
+    def test_one_pulse_period(self, kappa):
+        p = preset("figure1", kappa=kappa, tau=200.0)
+        orbit = extract_orbit(settle_train(p))
+        ref = pulses_reference.extract_orbit(pulses_reference.settle_train(p, control=self.CONTROL))
+        assert orbit.k == ref.k == 1
+        assert abs(orbit.period - ref.period) < 1e-6
+
+    @pytest.mark.parametrize("kappa, tau, k", [(0.01, 200.0, 2), (0.008, 200.0, 2),
+                                               (0.008, 400.0, 3)])
+    def test_multi_pulse_period(self, kappa, tau, k):
+        # (0.008, 400, 3) needs the halved Newton steps: full ones diverge
+        p = preset("figure1", kappa=kappa, tau=tau)
+        orbit = extract_orbit(settle_train(p, k=k))
+        assert orbit.k == k
+        # the simulated one-pulse train at the reappearance delay
+        p1 = p.replace(tau=tau - (k - 1) * orbit.period)
+        one = pulses_reference.extract_orbit(pulses_reference.settle_train(p1, control=self.CONTROL))
+        assert abs(orbit.period - one.period) < 1e-6
+        # the simulated k-pulse train, over whole round trips: its pulse
+        # intervals are still unequal after 34 delays (their spacing is
+        # nearly neutral), so only their mean is the period, and the train
+        # is still settling (2.5e-6 off at k = 2, 4.3e-5 at k = 3)
+        run = pulses_reference.settle_train(p, k=k, control=self.CONTROL)
+        loops = pulses.measure_train(run, tau, last=k * (pulses.PERIOD_INTERVALS // k))
+        assert abs(orbit.period - loops.period) < 1e-4
 
 
 class TestOrbit:
