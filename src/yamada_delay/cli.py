@@ -25,14 +25,7 @@ import numpy as np
 
 from . import _io
 from .errors import InvalidArgumentError, NumericalError
-from .floquet import (
-    acs,
-    acs_max_modulus,
-    extract_orbit,
-    max_pulses,
-    min_stable_delay,
-    monodromy_multipliers,
-)
+from .floquet import acs, acs_max_modulus, max_pulses, min_stable_delay, monodromy_multipliers
 from .integrator import HistorySpec, StepControl, integrate
 from .model import PRESETS, ModelParams, State, kappa_fold, kappa_transcritical, preset, steady_states
 from .pulses import classify_response, scan_kappa_min, settle_train, single_pulse_seed, sweep_tau
@@ -254,8 +247,7 @@ def _run_hopf(ns):
 
 def _run_floquet(ns):
     p = _params_from(ns)
-    traj = settle_train(p, k=ns.k, periods=ns.periods, control=_control_from(ns))
-    orbit = extract_orbit(traj)
+    orbit = settle_train(p, k=ns.k, control=_control_from(ns))
     return monodromy_multipliers(orbit, N=ns.n_nodes, m=ns.n_multipliers, step=ns.step)
 
 
@@ -364,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.model_opts()
     c.tol_opts()
     c.opt("--k", dest="k", type=int, default=1, help="pulses per delay interval")
-    c.opt("--periods", dest="periods", type=float, default=34.0,
-          help="length of the pulse train in delay units")
     c.opt("--n-nodes", dest="n_nodes", type=int,
           help="history discretization nodes (default: spacing 0.25)")
     c.opt("--n-multipliers", dest="n_multipliers", type=int, default=200,

@@ -1,8 +1,9 @@
 """Floquet spectra of pulsing orbits and their large-delay limit.
 
-The orbits come from the collocation solve of :mod:`yamada_delay.periodic`
-(:func:`extract_orbit` polishes the tail of any run into one), so they
-are periodic to the solver's tolerance, and the trivial multiplier's
+The orbits come from the collocation solve of :mod:`yamada_delay.periodic`:
+:func:`yamada_delay.pulses.settle_train` returns one, and
+:func:`extract_orbit` solves one from the tail of a simulated run.  They
+are periodic to the solver's tolerance, so the trivial multiplier's
 distance from 1 measures the discretization of the period map alone.
 
 The variational equation about a periodic orbit ``x(t)`` of the
@@ -52,7 +53,7 @@ from .model import M1_ENTRIES, ModelParams, m1_entries
 from .periodic import PeriodicOrbit, solve_periodic
 # detect_pulses and refine_period are unused here (and refine_period in pulses too),
 # but both stay importable from both modules: bench/spans.py patches them there by name.
-from .pulses import PERIOD_INTERVALS, detect_pulses, measure_train, refine_period  # noqa: F401
+from .pulses import detect_pulses, measure_train, refine_period  # noqa: F401
 
 __all__ = [
     "PeriodicOrbit",
@@ -70,8 +71,8 @@ __all__ = [
 _STEP_MAP_CHUNK = 256
 
 
-def extract_orbit(trajectory: Trajectory) -> PeriodicOrbit:
-    """The periodic orbit that the tail of a run has settled near.
+def extract_orbit(run: Trajectory | PeriodicOrbit) -> PeriodicOrbit:
+    """The periodic orbit that a simulated run has settled near.
 
     The last whole period of the run, from its second-to-last upward
     threshold crossing to its last, starts the collocation solve of
@@ -80,27 +81,30 @@ def extract_orbit(trajectory: Trajectory) -> PeriodicOrbit:
     the delay plus two periods; its ``residual`` is the collocation
     residual and its ``diagnostics`` say how the solve went.
 
+    A :class:`PeriodicOrbit`, such as :func:`yamada_delay.pulses.settle_train`
+    returns, is solved already and comes back unchanged.
+
     Raises
     ------
     InvalidArgumentError
-        If ``tau <= 0``, or fewer than ``PERIOD_INTERVALS + 1`` pulses are
-        present, or their spacing exceeds the delay.
+        If ``tau <= 0``, or the run holds fewer than two pulses, or their
+        spacing exceeds the delay.
     NumericalError
         If the collocation solve fails.
     """
-    params = trajectory.params
+    if isinstance(run, PeriodicOrbit):
+        return run
+    params = run.params
     if params.tau <= 0.0:
         raise InvalidArgumentError("orbit extraction requires tau > 0")
-    train = measure_train(trajectory, params.tau, last=PERIOD_INTERVALS)
-    if len(train.train_times) <= PERIOD_INTERVALS:
-        raise InvalidArgumentError(
-            f"need at least {PERIOD_INTERVALS + 1} pulses, found {len(train.pulse_times)}"
-        )
+    train = measure_train(run, params.tau, last=1)
+    if train.period is None:
+        raise InvalidArgumentError(f"need at least 2 pulses, found {len(train.pulse_times)}")
     if train.k < 1:
         raise InvalidArgumentError("pulse spacing exceeds the delay (k < 1)")
-    start, end = (float(t) for t in train.train_times[-2:])
-    return solve_periodic(params, trajectory, start, end - start, train.threshold,
-                          params.tau + 2.0 * (end - start))
+    start = float(train.train_times[0])
+    return solve_periodic(params, run, start, train.period, train.threshold,
+                          params.tau + 2.0 * train.period)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,14 @@ def preset(name: str, **overrides) -> ModelParams:
     return ModelParams(**base)
 
 
+def _state_vector(state: State | np.ndarray) -> np.ndarray:
+    """``(G, Q, I)`` of a :class:`State` or of a sequence of three numbers."""
+    if isinstance(state, State):
+        return state.as_array()
+    g, q, i = (float(v) for v in state)
+    return np.array([g, q, i])
+
+
 def rhs(state: State | np.ndarray, delayed_intensity: float, params: ModelParams) -> np.ndarray:
     """Right-hand side of the rate equations.
 
@@ -153,22 +161,13 @@ def rhs(state: State | np.ndarray, delayed_intensity: float, params: ModelParams
     ndarray of shape (3,)
         Time derivative (G', Q', I').
     """
-    if isinstance(state, State):
-        g, q, i = state.G, state.Q, state.I
-    else:
-        g, q, i = (float(v) for v in state)
-        if not (math.isfinite(g) and math.isfinite(q) and math.isfinite(i)):
-            raise InvalidArgumentError("state components must be finite")
+    x = _state_vector(state)
+    if not np.all(np.isfinite(x)):
+        raise InvalidArgumentError("state components must be finite")
     di = float(delayed_intensity)
     if not math.isfinite(di):
         raise InvalidArgumentError("delayed_intensity must be finite")
-    return np.array(
-        [
-            params.gamma_G * (params.A - g * (1.0 + i)),
-            params.gamma_Q * (params.B - q * (1.0 + params.a * i)),
-            (g - q - 1.0) * i + params.kappa * di,
-        ]
-    )
+    return field_rates(x, di, params)
 
 
 def jacobians(state: State | np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -181,17 +180,8 @@ def jacobians(state: State | np.ndarray, params: ModelParams) -> tuple[np.ndarra
         ``M2`` with respect to the delayed state.  ``M2`` has a single
         nonzero entry, ``M2[2, 2] = kappa``.
     """
-    if isinstance(state, State):
-        g, q, i = state.G, state.Q, state.I
-    else:
-        g, q, i = (float(v) for v in state)
-    m1 = np.array(
-        [
-            [-params.gamma_G * (1.0 + i), 0.0, -params.gamma_G * g],
-            [0.0, -params.gamma_Q * (1.0 + params.a * i), -params.gamma_Q * params.a * q],
-            [i, -i, g - q - 1.0],
-        ]
-    )
+    m1 = np.zeros((3, 3))
+    m1[M1_ENTRIES] = m1_entries(_state_vector(state), params)
     m2 = np.zeros((3, 3))
     m2[2, 2] = params.kappa
     return m1, m2

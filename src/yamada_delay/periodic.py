@@ -109,8 +109,9 @@ class PeriodicOrbit:
     Attributes
     ----------
     trajectory : Trajectory
-        The orbit over a few periods; the final period ``[anchor - T,
-        anchor]`` is its fundamental domain.
+        The orbit over whole periods from its phase origin, enough to
+        reach the ``span`` of :func:`solve_periodic`; the final period
+        ``[anchor - T, anchor]`` is its fundamental domain.
     period : float
     k : int
         Pulses per delay interval.

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NoBranchError
 from .integrator import HistorySpec, StepControl, Trajectory, integrate
 from .model import ModelParams
-from .periodic import solve_periodic
+from .periodic import PeriodicOrbit, solve_periodic
 
 __all__ = [
     "DECAY",
@@ -429,7 +429,7 @@ def settle_train(
     periods: float = 34.0,
     control: StepControl | None = None,
     drift_estimate: float = 3.0,
-) -> Trajectory:
+) -> PeriodicOrbit:
     """The periodic train with ``k`` pulses per delay interval, over ``periods`` delays.
 
     The train is a periodic orbit, found by the collocation solve of
@@ -468,11 +468,11 @@ def settle_train(
 
     Returns
     -------
-    Trajectory
-        The converged orbit over the fewest whole periods that reach
-        ``periods * tau``, starting at an upward threshold crossing; pass
-        it to the orbit-extraction and monodromy routines, or measure it
-        directly.
+    PeriodicOrbit
+        The orbit of the last collocation solve, ready for
+        :func:`yamada_delay.floquet.monodromy_multipliers`.  Its
+        ``trajectory`` covers the fewest whole periods that reach
+        ``periods * tau`` and starts at an upward threshold crossing.
 
     Raises
     ------
@@ -500,7 +500,7 @@ def settle_train(
                             f"in {GUESS_DELAYS:g} delays at tau = {tau0:g}")
     start, level, span = float(train.train_times[0]), train.threshold, periods * params.tau
     if k == 1:
-        return solve_periodic(params, guess, start, train.period, level, span).trajectory
+        return solve_periodic(params, guess, start, train.period, level, span)
     # The k-pulse train at tau is the one-pulse train at d = tau - (k - 1) T(d).
     # Follow the one-pulse branch T(d) from tau0 to that delay to first order,
     # with its slope from a second solve at a delay 1 % shorter.
@@ -510,9 +510,8 @@ def settle_train(
                           tau0, period=one.period - step)
     slope = (one.period - near.period) / step
     shift = (params.tau - tau0 - (k - 1) * one.period) / (1.0 + (k - 1) * slope)
-    orbit = solve_periodic(params, one.trajectory, 0.0, one.period, level, span,
-                           period=one.period + slope * shift)
-    return orbit.trajectory
+    return solve_periodic(params, one.trajectory, 0.0, one.period, level, span,
+                          period=one.period + slope * shift)
 
 
 @dataclass

@@ -13,7 +13,6 @@ import pytest
 from yamada_delay import (
     HistorySpec,
     ModelParams,
-    extract_orbit,
     integrate,
     monodromy_multipliers,
     preset,
@@ -61,7 +60,7 @@ def orbits():
     for k in (1, 2):
         for tau in (200.0, 400.0):
             p = preset("figure1", kappa=0.1, tau=tau)
-            out[(k, tau)] = extract_orbit(settle_train(p, k=k))
+            out[(k, tau)] = settle_train(p, k=k)
     return out
 
 
@@ -82,7 +81,7 @@ def roundtrip_orbits():
     """
     tau0 = 98.5
     p0 = preset("figure1", kappa=0.1, tau=tau0)
-    orb0 = extract_orbit(settle_train(p0))
+    orb0 = settle_train(p0)
     tau1 = tau0 + orb0.period
     p1 = preset("figure1", kappa=0.1, tau=tau1)
     # the orbit's tail is an exact history for tau1

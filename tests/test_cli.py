@@ -219,6 +219,13 @@ class TestFloquet:
     def test_needs_positive_delay(self, capsys):
         run_fail(capsys, ["floquet", "--kappa", "0.1"], 2)
 
+    def test_no_periods_option(self, capsys):
+        # the orbit is exactly periodic: its length changes no output
+        with pytest.raises(SystemExit) as exc:
+            main(["floquet", "--kappa", "0.1", "--tau", "30", "--periods", "6"])
+        assert exc.value.code == 2
+        assert "--periods" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option, value, named", [
         ("--step", "0", "step must be positive and finite, got 0.0"),
         ("--step", "-1", "got -1.0"),

@@ -179,7 +179,7 @@ class TestReducedPeriodMap:
 
     def test_matches_full_history_map(self):
         p = preset("figure1", kappa=0.1, tau=30.0)
-        orbit = extract_orbit(settle_train(p, k=1))
+        orbit = settle_train(p, k=1)
         fs = monodromy_multipliers(orbit)
         assert fs.N == 121 and len(fs) == fs.N + 2
         full = _leading_eigs(full_period_map(orbit), 200)[0]
@@ -230,7 +230,7 @@ class TestTwoBlockPeriodMap:
     @pytest.fixture(scope="class")
     def orbit30(self):
         p = preset("figure1", kappa=0.1, tau=30.0)
-        return extract_orbit(settle_train(p, k=1))
+        return settle_train(p, k=1)
 
     @pytest.fixture(scope="class")
     def cases(self, orbit30, orbits, floquet_sets):
@@ -314,6 +314,13 @@ class TestOrbitExtraction:
             assert orbit.residual < 1e-5
             # k pulses per delay: spacing near tau/k, plus regeneration lag
             assert tau / k < orbit.period < tau / k + 20.0
+
+    def test_two_pulses_are_enough(self):
+        # six pulses in the run: the last whole period starts the solve
+        p = preset("figure1", kappa=0.1, tau=100.0)
+        orbit = extract_orbit(integrate(p, single_pulse_seed(p), 600.0))
+        assert orbit.k == 1
+        assert abs(orbit.period - settle_train(p).period) < 1e-8
 
     def test_requires_positive_delay(self):
         p = preset("figure1", kappa=0.1, tau=0.0)

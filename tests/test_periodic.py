@@ -18,7 +18,7 @@ from yamada_delay import (
     preset,
     settle_train,
 )
-from yamada_delay import periodic, pulses
+from yamada_delay import floquet, periodic, pulses
 from yamada_delay.cli import main
 
 import pulses_reference
@@ -62,7 +62,7 @@ class TestNearOnset:
     @pytest.mark.parametrize("kappa", [0.01, 0.008])
     def test_one_pulse_period(self, kappa):
         p = preset("figure1", kappa=kappa, tau=200.0)
-        orbit = extract_orbit(settle_train(p))
+        orbit = settle_train(p)
         ref = pulses_reference.extract_orbit(pulses_reference.settle_train(p, control=self.CONTROL))
         assert orbit.k == ref.k == 1
         assert abs(orbit.period - ref.period) < 1e-6
@@ -72,7 +72,7 @@ class TestNearOnset:
     def test_multi_pulse_period(self, kappa, tau, k):
         # (0.008, 400, 3) needs the halved Newton steps: full ones diverge
         p = preset("figure1", kappa=kappa, tau=tau)
-        orbit = extract_orbit(settle_train(p, k=k))
+        orbit = settle_train(p, k=k)
         assert orbit.k == k
         # the simulated one-pulse train at the reappearance delay
         p1 = p.replace(tau=tau - (k - 1) * orbit.period)
@@ -149,20 +149,69 @@ class TestSettleTrain:
 
         monkeypatch.setattr(pulses, "integrate", counted)
         p = preset("figure1", kappa=0.1, tau=100.0)
-        traj = settle_train(p, k=k, periods=6.0)
+        orbit = settle_train(p, k=k, periods=6.0)
         # the solitary seed pulse and the guess, both at tau0
         tau0 = (100.0 - (k - 1) * 3.0) / k
         assert [tau for tau, _ in calls] == [0.0, tau0]
         assert calls[1][1] == pulses.GUESS_DELAYS * (tau0 + 3.0)
         # the returned train covers the periods asked for, at the full delay
-        assert traj.params == p and traj.t1 >= 600.0
-        assert extract_orbit(settle_train(p, k=k, periods=12.0)).k == k
+        assert orbit.params == orbit.trajectory.params == p
+        assert orbit.trajectory.t1 >= 600.0 and orbit.k == k
 
     @pytest.mark.parametrize("periods", [0.0, -1.0, float("nan"), float("inf")])
     def test_periods_must_be_positive_and_finite(self, periods):
         p = preset("figure1", kappa=0.1, tau=100.0)
         with pytest.raises(InvalidArgumentError, match="periods must be positive and finite"):
             settle_train(p, periods=periods)
+
+
+def leading_distance(a, b, m=50):
+    """Largest distance from one of the ``m`` leading multipliers of one
+    set to the other set, both ways (the other set is taken whole, so a
+    cluster of equal modulus cut at ``m`` in another order still pairs)."""
+    return max(np.abs(x[:m, None] - y[None, :]).min(axis=1).max() for x, y in ((a, b), (b, a)))
+
+
+class TestOneSolvePerOrbit:
+    """``settle_train`` hands its orbit straight to Floquet.
+
+    Solving the orbit once more from its own trajectory, by the path
+    :func:`extract_orbit` takes for simulated runs, moves neither its
+    period nor its leading multipliers beyond the solver's tolerance.
+    """
+
+    @pytest.mark.parametrize("key", [(1, 200.0), (2, 400.0)])
+    def test_polished_orbit_agrees(self, orbits, floquet_sets, key):
+        orbit = orbits[key]
+        polished = extract_orbit(orbit.trajectory)
+        assert polished is not orbit and polished.k == orbit.k
+        assert abs(polished.period - orbit.period) < 1e-8
+        ref = monodromy_multipliers(polished)
+        assert ref.N == floquet_sets[key].N
+        assert leading_distance(floquet_sets[key].multipliers, ref.multipliers) < 1e-7
+
+    @pytest.mark.parametrize("k, solves", [(1, 1), (2, 3)])
+    def test_floquet_chain_solves_once(self, monkeypatch, capsys, k, solves):
+        calls = []
+        solve = periodic.solve_periodic
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].tau)
+            return solve(*args, **kwargs)
+
+        # extract_orbit would solve through floquet's name, settle_train through pulses'
+        monkeypatch.setattr(pulses, "solve_periodic", counted)
+        monkeypatch.setattr(floquet, "solve_periodic", counted)
+        p = preset("figure1", kappa=0.1, tau=100.0)
+        orbit = pulses.settle_train(p, k=k, periods=34.0)
+        assert floquet.extract_orbit(orbit) is orbit
+        floquet.monodromy_multipliers(orbit, m=20)
+        assert len(calls) == solves and calls[-1] == 100.0
+        calls.clear()
+        assert main(["floquet", "--kappa", "0.1", "--tau", "100", "--k", str(k),
+                     "--n-multipliers", "20"]) == 0
+        capsys.readouterr()
+        assert len(calls) == solves
 
 
 class TestFailures:
@@ -189,9 +238,8 @@ class TestFailures:
         # 20 intervals miss the residual bound at tau = 200 on any mesh; the
         # solve doubles them until it holds and lands on the same period
         ref = settle_train(preset("figure1", kappa=0.1, tau=200.0), periods=10.0)
-        ref = extract_orbit(ref)
         monkeypatch.setattr(periodic, "INTERVALS", 20)
-        orbit = extract_orbit(settle_train(preset("figure1", kappa=0.1, tau=200.0), periods=10.0))
+        orbit = settle_train(preset("figure1", kappa=0.1, tau=200.0), periods=10.0)
         assert orbit.diagnostics["L"] > 20
         assert orbit.residual <= periodic.RESIDUAL_TOL
         assert abs(orbit.period - ref.period) < 1e-6
