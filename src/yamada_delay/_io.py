@@ -1,7 +1,9 @@
-"""CSV/JSON serialization for result objects.
+"""The format rules every CSV and JSON output shares.
 
+Each result type builds its own rows and JSON object (``csv_rows`` and
+``to_json_obj``) from the helpers here, and :func:`dump` writes either.
 All numbers are written with full round-trip precision (``repr`` of the
-Python float), complex values are split into ``_re``/``_im`` columns in
+Python float), complex values are split into real and imaginary columns in
 CSV and into ``{"re": ..., "im": ...}`` objects in JSON, and row order
 is deterministic, so identical inputs produce bit-identical artifacts.
 """
@@ -57,11 +59,13 @@ def write_csv(stream: IO[str], header: list[str], rows: list[list]) -> None:
 
 
 def dump(obj, stream: IO[str], fmt_name: str) -> None:
-    """Write a result object as CSV or JSON.
+    """Write a result as CSV or JSON.
 
-    Any object exposing ``csv_rows() -> (header, rows)`` and
-    ``to_json_obj() -> dict`` can be dumped; plain dicts are JSON-only
-    unless their values are scalars (then a one-row CSV is produced).
+    ``obj`` is either a result object, which supplies its own
+    ``csv_rows() -> (header, rows)`` and ``to_json_obj() -> dict``, or a
+    plain dict.  A dict is written as JSON with :func:`jnum` applied to
+    its top-level values, and as a one-row CSV with its keys as the
+    header, which only makes sense when those values are scalars.
     """
     if fmt_name == "json":
         if isinstance(obj, dict):
@@ -79,165 +83,3 @@ def dump(obj, stream: IO[str], fmt_name: str) -> None:
         write_csv(stream, header, rows)
     else:
         raise ValueError(f"unknown format {fmt_name!r}")
-
-
-# ---------------------------------------------------------------- pulses
-
-def pulse_stats_json(stats) -> dict:
-    return {
-        "classification": stats.classification,
-        "k": jnum(stats.k) if stats.k is not None else None,
-        "period": jnum(stats.period) if stats.period is not None else None,
-        "delta": jnum(stats.delta) if stats.delta is not None else None,
-        "interval_cv": jnum(stats.interval_cv) if stats.interval_cv is not None else None,
-        "n_pulses": len(stats.pulse_times),
-        "threshold": jnum(stats.threshold),
-        "horizon": jnum(stats.horizon),
-        "pulse_times": [jnum(t) for t in stats.pulse_times],
-        "heights": [jnum(h) for h in stats.heights],
-        "params": params_json(stats.params),
-    }
-
-
-def pulse_stats_rows(stats) -> tuple[list[str], list[list]]:
-    header = ["pulse_index", "pulse_time", "height", "classification", "k", "period", "delta"]
-    rows = []
-    for i, (t, h) in enumerate(zip(stats.pulse_times, stats.heights)):
-        rows.append(
-            [
-                i,
-                float(t),
-                float(h),
-                stats.classification,
-                "" if stats.k is None else stats.k,
-                "" if stats.period is None else stats.period,
-                "" if stats.delta is None else stats.delta,
-            ]
-        )
-    if not rows:
-        rows.append([0, "", "", stats.classification, "", "", ""])
-    return header, rows
-
-
-def branch_json(branch) -> dict:
-    return {
-        "samples": [
-            {"tau": jnum(t), "period": jnum(p), "k": int(k), "delta": jnum(d)}
-            for t, p, k, d in zip(branch.tau, branch.period, branch.k, branch.delta)
-        ],
-        "t_min": jnum(branch.t_min),
-        "aborted_at": None if branch.aborted_at is None else jnum(branch.aborted_at),
-    }
-
-
-def branch_rows(branch) -> tuple[list[str], list[list]]:
-    header = ["tau", "period", "k", "delta"]
-    rows = [
-        [float(t), float(p), int(k), float(d)]
-        for t, p, k, d in zip(branch.tau, branch.period, branch.k, branch.delta)
-    ]
-    return header, rows
-
-
-# ------------------------------------------------------------- trajectory
-
-def trajectory_json(traj, dt: float) -> dict:
-    ts, ys = traj.sample(dt)
-    return {
-        "t": [jnum(v) for v in ts],
-        "G": [jnum(v) for v in ys[:, 0]],
-        "Q": [jnum(v) for v in ys[:, 1]],
-        "I": [jnum(v) for v in ys[:, 2]],
-        "params": params_json(traj.params),
-    }
-
-
-def trajectory_rows(traj, dt: float) -> tuple[list[str], list[list]]:
-    ts, ys = traj.sample(dt)
-    header = ["t", "G", "Q", "I"]
-    rows = [[float(t), float(g), float(q), float(i)] for t, (g, q, i) in zip(ts, ys)]
-    return header, rows
-
-
-# --------------------------------------------------------------- spectra
-
-def spectrum_json(spec) -> dict:
-    return {
-        "roots": [jnum(z) for z in spec.roots],
-        "residuals": [jnum(r) for r in spec.residuals],
-        "multiple": [bool(b) for b in spec.multiple],
-        "window": {
-            "re_min": jnum(spec.window[0]),
-            "re_max": jnum(spec.window[1]),
-            "im_min": jnum(spec.window[2]),
-            "im_max": jnum(spec.window[3]),
-        },
-    }
-
-
-def spectrum_rows(spec) -> tuple[list[str], list[list]]:
-    header = ["re", "im", "residual", "multiple"]
-    rows = [
-        [float(z.real), float(z.imag), float(r), bool(b)]
-        for z, r, b in zip(spec.roots, spec.residuals, spec.multiple)
-    ]
-    return header, rows
-
-
-def hopf_points_json(points) -> dict:
-    return {
-        "points": [
-            {
-                "omega": jnum(p.omega),
-                "kappa": jnum(p.kappa),
-                "tau": jnum(p.tau),
-                "branch_index": int(p.branch_index),
-                "residual": jnum(p.residual),
-            }
-            for p in points
-        ]
-    }
-
-
-def hopf_points_rows(points) -> tuple[list[str], list[list]]:
-    header = ["omega", "kappa", "tau", "branch_index", "residual"]
-    rows = [
-        [float(p.omega), float(p.kappa), float(p.tau), int(p.branch_index), float(p.residual)]
-        for p in points
-    ]
-    return header, rows
-
-
-# --------------------------------------------------------------- floquet
-
-def floquet_json(fs) -> dict:
-    return {
-        "multipliers": [jnum(m) for m in fs.multipliers],
-        "N": int(fs.N),
-        "trivial": jnum(fs.trivial),
-        "period": jnum(fs.period),
-    }
-
-
-def floquet_rows(fs) -> tuple[list[str], list[list]]:
-    header = ["mu_re", "mu_im", "modulus"]
-    rows = [[float(m.real), float(m.imag), float(abs(m))] for m in fs.multipliers]
-    return header, rows
-
-
-def acs_json(curve) -> dict:
-    return {
-        "delta0": jnum(curve.delta0),
-        "k": int(curve.k),
-        "omega": [jnum(w) for w in curve.omega],
-        "branches": [[jnum(m) for m in row] for row in curve.mu],
-    }
-
-
-def acs_rows(curve) -> tuple[list[str], list[list]]:
-    header = ["omega", "branch", "mu_re", "mu_im", "modulus"]
-    rows = []
-    for w, branch_vals in zip(curve.omega, curve.mu):
-        for b, m in enumerate(branch_vals):
-            rows.append([float(w), b, float(m.real), float(m.imag), float(abs(m))])
-    return header, rows

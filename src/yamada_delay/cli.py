@@ -39,11 +39,12 @@ _PARAM_FIELDS = ("A", "B", "a", "gamma_G", "gamma_Q", "kappa", "tau")
 # ------------------------------------------------------------ plumbing
 
 class _Command:
-    """Subcommand wrapper tracking option types for config merging."""
+    """Subcommand wrapper tracking option types and choices for config merging."""
 
     def __init__(self, subparsers, name: str, help_text: str):
         self.parser = subparsers.add_parser(name, help=help_text, description=help_text)
         self.types: dict[str, type] = {}
+        self.choices: dict[str, tuple] = {}
         self.defaults: dict[str, object] = {}
         self.required: list[str] = []
         self.handler = None
@@ -61,6 +62,7 @@ class _Command:
         kwargs = {"dest": dest, "type": type, "default": argparse.SUPPRESS, "help": help}
         if choices is not None:
             kwargs["choices"] = choices
+            self.choices[dest] = tuple(choices)
         self.parser.add_argument(*flags, **kwargs)
         self.types[dest] = type
         self.defaults[dest] = default
@@ -119,12 +121,13 @@ def _resolve(args: argparse.Namespace) -> SimpleNamespace:
             raise InvalidArgumentError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in raw.items():
             merged[key] = _coerce(value, cmd.types[key], key)
+            if key in cmd.choices and merged[key] not in cmd.choices[key]:
+                raise InvalidArgumentError(
+                    f"config key {key!r} must be one of {', '.join(cmd.choices[key])}")
     merged.update(given)
     missing = [d for d in cmd.required if merged.get(d) is None]
     if missing:
         raise InvalidArgumentError(f"missing required options: {', '.join(missing)}")
-    if merged.get("format") not in ("csv", "json"):
-        raise InvalidArgumentError("format must be 'csv' or 'json'")
     return SimpleNamespace(**merged)
 
 
@@ -147,6 +150,12 @@ def _control_from(ns: SimpleNamespace) -> StepControl | None:
     return StepControl(**kwargs)
 
 
+def _grid(start: float, stop: float, count: int, flag: str) -> np.ndarray:
+    if count < 0:
+        raise InvalidArgumentError(f"{flag} must not be negative, got {count}")
+    return np.linspace(start, stop, count)
+
+
 def _emit(payload, ns: SimpleNamespace) -> None:
     if ns.out is None:
         _io.dump(payload, sys.stdout, ns.format)
@@ -160,10 +169,19 @@ class _TrajectoryPayload:
         self.traj, self.dt = traj, dt
 
     def to_json_obj(self):
-        return _io.trajectory_json(self.traj, self.dt)
+        ts, ys = self.traj.sample(self.dt)
+        return {
+            "t": [_io.jnum(v) for v in ts],
+            "G": [_io.jnum(v) for v in ys[:, 0]],
+            "Q": [_io.jnum(v) for v in ys[:, 1]],
+            "I": [_io.jnum(v) for v in ys[:, 2]],
+            "params": _io.params_json(self.traj.params),
+        }
 
     def csv_rows(self):
-        return _io.trajectory_rows(self.traj, self.dt)
+        ts, ys = self.traj.sample(self.dt)
+        rows = [[float(t), float(g), float(q), float(i)] for t, (g, q, i) in zip(ts, ys)]
+        return ["t", "G", "Q", "I"], rows
 
 
 class _HopfPayload:
@@ -171,10 +189,17 @@ class _HopfPayload:
         self.points = points
 
     def to_json_obj(self):
-        return _io.hopf_points_json(self.points)
+        return {"points": [
+            {"omega": _io.jnum(p.omega), "kappa": _io.jnum(p.kappa), "tau": _io.jnum(p.tau),
+             "branch_index": int(p.branch_index), "residual": _io.jnum(p.residual)}
+            for p in self.points
+        ]}
 
     def csv_rows(self):
-        return _io.hopf_points_rows(self.points)
+        header = ["omega", "kappa", "tau", "branch_index", "residual"]
+        rows = [[float(p.omega), float(p.kappa), float(p.tau), int(p.branch_index),
+                 float(p.residual)] for p in self.points]
+        return header, rows
 
 
 class _SpectrumPayload:
@@ -223,7 +248,7 @@ def _run_excite(ns):
 
 def _run_sweep(ns):
     p = _params_from(ns)
-    taus = np.linspace(ns.tau_start, ns.tau_stop, ns.tau_count)
+    taus = _grid(ns.tau_start, ns.tau_stop, ns.tau_count, "--tau-count")
     return sweep_tau(p, taus, _control_from(ns), periods=ns.periods)
 
 
@@ -241,7 +266,7 @@ def _run_spectrum(ns):
 
 def _run_hopf(ns):
     p = _params_from(ns)
-    omegas = np.linspace(ns.omega_min, ns.omega_max, ns.omega_count)
+    omegas = _grid(ns.omega_min, ns.omega_max, ns.omega_count, "--omega-count")
     return _HopfPayload(hopf_curve_off(p, omegas))
 
 
@@ -253,20 +278,19 @@ def _run_floquet(ns):
 
 def _run_acs(ns):
     p = _params_from(ns)
-    omegas = np.linspace(ns.omega_min, ns.omega_max, ns.omega_count)
+    omegas = _grid(ns.omega_min, ns.omega_max, ns.omega_count, "--omega-count")
     return acs(p, ns.delta0, ns.k, omegas)
 
 
 def _run_bounds(ns):
     p = _params_from(ns)
-    obj = {
+    return {
         "acs_max_modulus": acs_max_modulus(p, ns.k),
         "min_stable_delay": min_stable_delay(p, ns.k),
         "max_pulses": max_pulses(p, p.tau),
         "kappa_transcritical": kappa_transcritical(p.A, p.B),
         "kappa_fold": kappa_fold(p.A, p.B, p.a),
     }
-    return {k: _io.jnum(v) for k, v in obj.items()}
 
 
 def _run_scan_kappa(ns):

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._io import jnum
 from .errors import InvalidArgumentError, NumericalError, SingularParameterError
 from .integrator import Trajectory
 from .model import M1_ENTRIES, ModelParams, m1_entries
@@ -146,14 +147,16 @@ class FloquetSet:
         return np.delete(self.multipliers, idx)
 
     def to_json_obj(self) -> dict:
-        from . import _io
-
-        return _io.floquet_json(self)
+        return {
+            "multipliers": [jnum(m) for m in self.multipliers],
+            "N": int(self.N),
+            "trivial": jnum(self.trivial),
+            "period": jnum(self.period),
+        }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        from . import _io
-
-        return _io.floquet_rows(self)
+        rows = [[float(m.real), float(m.imag), float(abs(m))] for m in self.multipliers]
+        return ["mu_re", "mu_im", "modulus"], rows
 
 
 def _cubic_stencils(s: np.ndarray, n_nodes: int, spacing: float):
@@ -580,14 +583,18 @@ class ACSCurve:
         return out
 
     def to_json_obj(self) -> dict:
-        from . import _io
-
-        return _io.acs_json(self)
+        return {
+            "delta0": jnum(self.delta0),
+            "k": int(self.k),
+            "omega": [jnum(w) for w in self.omega],
+            "branches": [[jnum(m) for m in row] for row in self.mu],
+        }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        from . import _io
-
-        return _io.acs_rows(self)
+        header = ["omega", "branch", "mu_re", "mu_im", "modulus"]
+        rows = [[float(w), b, float(m.real), float(m.imag), float(abs(m))]
+                for w, branch in zip(self.omega, self.mu) for b, m in enumerate(branch)]
+        return header, rows
 
 
 def acs(params: ModelParams, delta0: float, k: int, omega_values) -> ACSCurve:
@@ -597,11 +604,11 @@ def acs(params: ModelParams, delta0: float, k: int, omega_values) -> ACSCurve:
     ----------
     params : ModelParams
     delta0 : float
-        Measured regeneration lag of the k-pulse train.
+        Measured regeneration lag of the k-pulse train, finite.
     k : int
         Pulses per delay interval, >= 1.
     omega_values : array_like
-        Frequencies to sample.  ``omega = 0`` is skipped (with a
+        Finite frequencies to sample.  ``omega = 0`` is skipped (with a
         notice) when ``A = B + 1`` makes it a singular point.
 
     Returns
@@ -610,11 +617,16 @@ def acs(params: ModelParams, delta0: float, k: int, omega_values) -> ACSCurve:
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
+    if not math.isfinite(delta0):
+        raise InvalidArgumentError(f"delta0 must be finite, got {delta0!r}")
+    omega_values = np.asarray(list(omega_values), dtype=float)
+    if not np.isfinite(omega_values).all():
+        raise InvalidArgumentError("frequencies must be finite")
     c = params.A - params.B - 1.0
     omegas = []
     rows = []
     roots_of_unity = [cmath.exp(2j * math.pi * mth / k) for mth in range(k)]
-    for w in np.asarray(list(omega_values), dtype=float):
+    for w in omega_values:
         if w == 0.0 and c == 0.0:
             warnings.warn("omega = 0 is singular for A = B + 1; sample skipped", stacklevel=2)
             continue

@@ -188,8 +188,8 @@ class Trajectory:
         return self.evaluate_many([float(t)])[0]
 
     def _sample_times(self, dt: float) -> np.ndarray:
-        if dt <= 0.0:
-            raise InvalidArgumentError("sampling interval must be positive")
+        if not dt > 0.0:
+            raise InvalidArgumentError(f"sampling interval must be positive, got {dt!r}")
         ts = np.arange(self.t0, self.t1, dt)
         if not ts.size or ts[-1] < self.t1:
             ts = np.append(ts, self.t1)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NoBranchError
+from ._io import jnum, params_json
+from .errors import InvalidArgumentError, NoBranchError, NumericalError
 from .integrator import HistorySpec, StepControl, Trajectory, integrate
 from .model import ModelParams
 from .periodic import PeriodicOrbit, solve_periodic
@@ -70,6 +71,8 @@ INTERVAL_CV_TOL = 0.01
 PERIOD_INTERVALS = 8
 #: Length in delays of the simulated guess of :func:`settle_train`.
 GUESS_DELAYS = 4.0
+#: Regeneration lag ``delta`` assumed by that guess (only the guess depends on it).
+DRIFT_ESTIMATE = 3.0
 #: Leading share of a run left out of the train statistics by
 #: :func:`classify_response` and by :func:`sweep_tau`.
 TRANSIENT_FRAC = 0.25
@@ -244,14 +247,29 @@ class PulseTrainStats:
     horizon: float
 
     def to_json_obj(self) -> dict:
-        from . import _io
+        def opt(x):
+            return None if x is None else jnum(x)
 
-        return _io.pulse_stats_json(self)
+        return {
+            "classification": self.classification,
+            "k": opt(self.k),
+            "period": opt(self.period),
+            "delta": opt(self.delta),
+            "interval_cv": opt(self.interval_cv),
+            "n_pulses": len(self.pulse_times),
+            "threshold": jnum(self.threshold),
+            "horizon": jnum(self.horizon),
+            "pulse_times": [jnum(t) for t in self.pulse_times],
+            "heights": [jnum(h) for h in self.heights],
+            "params": params_json(self.params),
+        }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        from . import _io
-
-        return _io.pulse_stats_rows(self)
+        header = ["pulse_index", "pulse_time", "height", "classification", "k", "period", "delta"]
+        train = ["" if x is None else x for x in (self.k, self.period, self.delta)]
+        rows = [[i, float(t), float(h), self.classification, *train]
+                for i, (t, h) in enumerate(zip(self.pulse_times, self.heights))]
+        return header, rows or [[0, "", "", self.classification, "", "", ""]]
 
 
 def classify_response(
@@ -428,14 +446,13 @@ def settle_train(
     k: int = 1,
     periods: float = 34.0,
     control: StepControl | None = None,
-    drift_estimate: float = 3.0,
 ) -> PeriodicOrbit:
     """The periodic train with ``k`` pulses per delay interval, over ``periods`` delays.
 
     The train is a periodic orbit, found by the collocation solve of
     :func:`yamada_delay.periodic.solve_periodic` from a short simulated
     guess.  The guess is a one-pulse train: the delay line at ``tau0 =
-    (tau - (k - 1) * drift_estimate) / k`` is seeded with one solitary
+    (tau - (k - 1) * DRIFT_ESTIMATE) / k`` is seeded with one solitary
     pulse (:func:`single_pulse_seed`) and run for ``GUESS_DELAYS`` delays;
     its last whole period starts the solve.  For ``k = 1`` that is the
     only solve.  For ``k >= 2`` the last solve runs directly at the full
@@ -462,9 +479,6 @@ def settle_train(
         Length of the returned train in units of the delay, > 0.
     control : StepControl, optional
         Step control of the guess run.
-    drift_estimate : float, optional
-        Starting guess for the regeneration lag ``delta``; only the
-        guess depends on it.
 
     Returns
     -------
@@ -477,9 +491,11 @@ def settle_train(
     Raises
     ------
     NoBranchError
-        If the guess run does not hold two pulses.
+        If the guess run does not hold two pulses, or (``k >= 2``) if the
+        solve at the full delay fails from the one-pulse train at the
+        reappearance delay.
     NumericalError
-        If the collocation solve fails.
+        If a one-pulse collocation solve fails.
     """
     if params.tau <= 0.0:
         raise InvalidArgumentError("a pulse train needs tau > 0")
@@ -488,12 +504,12 @@ def settle_train(
     # Written so that NaN fails the check.
     if not 0.0 < periods < math.inf:
         raise InvalidArgumentError(f"periods must be positive and finite, got {periods!r}")
-    tau0 = (params.tau - (k - 1) * drift_estimate) / k
+    tau0 = (params.tau - (k - 1) * DRIFT_ESTIMATE) / k
     if tau0 <= 0.0:
         raise InvalidArgumentError(f"delay too short to hold {k} pulses")
     p0 = params.replace(tau=tau0)
     guess = integrate(p0, single_pulse_seed(p0, control=control),
-                      GUESS_DELAYS * (tau0 + drift_estimate), control)
+                      GUESS_DELAYS * (tau0 + DRIFT_ESTIMATE), control)
     train = measure_train(guess, tau0, last=1)
     if train.period is None:
         raise NoBranchError(f"no pulse train to start from: {len(train.pulse_times)} pulse(s) "
@@ -510,8 +526,12 @@ def settle_train(
                           tau0, period=one.period - step)
     slope = (one.period - near.period) / step
     shift = (params.tau - tau0 - (k - 1) * one.period) / (1.0 + (k - 1) * slope)
-    return solve_periodic(params, one.trajectory, 0.0, one.period, level, span,
-                          period=one.period + slope * shift)
+    try:
+        return solve_periodic(params, one.trajectory, 0.0, one.period, level, span,
+                              period=one.period + slope * shift)
+    except NumericalError as exc:
+        raise NoBranchError(f"no {k}-pulse train found at tau = {params.tau:g} from the one-pulse "
+                            f"train at the reappearance delay {tau0 + shift:g}: {exc}") from exc
 
 
 @dataclass
@@ -548,14 +568,17 @@ class BranchSample:
         return float(np.interp(tau, self.tau, self.period))
 
     def to_json_obj(self) -> dict:
-        from . import _io
-
-        return _io.branch_json(self)
+        return {
+            "samples": [{"tau": jnum(t), "period": jnum(p), "k": int(k), "delta": jnum(d)}
+                        for t, p, k, d in zip(self.tau, self.period, self.k, self.delta)],
+            "t_min": jnum(self.t_min),
+            "aborted_at": None if self.aborted_at is None else jnum(self.aborted_at),
+        }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        from . import _io
-
-        return _io.branch_rows(self)
+        rows = [[float(t), float(p), int(k), float(d)]
+                for t, p, k, d in zip(self.tau, self.period, self.k, self.delta)]
+        return ["tau", "period", "k", "delta"], rows
 
 
 def sweep_tau(

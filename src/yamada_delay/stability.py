@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import jnum
 from .errors import InvalidArgumentError, NumericalError, SingularParameterError
 from .model import ModelParams, State, jacobians, rhs
 
@@ -81,14 +82,20 @@ class SpectrumSet:
         return float(self.roots.real.max())
 
     def to_json_obj(self) -> dict:
-        from . import _io
-
-        return _io.spectrum_json(self)
+        re_min, re_max, im_min, im_max = self.window
+        return {
+            "roots": [jnum(z) for z in self.roots],
+            "residuals": [jnum(r) for r in self.residuals],
+            "multiple": [bool(b) for b in self.multiple],
+            "window": {"re_min": jnum(re_min), "re_max": jnum(re_max),
+                       "im_min": jnum(im_min), "im_max": jnum(im_max)},
+        }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        from . import _io
-
-        return _io.spectrum_rows(self)
+        header = ["re", "im", "residual", "multiple"]
+        rows = [[float(z.real), float(z.imag), float(r), bool(b)]
+                for z, r, b in zip(self.roots, self.residuals, self.multiple)]
+        return header, rows
 
 
 def char_off(lam: complex, params: ModelParams) -> complex:

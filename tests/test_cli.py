@@ -79,6 +79,19 @@ class TestExcite:
         assert 0.0 < d["delta"] < 20.0
         assert d["n_pulses"] == len(d["pulse_times"]) == len(d["heights"])
 
+    def test_csv_one_row_per_pulse(self, capsys):
+        argv = ["excite", "--kappa", "0.01", "--tau", "100", "--horizon", "2000"]
+        d = run_json(capsys, argv)
+        header, rows = run_csv(capsys, argv)
+        assert header == ["pulse_index", "pulse_time", "height", "classification",
+                          "k", "period", "delta"]
+        assert len(rows) == d["n_pulses"] > 2
+        assert [int(r[0]) for r in rows] == list(range(len(rows)))
+        assert [float(r[1]) for r in rows] == d["pulse_times"]
+        assert {r[3] for r in rows} == {"sustained-train"}
+        assert {(int(r[4]), float(r[5]), float(r[6])) for r in rows} == {
+            (d["k"], d["period"], d["delta"])}
+
     def test_decay_below_onset(self, capsys):
         d = run_json(capsys, ["excite", "--kappa", "0.005", "--tau", "100"])
         assert d["classification"] == "decay"
@@ -134,6 +147,10 @@ class TestSimulate:
                               "--t-end", "20", "--dt", "2"])
         assert d["t"] == pytest.approx(np.arange(0.0, 20.1, 2.0))
         assert len(d["G"]) == len(d["t"])
+
+    def test_nan_sample_spacing_rejected(self, capsys):
+        err = run_fail(capsys, ["simulate", "--tau", "10", "--t-end", "20", "--dt", "nan"], 2)
+        assert "sampling interval must be positive, got nan" in err
 
     def test_csv_matches_json_exactly(self, capsys):
         argv = ["simulate", "--kappa", "0.1", "--tau", "10", "--t-end", "20",
@@ -199,6 +216,10 @@ class TestHopf:
             assert float(row[4]) < 1e-10
             assert int(row[3]) in (-2, -1, 0, 1, 2)
 
+    def test_negative_count_rejected(self, capsys):
+        err = run_fail(capsys, ["hopf", "--omega-count", "-1"], 2)
+        assert "--omega-count must not be negative, got -1" in err
+
     def test_json_points(self, capsys):
         d = run_json(capsys, ["hopf", "--omega-count", "40"])
         c = 0.3
@@ -255,6 +276,15 @@ class TestAcs:
         err = run_fail(capsys, ["acs", "--kappa", "0.1"], 2)
         assert "delta0" in err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--delta0", "nan", "delta0 must be finite, got nan"),
+        ("--omega-min", "nan", "frequencies must be finite"),
+        ("--omega-count", "-3", "--omega-count must not be negative, got -3"),
+    ])
+    def test_bad_grid_rejected(self, capsys, option, value, message):
+        err = run_fail(capsys, ["acs", "--kappa", "0.1", "--delta0", "2.85", option, value], 2)
+        assert message in err
+
     def test_csv_header(self, capsys):
         header, rows = run_csv(capsys, ["acs", "--kappa", "0.1", "--delta0",
                                         "2.85", "--omega-count", "11"])
@@ -272,9 +302,24 @@ class TestSweep:
         assert [float(r[0]) for r in rows] == [80.0, 100.0]
         assert all(int(r[2]) == 1 for r in rows)
 
+    def test_json_samples(self, capsys):
+        d = run_json(capsys, ["sweep", "--kappa", "0.01", "--tau-start", "80",
+                              "--tau-stop", "100", "--tau-count", "2"])
+        assert set(d) == {"samples", "t_min", "aborted_at"}
+        assert [s["tau"] for s in d["samples"]] == [80.0, 100.0]
+        assert all(set(s) == {"tau", "period", "k", "delta"} for s in d["samples"])
+        assert all(s["k"] == 1 and s["delta"] == s["period"] - s["tau"] for s in d["samples"])
+        assert d["t_min"] == min(s["period"] for s in d["samples"])
+        assert d["aborted_at"] is None
+
     def test_no_branch_is_numerical_failure(self, capsys):
         run_fail(capsys, ["sweep", "--kappa", "0.001", "--tau-start", "100",
                           "--tau-stop", "100", "--tau-count", "1"], 3)
+
+    def test_negative_count_rejected(self, capsys):
+        err = run_fail(capsys, ["sweep", "--kappa", "0.01", "--tau-start", "80",
+                                "--tau-stop", "100", "--tau-count", "-2"], 2)
+        assert "--tau-count must not be negative, got -2" in err
 
 
 class TestScanKappa:
@@ -340,6 +385,17 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"format": "xml"}))
         run_fail(capsys, ["preset", "--config", str(cfg)], 2)
+
+    @pytest.mark.parametrize("argv, payload, choices", [
+        (["spectrum", "--kappa", "0.2", "--tau", "50"], {"state": "z"}, "off, p, q"),
+        (["simulate", "--tau", "10", "--t-end", "20"], {"history": "bogus"}, "off, kick, seed"),
+    ])
+    def test_value_outside_choices(self, capsys, tmp_path, argv, payload, choices):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        err = run_fail(capsys, argv + ["--config", str(cfg)], 2)
+        key = next(iter(payload))
+        assert f"config key {key!r} must be one of {choices}" in err
 
 
 class TestOutputFile:

@@ -10,6 +10,7 @@ import pytest
 from yamada_delay import (
     HistorySpec,
     InvalidArgumentError,
+    NoBranchError,
     NumericalError,
     StepControl,
     extract_orbit,
@@ -85,6 +86,16 @@ class TestNearOnset:
         run = pulses_reference.settle_train(p, k=k, control=self.CONTROL)
         loops = pulses.measure_train(run, tau, last=k * (pulses.PERIOD_INTERVALS // k))
         assert abs(orbit.period - loops.period) < 1e-4
+
+    @pytest.mark.parametrize("kappa, k", [(0.01, 3), (0.007, 2)])
+    def test_missing_multi_pulse_train_is_no_branch(self, capsys, kappa, k):
+        # Newton's method stalls at the full delay; the simulated path
+        # found no such train there either
+        p = preset("figure1", kappa=kappa, tau=200.0)
+        with pytest.raises(NoBranchError, match=rf"no {k}-pulse train .* reappearance delay \d"):
+            settle_train(p, k=k)
+        assert main(["floquet", "--kappa", str(kappa), "--tau", "200", "--k", str(k)]) == 3
+        assert f"no {k}-pulse train" in capsys.readouterr().err
 
 
 class TestOrbit:
