@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -150,10 +151,21 @@ def _control_from(ns: SimpleNamespace) -> StepControl | None:
     return StepControl(**kwargs)
 
 
-def _grid(start: float, stop: float, count: int, flag: str) -> np.ndarray:
-    if count < 0:
-        raise InvalidArgumentError(f"{flag} must not be negative, got {count}")
-    return np.linspace(start, stop, count)
+def _grid(ns: SimpleNamespace, start: str, stop: str, count: str, what: str) -> np.ndarray:
+    """``np.linspace`` over the options with dests ``start``, ``stop`` and
+    ``count``; errors name the flag and call the values ``what``."""
+    for dest in (start, stop):
+        value = getattr(ns, dest)
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{what} must be finite, got {_flag(dest)} {value}")
+    n = getattr(ns, count)
+    if n < 0:
+        raise InvalidArgumentError(f"{_flag(count)} must not be negative, got {n}")
+    return np.linspace(getattr(ns, start), getattr(ns, stop), n)
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _emit(payload, ns: SimpleNamespace) -> None:
@@ -248,7 +260,7 @@ def _run_excite(ns):
 
 def _run_sweep(ns):
     p = _params_from(ns)
-    taus = _grid(ns.tau_start, ns.tau_stop, ns.tau_count, "--tau-count")
+    taus = _grid(ns, "tau_start", "tau_stop", "tau_count", "delays")
     return sweep_tau(p, taus, _control_from(ns), periods=ns.periods)
 
 
@@ -266,7 +278,7 @@ def _run_spectrum(ns):
 
 def _run_hopf(ns):
     p = _params_from(ns)
-    omegas = _grid(ns.omega_min, ns.omega_max, ns.omega_count, "--omega-count")
+    omegas = _grid(ns, "omega_min", "omega_max", "omega_count", "frequencies")
     return _HopfPayload(hopf_curve_off(p, omegas))
 
 
@@ -278,7 +290,7 @@ def _run_floquet(ns):
 
 def _run_acs(ns):
     p = _params_from(ns)
-    omegas = _grid(ns.omega_min, ns.omega_max, ns.omega_count, "--omega-count")
+    omegas = _grid(ns, "omega_min", "omega_max", "omega_count", "frequencies")
     return acs(p, ns.delta0, ns.k, omegas)
 
 

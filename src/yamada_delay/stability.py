@@ -404,10 +404,18 @@ def hopf_curve_off(
     -------
     list of HopfCurvePoint
         Every point carries its characteristic residual, below 1e-10.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If a frequency is not finite.
     """
+    omega_values = np.asarray(list(omega_values), dtype=float)
+    if not np.isfinite(omega_values).all():
+        raise InvalidArgumentError("frequencies must be finite")
     c = params.A - params.B - 1.0
     out: list[HopfCurvePoint] = []
-    for omega in np.asarray(list(omega_values), dtype=float):
+    for omega in omega_values:
         if omega == 0.0:
             continue
         kap = math.hypot(omega, c)

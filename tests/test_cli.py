@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,31 @@ class TestSweep:
         err = run_fail(capsys, ["sweep", "--kappa", "0.01", "--tau-start", "80",
                                 "--tau-stop", "100", "--tau-count", "-2"], 2)
         assert "--tau-count must not be negative, got -2" in err
+
+
+class TestNonFiniteGrid:
+    """A non-finite end of a frequency or delay grid exits 2 naming its
+    flag, before ``np.linspace`` can warn about it."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["hopf", "--omega-max", "inf"], "frequencies must be finite, got --omega-max inf"),
+        (["hopf", "--omega-min", "nan"], "frequencies must be finite, got --omega-min nan"),
+        (["acs", "--kappa", "0.1", "--delta0", "2.85", "--omega-max", "inf"],
+         "frequencies must be finite, got --omega-max inf"),
+        (["acs", "--kappa", "0.1", "--delta0", "2.85", "--omega-min=-inf"],
+         "frequencies must be finite, got --omega-min -inf"),
+        (["sweep", "--kappa", "0.01", "--tau-start", "80", "--tau-stop", "inf"],
+         "delays must be finite, got --tau-stop inf"),
+        (["sweep", "--kappa", "0.01", "--tau-start", "nan", "--tau-stop", "100"],
+         "delays must be finite, got --tau-start nan"),
+    ])
+    def test_rejected_with_flag_named(self, capsys, argv, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = run_fail(capsys, argv, 2)
+        assert named in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestScanKappa:

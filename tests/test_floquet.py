@@ -106,6 +106,7 @@ class TestConstantOrbitOracle:
         assert d["stencil_rows"] == len(op.shift_w) > 0
         assert d["march_s"] > 0.0 and d["eig_s"] > 0.0
         assert d["eig_method"] == "arpack" and d["converged"] == 12
+        assert 0 < d["matvecs"] <= 2 * 12 + 2
         assert d["trivial_defect"] == abs(fs.trivial - 1.0)
         # the default output carries none of it
         assert set(fs.to_json_obj()) == {"multipliers", "N", "trivial", "period"}
@@ -113,6 +114,7 @@ class TestConstantOrbitOracle:
             dense = monodromy_multipliers(orbit, m=40)
         assert dense.diagnostics["eig_method"] == "dense"
         assert dense.diagnostics["converged"] == dense.N + 2
+        assert dense.diagnostics["matvecs"] == 0
 
 
 class TestPulseTrainMultipliers:
@@ -190,6 +192,14 @@ class TestReducedPeriodMap:
             kept = a[np.abs(a) > cut]
             assert len(kept) > 100
             assert np.abs(kept[:, None] - b[None, :]).min(axis=1).max() <= 1e-10
+
+
+def arpack_reference(M, m=200):
+    """The m leading eigenvalues of ``M`` from ARPACK at machine precision
+    (``tol=0``), ordered as ``_leading_eigs`` orders them."""
+    vals = scipy.sparse.linalg.eigs(M, k=m, which="LM", v0=np.linspace(1.0, 2.0, M.shape[0]),
+                                    tol=0, return_eigenvectors=False)
+    return vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
 
 
 def set_distance(a, b):
@@ -272,16 +282,40 @@ class TestTwoBlockPeriodMap:
 
     def test_multipliers_match_dense_map_route(self, cases):
         # the eigen route of the dense map: eigvals up to 1000 unknowns,
-        # ARPACK on the dense array above
+        # ARPACK at machine precision on the dense array above
         for key, (fs, op, M) in cases.items():
             if len(M) > 1000:
-                ref = _leading_eigs(M, 200)[0]
+                ref = arpack_reference(M)
             else:
                 vals = np.linalg.eigvals(M)
                 ref = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))][:200]
             assert set_distance(fs.multipliers, ref) <= 1e-10, key
             ref_trivial = ref[np.argmin(np.abs(ref - 1.0))]
             assert abs(abs(fs.trivial - 1.0) - abs(ref_trivial - 1.0)) <= 1e-10, key
+
+
+class TestEigenStoppingRule:
+    """ARPACK stopped at the accuracy of the map against the solve at
+    machine precision."""
+
+    def test_matches_machine_precision_solve(self, orbits, floquet_sets):
+        # the member of a near-equal-modulus cluster kept at the m-th
+        # place may differ, so compare as sets
+        for key, orbit in orbits.items():
+            fs = floquet_sets[key]
+            ref = arpack_reference(_period_map(orbit, fs.N, 0.05))
+            assert set_distance(fs.multipliers, ref) <= 1e-12, key
+            ref_trivial = ref[np.argmin(np.abs(ref - 1.0))]
+            assert abs(fs.trivial - ref_trivial) <= 1e-13, key
+
+    @pytest.mark.parametrize("tau", [200.0, 400.0])
+    def test_one_arnoldi_cycle(self, floquet_sets, tau):
+        # k = 2 puts the 200th multiplier inside the dense cluster of the
+        # asymptotic continuous spectrum, where a restart is most likely
+        d = floquet_sets[(2, tau)].diagnostics
+        m = len(floquet_sets[(2, tau)])
+        assert d["eig_method"] == "arpack" and m == 200
+        assert 0 < d["matvecs"] <= 2 * m + 2
 
 
 class TestLeadingEigs:
@@ -298,8 +332,9 @@ class TestLeadingEigs:
     def test_partial_convergence_warns(self, monkeypatch):
         self.stall_arpack(monkeypatch, 60)
         with pytest.warns(UserWarning, match="converged for 60 of 200"):
-            vals, method, converged = _leading_eigs(np.zeros((1001, 1001)), 200)
+            vals, method, converged, matvecs = _leading_eigs(np.zeros((1001, 1001)), 200)
         assert len(vals) == converged == 60 and method == "arpack"
+        assert matvecs == 0  # the stand-in made no product
 
     def test_too_few_converged_raises(self, monkeypatch):
         self.stall_arpack(monkeypatch, 5)

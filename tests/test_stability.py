@@ -393,6 +393,13 @@ class TestHopfCurve:
         pts = hopf_curve_off(p, [5.0])
         assert pts == []
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected(self, omega):
+        # NaN once reached ModelParams as kappa = nan; inf was skipped as
+        # a high frequency
+        with pytest.raises(InvalidArgumentError, match="frequencies must be finite"):
+            hopf_curve_off(preset("figure1"), [0.3, omega])
+
 
 class TestDoubleZeroPoint:
     def test_working_point_location(self):
