@@ -447,6 +447,10 @@ def main(argv=None) -> int:
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A request too large to allocate is a bad argument, not a crash.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

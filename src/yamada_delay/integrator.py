@@ -68,6 +68,10 @@ _E = (
     -1.0 / 40.0,
 )
 
+#: Delay intervals whose ends ``n * tau`` (and the images of history jumps)
+#: are forced step boundaries; later images are smooth enough to ignore.
+SMOOTHING_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class StepControl:
@@ -82,11 +86,6 @@ class StepControl:
         (``t_end`` when ``tau == 0``); that is the only cap when
         ``max_step`` is None or ``inf``, and below it the error
         estimate alone sets the step.
-    smoothing_rounds : int
-        Number of delay intervals whose endpoints ``n * tau`` (and
-        images of history discontinuities) are forced to be step
-        boundaries.  After that many rounds the propagated
-        discontinuities are of high enough order to ignore.
     max_steps : int
         Safety bound on the number of accepted steps.
     """
@@ -94,7 +93,6 @@ class StepControl:
     atol: float = 1e-9
     rtol: float = 1e-7
     max_step: float | None = None
-    smoothing_rounds: int = 3
     max_steps: int = 5_000_000
 
     def __post_init__(self) -> None:
@@ -103,8 +101,6 @@ class StepControl:
             raise InvalidArgumentError("atol and rtol must be positive and finite")
         if self.max_step is not None and not self.max_step > 0.0:
             raise InvalidArgumentError("max_step must be positive")
-        if self.smoothing_rounds < 0:
-            raise InvalidArgumentError("smoothing_rounds must be >= 0")
         if self.max_steps < 1:
             raise InvalidArgumentError("max_steps must be >= 1")
 
@@ -252,29 +248,28 @@ class HistorySpec:
         s = source.t1 if shift is None else float(shift)
         return cls("from_tail", source=source, shift=s)
 
-    def realize(self, params: ModelParams) -> tuple[Callable[[float], tuple], tuple[float, ...]]:
-        """Concrete history callable on ``[-tau, 0]`` for these parameters.
+    def realize(self, params: ModelParams) -> tuple[tuple, Callable[[float], float], tuple]:
+        """Concrete history on ``[-tau, 0]`` for these parameters.
 
-        Returns the callable and the interior times (< 0) at which the
-        history has a jump, so the integrator can track their delayed
-        images as breakpoints.
+        Only the intensity is delayed, so this returns ``(y0, intensity,
+        jumps)``: the state ``(G, Q, I)`` at ``t = 0``, a callable giving
+        ``I`` on ``[-tau, 0]``, and the interior times (< 0) at which the
+        history jumps, so the integrator can track their delayed images
+        as breakpoints.
         """
         tau = params.tau
         if self.kind == "constant":
             st: State = self.payload["state"]
-            val = (st.G, st.Q, st.I)
-            return (lambda t: val), ()
+            return (st.G, st.Q, st.I), (lambda t: st.I), ()
         if self.kind == "off_plus_pulse":
             amp = self.payload["amplitude"]
             width = self.payload["width"]
-            base = (params.A, params.B, 0.0)
-            kick = (params.A, params.B, amp)
 
-            def h(t: float) -> tuple:
-                return kick if t >= -width else base
+            def intensity(t: float) -> float:
+                return amp if t >= -width else 0.0
 
-            discont = (-width,) if width < tau else ()
-            return h, discont
+            jumps = (-width,) if width < tau else ()
+            return (params.A, params.B, amp), intensity, jumps
         if self.kind == "from_tail":
             source: Trajectory = self.payload["source"]
             shift: float = self.payload["shift"]
@@ -292,23 +287,23 @@ class HistorySpec:
             hi = int(np.searchsorted(source.t, shift, side="right"))
             hi = min(max(hi, lo + 1), n - 1)
             ts = source.t[lo:hi + 1].tolist()
-            ys = source.y[lo:hi + 1].ravel().tolist()
-            fs = source.yp[lo:hi + 1].ravel().tolist()
+            col_i = source.y[lo:hi + 1, 2].tolist()
+            col_fi = source.yp[lo:hi + 1, 2].tolist()
             t1 = source.t1
 
-            def h(t: float) -> tuple:
-                return _node_lookup(ts, ys, fs, min(t + shift, t1))
+            def intensity(t: float) -> float:
+                return _intensity_lookup(ts, col_i, col_fi, min(t + shift, t1))
 
-            return h, ()
+            y0 = tuple(float(v) for v in source.evaluate(min(shift, t1)))
+            return y0, intensity, ()
         raise InvalidArgumentError(f"unknown history kind {self.kind!r}")
 
 
-def _node_lookup(ts: list, ys, fs, x: float) -> tuple:
-    """Cubic Hermite value at ``x`` through flat three-component node buffers.
-
-    ``ts`` holds the node times, ``ys`` and ``fs`` the states and
-    derivatives three floats per node.  Same arithmetic, term for term,
-    as :meth:`Trajectory.evaluate_many`.
+def _intensity_lookup(ts: list, col_i: list, col_fi: list, x: float) -> float:
+    """Cubic Hermite value of ``I`` at ``x`` from node times ``ts`` and the
+    node lists of ``I`` and ``I'``.  Same arithmetic, term for term, as the
+    march's delayed lookup and :meth:`Trajectory.evaluate_many`; the end
+    intervals extend past the nodes.
     """
     i = bisect_right(ts, x) - 1
     if i > len(ts) - 2:
@@ -317,17 +312,13 @@ def _node_lookup(ts: list, ys, fs, x: float) -> tuple:
         i = 0
     t0 = ts[i]
     dt = ts[i + 1] - t0
-    s = (x - t0) / dt
-    om = 1.0 - s
-    h00 = (1.0 + 2.0 * s) * om * om
-    h10 = dt * (s * om * om)
-    h01 = s * s * (3.0 - 2.0 * s)
-    h11 = dt * (s * s * (s - 1.0))
-    j = 3 * i
+    u = (x - t0) / dt
+    om = 1.0 - u
     return (
-        h00 * ys[j] + h10 * fs[j] + h01 * ys[j + 3] + h11 * fs[j + 3],
-        h00 * ys[j + 1] + h10 * fs[j + 1] + h01 * ys[j + 4] + h11 * fs[j + 4],
-        h00 * ys[j + 2] + h10 * fs[j + 2] + h01 * ys[j + 5] + h11 * fs[j + 5],
+        (1.0 + 2.0 * u) * om * om * col_i[i]
+        + dt * (u * om * om) * col_fi[i]
+        + u * u * (3.0 - 2.0 * u) * col_i[i + 1]
+        + dt * (u * u * (u - 1.0)) * col_fi[i + 1]
     )
 
 
@@ -362,7 +353,8 @@ class SolverStats:
 
 def solve_dde(
     rates: Sequence[float],
-    history: Callable[[float], tuple],
+    y0: Sequence[float],
+    history: Callable[[float], float],
     tau: float,
     t_end: float,
     control: StepControl,
@@ -386,11 +378,13 @@ def solve_dde(
     rates : sequence of six floats
         ``(gamma_G, A, gamma_Q, B, a, kappa)``, used as given:
         :func:`integrate` passes those of a validated :class:`ModelParams`.
+    y0 : sequence of three floats
+        Initial state ``(G, Q, I)`` at ``t = 0``.
     history : callable
-        State ``(G, Q, I)`` on ``[-tau, 0]``; ``history(0.0)`` is the
-        initial state, and only the ``I`` component is read at ``t < 0``.
-        For ``tau == 0`` the current intensity is fed back and the march
-        reduces to an ordinary Runge-Kutta integration.
+        Intensity ``I`` on ``[-tau, 0]``, the only delayed component.
+        For ``tau == 0`` the current intensity is fed back, the history
+        is never called and the march reduces to an ordinary Runge-Kutta
+        integration.
     tau : float
         Delay, >= 0.
     t_end : float
@@ -410,7 +404,7 @@ def solve_dde(
     ------
     InvalidArgumentError
         For a ``t_end`` that is not positive and finite, ``tau < 0``, or
-        a history whose state does not have three components.
+        a ``y0`` that does not have three components.
     """
     wall0 = time.perf_counter()
     # Written so that NaN fails the check.
@@ -427,10 +421,10 @@ def solve_dde(
         hmax = min(hmax, control.max_step)
 
     # Breakpoints: images n*tau + d of the handover (d = 0) and of any
-    # history jumps, for the first smoothing_rounds delay intervals.
+    # history jumps, for the first SMOOTHING_ROUNDS delay intervals.
     breaks: list[float] = []
     if tau > 0.0:
-        for n in range(1, control.smoothing_rounds + 1):
+        for n in range(1, SMOOTHING_ROUNDS + 1):
             for d in (0.0, *extra_breakpoints):
                 b = n * tau + d
                 if 0.0 < b < t_end:
@@ -438,7 +432,7 @@ def solve_dde(
     breaks = sorted(set(breaks))
     breaks.append(t_end)
 
-    y0 = tuple(float(v) for v in history(0.0))
+    y0 = tuple(float(v) for v in y0)
     if len(y0) != 3:
         raise InvalidArgumentError(
             f"solve_dde marches three-component states, got {len(y0)} components"
@@ -457,10 +451,10 @@ def solve_dde(
         """I(x - tau), for tau > 0."""
         s = x - tau
         if s <= 0.0:
-            return history(s)[2]
+            return history(s)
         # 0 < s <= t - 3 tau / 4 (the step is at most tau / 4), so s lies
         # inside the stored nodes and the interval index needs no clamp.
-        # The third component of _node_lookup, term for term.
+        # _intensity_lookup, term for term.
         i = bisect_right(nodes_t, s) - 1
         t0 = nodes_t[i]
         dt = nodes_t[i + 1] - t0
@@ -661,8 +655,8 @@ def integrate(
     if params.tau < 0.0:
         raise InvalidArgumentError("cannot integrate forward with a negative delay")
     control = control or StepControl()
-    hist_fn, discont = history.realize(params)
+    y0, intensity, jumps = history.realize(params)
 
     rates = (params.gamma_G, params.A, params.gamma_Q, params.B, params.a, params.kappa)
-    t, y, yp, stats = solve_dde(rates, hist_fn, params.tau, float(t_end), control, discont)
+    t, y, yp, stats = solve_dde(rates, y0, intensity, params.tau, float(t_end), control, jumps)
     return Trajectory(t, y, yp, params, stats)

@@ -200,11 +200,11 @@ def measure_train(
 
 def _history_peak_intensity(params: ModelParams, history: HistorySpec, samples: int = 512) -> float:
     """Max intensity over the history interval (the excitation scale)."""
-    h, _ = history.realize(params)
+    _, intensity, _ = history.realize(params)
     if params.tau <= 0.0:
-        return float(h(0.0)[2])
+        return float(intensity(0.0))
     ts = np.linspace(-params.tau, 0.0, samples)
-    return max(float(h(t)[2]) for t in ts)
+    return max(float(intensity(t)) for t in ts)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ intensity and keeps its nodes in flat buffers, returns node arrays equal
 bit for bit to :func:`solve_dde` here.  This march takes a generic
 ``f(t, y, z)`` (:func:`yamada_field` builds the model's from the rate
 constants), sums every stage with ``sum`` over a generator and looks
-up all delayed components through :func:`_hermite_tuple`.  A
-``from_tail`` history is looked up through :meth:`Trajectory.evaluate`
-(:func:`from_tail_history`).  Nothing under ``src/`` imports it.
+up all delayed components through :func:`_hermite_tuple`.  Its history
+is a state callable: :func:`state_history` builds one from a realized
+initial state and intensity line, and a ``from_tail`` history is looked
+up through :meth:`Trajectory.evaluate` (:func:`from_tail_history`).
+Nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from yamada_delay.errors import InvalidArgumentError, NumericalError, StiffnessError
-from yamada_delay.integrator import HistorySpec, StepControl, Trajectory
+from yamada_delay.integrator import SMOOTHING_ROUNDS, HistorySpec, StepControl, Trajectory
 from yamada_delay.model import ModelParams
 
 # Dormand-Prince 5(4) tableau.  The fifth-order weights equal the last
@@ -46,6 +48,17 @@ _E = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+
+
+def state_history(y0, intensity):
+    """The state callable of a realized history: ``y0`` at ``t = 0``, and
+    before it ``y0``'s ``G`` and ``Q`` with the delayed intensity line."""
+    y0 = tuple(y0)
+
+    def h(t: float) -> tuple:
+        return y0 if t == 0.0 else (y0[0], y0[1], intensity(t))
+
+    return h
 
 
 def from_tail_history(source: Trajectory, shift: float):
@@ -110,10 +123,10 @@ def solve_dde(
     hmax = min(hmax, t_end)
 
     # Breakpoints: images n*tau + d of the handover (d = 0) and of any
-    # history jumps, for the first smoothing_rounds delay intervals.
+    # history jumps, for the first SMOOTHING_ROUNDS delay intervals.
     breaks: list[float] = []
     if tau > 0.0:
-        for n in range(1, control.smoothing_rounds + 1):
+        for n in range(1, SMOOTHING_ROUNDS + 1):
             for d in (0.0, *extra_breakpoints):
                 b = n * tau + d
                 if 0.0 < b < t_end:
@@ -231,7 +244,8 @@ def integrate(
         hist_fn = from_tail_history(history.payload["source"], history.payload["shift"])
         discont = ()
     else:
-        hist_fn, discont = history.realize(params)
+        y0, intensity, discont = history.realize(params)
+        hist_fn = state_history(y0, intensity)
 
     f = yamada_field((params.gamma_G, params.A, params.gamma_Q, params.B, params.a,
                       params.kappa))

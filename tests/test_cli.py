@@ -348,6 +348,19 @@ class TestNonFiniteGrid:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class TestMemoryCeiling:
+    """A request beyond the address space exits 2 with a one-line message."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-end", "100", "--dt", "1e-12"],
+        ["hopf", "--omega-count", "100000000000000"],
+    ])
+    def test_allocation_failure_exits_2(self, capsys, argv):
+        err = run_fail(capsys, argv, 2)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestScanKappa:
     def test_bad_bracket_order(self, capsys):
         run_fail(capsys, ["scan-kappa", "--tau", "100", "--kappa-lo", "0.02",

@@ -22,7 +22,7 @@ from yamada_delay import (
     preset,
     rhs,
 )
-from yamada_delay.integrator import solve_dde
+from yamada_delay.integrator import _intensity_lookup, solve_dde
 from yamada_delay.pulses import (
     classify_response, measure_train, scan_kappa_min, single_pulse_seed,
 )
@@ -46,18 +46,19 @@ def piecewise_exact(t: float) -> float:
 
 
 #: Rate constants (gamma_G, A, gamma_Q, B, a, kappa) that, from the
-#: history (G, Q, I) = (1, 0, 1), leave G = 1 and Q = 0 fixed and give
-#: exactly I' = -I(t - tau).
+#: initial state (G, Q, I) = (1, 0, 1) and the intensity history I = 1,
+#: leave G = 1 and Q = 0 fixed and give exactly I' = -I(t - tau).
 SCALAR_RATES = (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)
+SCALAR_Y0 = (1.0, 0.0, 1.0)
 
 
-def scalar_history(s: float) -> tuple:
-    return (1.0, 0.0, 1.0)
+def scalar_history(s: float) -> float:
+    return 1.0
 
 
-def nan_history(s: float) -> tuple:
-    """``scalar_history`` whose intensity turns NaN on [-0.5, 0) (the state at 0 stays finite)."""
-    return (1.0, 0.0, math.nan if -0.5 <= s < 0.0 else 1.0)
+def nan_history(s: float) -> float:
+    """``scalar_history`` turned NaN on [-0.5, 0) (the state at 0 stays finite)."""
+    return math.nan if -0.5 <= s < 0.0 else 1.0
 
 
 class TestScalarDelayOracle:
@@ -67,6 +68,7 @@ class TestScalarDelayOracle:
         ctl = StepControl(atol=1e-12, rtol=1e-10)
         self.t, self.y, self.yp, _ = solve_dde(
             SCALAR_RATES,
+            SCALAR_Y0,
             scalar_history,
             tau=1.0,
             t_end=3.0,
@@ -89,13 +91,14 @@ class TestScalarDelayOracle:
 
 
 def _scalar_oracle_args(history=scalar_history, tau=1.0):
-    """(rates, history, tau, t_end, control) of the scalar oracle."""
-    return SCALAR_RATES, history, tau, 3.0, StepControl(atol=1e-12, rtol=1e-10)
+    """(rates, y0, history, tau, t_end, control) of the scalar oracle."""
+    return SCALAR_RATES, SCALAR_Y0, history, tau, 3.0, StepControl(atol=1e-12, rtol=1e-10)
 
 
-def _reference_args(rates, *rest):
-    """The same run for the reference march, which takes the field ``f``."""
-    return (reference.yamada_field(rates), *rest)
+def _reference_args(rates, y0, history, *rest):
+    """The same run for the reference march, which takes the field ``f``
+    and a state history."""
+    return (reference.yamada_field(rates), reference.state_history(y0, history), *rest)
 
 
 def _model_case(name):
@@ -188,7 +191,7 @@ class TestReferenceMarch:
     @pytest.mark.parametrize("y0", [(1.0,), (0.0, 0.0, 1.0, 2.0)])
     def test_three_components_required(self, y0):
         with pytest.raises(InvalidArgumentError, match="three-component"):
-            solve_dde(SCALAR_RATES, lambda t: y0, 1.0, 3.0, StepControl())
+            solve_dde(SCALAR_RATES, y0, scalar_history, 1.0, 3.0, StepControl())
 
 
 class TestInlinedField:
@@ -198,14 +201,65 @@ class TestInlinedField:
     def test_node_derivatives_are_model_rhs(self, name):
         params, history, t_end, control = _model_case(name)
         traj = integrate(params, history, t_end, control)
-        hist_fn, _ = history.realize(params)
+        _, intensity, _ = history.realize(params)
         s = traj.t - params.tau
         past = s <= 0.0
         lagged = np.empty_like(s)
-        lagged[past] = [hist_fn(x)[2] for x in s[past]]
+        lagged[past] = [intensity(x) for x in s[past]]
         lagged[~past] = traj.evaluate_many(s[~past])[:, 2]
         for y, z, yp in zip(traj.y, lagged, traj.yp):
             assert np.array_equal(rhs(y, z, params), yp)
+
+
+class TestHistoryContract:
+    """A realized history is the initial state plus the delayed intensity line."""
+
+    @pytest.fixture(scope="class")
+    def source(self):
+        p = preset("figure1", kappa=0.1, tau=7.3)
+        return integrate(p, HistorySpec.off_plus_pulse(1.0, 1.0), 80.0)
+
+    def test_intensity_lookup_is_trajectory_evaluate(self, source):
+        rng = np.random.default_rng(16)
+        span = source.t1 - source.t0
+        xs = np.concatenate([
+            rng.uniform(source.t0, source.t1, 500),
+            source.t,
+            # the clamped ends, inside evaluate_many's slack
+            [source.t0 - 1e-10 * span, source.t1 + 1e-10 * span],
+        ])
+        ts, col_i, col_fi = source.t.tolist(), source.y[:, 2].tolist(), source.yp[:, 2].tolist()
+        got = np.array([_intensity_lookup(ts, col_i, col_fi, float(x)) for x in xs])
+        assert np.array_equal(got, source.evaluate_many(xs)[:, 2])
+
+    def test_constant(self):
+        p = preset("figure1", kappa=0.1, tau=7.3)
+        y0, intensity, jumps = HistorySpec.constant(State(6.0, 5.0, 0.3)).realize(p)
+        assert y0 == (6.0, 5.0, 0.3) and jumps == ()
+        assert [intensity(s) for s in (-7.3, -1.0, 0.0)] == [0.3, 0.3, 0.3]
+
+    @pytest.mark.parametrize("width, jumps", [(2.0, (-2.0,)), (9.0, ())])
+    def test_off_plus_pulse(self, width, jumps):
+        p = preset("figure1", kappa=0.1, tau=7.3)
+        y0, intensity, got = HistorySpec.off_plus_pulse(0.7, width).realize(p)
+        assert y0 == (p.A, p.B, 0.7) and got == jumps
+        assert intensity(-2.5) == (0.7 if width > 2.5 else 0.0)
+        assert intensity(-2.0) == intensity(0.0) == 0.7
+
+    @pytest.mark.parametrize("shift", [None, 37.2])
+    def test_from_tail(self, source, shift):
+        p = source.params.replace(tau=5.0)
+        spec = HistorySpec.from_tail(source, shift)
+        end = source.t1 if shift is None else shift
+        y0, intensity, jumps = spec.realize(p)
+        assert jumps == ()
+        assert y0 == tuple(source.evaluate(end))
+        if shift is None:
+            assert y0 == tuple(source.y[-1])
+        rng = np.random.default_rng(3)
+        s = np.concatenate([rng.uniform(-5.0, 0.0, 200), [-5.0, 0.0]])
+        got = np.array([intensity(float(x)) for x in s])
+        assert np.array_equal(got, source.evaluate_many(s + end)[:, 2])
 
 
 class TestSolverStats:
@@ -213,20 +267,20 @@ class TestSolverStats:
 
     def test_counts_of_a_run_inside_the_first_delay(self):
         # t_end < tau: every delayed lookup reads the history, once for
-        # the initial state, once for f(0) and five times per attempted
-        # step (stages 6 and 7 share one), which counts the attempts
+        # f(0) and five times per attempted step (stages 6 and 7 share
+        # one), which counts the attempts
         p = preset("figure1", kappa=0.1, tau=100.0)
-        hist_fn, _ = HistorySpec.off_plus_pulse(1.0, 1.0).realize(p)
+        y0, intensity, _ = HistorySpec.off_plus_pulse(1.0, 1.0).realize(p)
         calls = []
 
         def history(s):
             calls.append(s)
-            return hist_fn(s)
+            return intensity(s)
 
         rates = (p.gamma_G, p.A, p.gamma_Q, p.B, p.a, p.kappa)
         loose = StepControl(atol=1e-6, rtol=1e-4)  # rejects a few steps at the pulse
-        t, _, _, stats = solve_dde(rates, history, p.tau, 90.0, loose)
-        attempts = (len(calls) - 2) / 5
+        t, _, _, stats = solve_dde(rates, y0, history, p.tau, 90.0, loose)
+        attempts = (len(calls) - 1) / 5
         assert stats.accepted == len(t) - 1
         assert stats.rejected == attempts - stats.accepted > 0
         assert stats.rhs_evals == 1 + 6 * attempts
@@ -495,7 +549,8 @@ class TestValidation:
         # cannot help, so the march must name the NaN, not a stiffness.
         # The history's NaN stretch [-0.5, 0) is read from t = 1.5 on.
         with pytest.raises(NumericalError, match="non-finite derivative at t = 1.") as info:
-            solve_dde(SCALAR_RATES, nan_history, tau=2.0, t_end=3.0, control=StepControl())
+            solve_dde(SCALAR_RATES, SCALAR_Y0, nan_history, tau=2.0, t_end=3.0,
+                      control=StepControl())
         assert not isinstance(info.value, StiffnessError)
 
 

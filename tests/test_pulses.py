@@ -193,12 +193,12 @@ class TestExcitability:
         # history = kick at the far end, the fired pulse just after it,
         # and a quiet field at the reinjection edge t = 0
         p = preset("figure1", kappa=0.01, tau=100.0)
-        h, _ = single_pulse_seed(p).realize(p)
-        vals = np.array([h(t) for t in np.linspace(-100.0, 0.0, 1001)])
-        assert vals[0, 2] == pytest.approx(1.0)
-        assert vals[:, 2].max() > 2.0
-        assert vals[-1, 2] < 1e-3
-        assert np.argmax(vals[:, 2]) < 500
+        _, intensity, _ = single_pulse_seed(p).realize(p)
+        vals = np.array([intensity(t) for t in np.linspace(-100.0, 0.0, 1001)])
+        assert vals[0] == pytest.approx(1.0)
+        assert vals.max() > 2.0
+        assert vals[-1] < 1e-3
+        assert np.argmax(vals) < 500
 
     def test_seed_needs_positive_delay(self):
         with pytest.raises(InvalidArgumentError):
