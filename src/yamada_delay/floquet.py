@@ -367,22 +367,28 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
 
     # Only the basis histories the march reads are marched: the nodes
     # its stencils reach plus I, G and Q at the last node.  Stencil
-    # columns keep their index, since cols starts with 0 .. reach + 3.
-    cols = np.union1d(np.arange(reach + 4), [N - 1, N, N + 1])
+    # columns keep their index, since cols starts with 0 .. reach + 3
+    # (reach <= N - 4, so only N - 1 can be in both parts).
+    cols = np.concatenate([np.arange(min(reach + 4, N - 1)), [N - 1, N, N + 1]])
     n_cols = len(cols)
     i_last, g_last, q_last = np.searchsorted(cols, [N - 1, N, N + 1])
+
+    # New history nodes T + theta_j that still lie in the initial
+    # history are stencil rows; the march samples the others.  Their
+    # block is the largest array, so it is allocated first: a size too
+    # large to hold fails here, before the history windows, the stencils
+    # and the sample weights are built.
+    out_times = T + (-tau + spacing * np.arange(N))
+    n_shift = int(np.count_nonzero(out_times < 0.0))
+    block = np.empty((N + 2 - n_shift, n_cols))
+
     Y = np.zeros((3, n_cols))
     Y[0, g_last] = Y[1, q_last] = Y[2, i_last] = 1.0
-
     o, W, D = _history_windows(stencils, inj[:n_hist], kap, n_cols)
     inj = inj[n_hist:].copy()  # for the steps that read march rows
 
-    # New history nodes T + theta_j that still lie in the initial
-    # history are stencil rows; the march samples the others, each in
-    # the step (t_{i-1}, t_i] of its node at[j], as the cubic Hermite
-    # interpolant of I and I' at the two ends.
-    out_times = T + (-tau + spacing * np.arange(N))
-    n_shift = int(np.count_nonzero(out_times < 0.0))
+    # Each sampled node lies in the step (t_{i-1}, t_i] of its node at[j],
+    # and is the cubic Hermite interpolant of I and I' at the two ends.
     shift_j0, shift_w = _cubic_stencils(out_times[:n_shift] + tau, N, spacing)
     sampled = out_times[n_shift:]
     at = np.searchsorted(t_nodes + 1e-12 * np.maximum(1.0, t_nodes), sampled)
@@ -390,7 +396,6 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
         raise NumericalError("internal sampling walk failed to fill the period map")
     sample_w = _hermite_weights(np.clip((sampled - (t_nodes[at] - h)) / h, 0.0, 1.0), h)
     first = np.searchsorted(at, np.arange(n_steps + 2))
-    block = np.empty((N + 2 - n_shift, n_cols))
 
     # Stored I and I' rows at past march nodes, needed only when t - tau
     # lands in the computed part (k = 1 orbits).

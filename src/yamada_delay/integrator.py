@@ -6,10 +6,13 @@ accepted node ``(t, y, y')`` in flat buffers.  The march uses the
 model's exact structure: the stages are unrolled for its three state
 components, each stage writes the rate equations inline from the six
 rate constants, and since only the intensity is delayed, each stage
-looks up ``I(t - tau)`` alone, from a cubic Hermite interpolant of the
+reads ``I(t - tau)`` alone, from a cubic Hermite interpolant of the
 ``I`` column of the nodes.  The same Hermite interpolation serves as
 the user-facing dense output.  The step is capped at ``tau / 4`` so a
-delayed lookup never reads the step currently being built.  That is the
+delayed lookup never reads the step currently being built: the five
+delayed values of a step are fixed before its stages start (the method
+of steps), and are computed together, with one bisection for the
+first and a forward walk over the nodes for the others.  That is the
 only default cap; below it the error estimate alone sets the step, so
 the quiescent stretches between pulses are crossed in long steps.
 
@@ -368,10 +371,13 @@ def solve_dde(
     ``Q' = gamma_Q (B - Q (1 + a I))``,
     ``I' = (G - Q - 1) I + kappa I(t - tau)``,
 
-    and looks up only the delayed intensity: one cubic Hermite
-    interpolant of the ``I`` column of the accepted nodes, the same
-    arithmetic as the third component of :meth:`Trajectory.evaluate`.
-    Stages 6 and 7 both sit at ``t + h`` and share one lookup.
+    and reads only the delayed intensity: one cubic Hermite interpolant
+    of the ``I`` column of the accepted nodes, the same arithmetic as the
+    third component of :meth:`Trajectory.evaluate`.  A step makes five
+    delayed lookups (stages 6 and 7 both sit at ``t + h`` and share one),
+    all computed in one loop before its stages: those up to the handover
+    come from ``history``; the first one past it finds its node interval
+    by bisection, and the others walk forward from there.
 
     Parameters
     ----------
@@ -447,29 +453,9 @@ def solve_dde(
     col_i = [y0[2]]
     col_fi = []
 
-    def lagged(x: float) -> float:
-        """I(x - tau), for tau > 0."""
-        s = x - tau
-        if s <= 0.0:
-            return history(s)
-        # 0 < s <= t - 3 tau / 4 (the step is at most tau / 4), so s lies
-        # inside the stored nodes and the interval index needs no clamp.
-        # _intensity_lookup, term for term.
-        i = bisect_right(nodes_t, s) - 1
-        t0 = nodes_t[i]
-        dt = nodes_t[i + 1] - t0
-        u = (s - t0) / dt
-        om = 1.0 - u
-        return (
-            (1.0 + 2.0 * u) * om * om * col_i[i]
-            + dt * (u * om * om) * col_fi[i]
-            + u * u * (3.0 - 2.0 * u) * col_i[i + 1]
-            + dt * (u * u * (u - 1.0)) * col_fi[i + 1]
-        )
-
     delayed = tau > 0.0
     g, q, i = y0
-    z = lagged(0.0) if delayed else i
+    z = history(-tau) if delayed else i
     f0 = (
         gg * (aa - g * (1.0 + i)),
         gq * (bb - q * (1.0 + sat * i)),
@@ -489,7 +475,9 @@ def solve_dde(
     # right, and the zero weights (A[6][1], E[1]) keep their ``0.0 * k2``
     # terms, so a non-finite k2 still poisons the step: the nodes equal,
     # bit for bit, those of a generic loop over the tableau rows.
-    c2, c3, c4, c5 = _C[1:5]
+    # The delayed lookups of a step sit at t + c h, c = c2 .. c6 (stage 7
+    # shares stage 6's t + h).
+    lags = _C[1:6]
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[1:6]
     b1, _, b3, b4, b5, b6 = _A[6]
     e1, _, e3, e4, e5, e6, e7 = _E
@@ -503,7 +491,8 @@ def solve_dde(
     nreject = 0
     facmax = 5.0
 
-    while t < t_end - 1e-12 * max(1.0, t_end):
+    t_last = t_end - 1e-12 * max(1.0, t_end)
+    while t < t_last:
         while breaks[ibreak] <= t + 1e-12 * max(1.0, t):
             ibreak += 1
         stop = breaks[ibreak]
@@ -513,13 +502,44 @@ def solve_dde(
         if h < 1e-13 * max(1.0, abs(t)):
             raise StiffnessError(t)
 
+        # The step's five delayed intensities I(t + c h - tau), all before
+        # its stages: h <= tau / 4, so none reads the step being built.
+        # Their times increase with c.  Those up to the handover (s <= 0)
+        # come from the history; the first one past it finds its node
+        # interval by bisection and the others walk forward from there.
+        # The Hermite arithmetic is _intensity_lookup's, term for term.
+        if delayed:
+            zs = []
+            j = -1
+            for c in lags:
+                s = t + c * h - tau
+                if s <= 0.0:
+                    zs.append(history(s))
+                    continue
+                if j < 0:
+                    j = bisect_right(nodes_t, s) - 1
+                else:
+                    while nodes_t[j + 1] <= s:
+                        j += 1
+                t0 = nodes_t[j]
+                dt = nodes_t[j + 1] - t0
+                u = (s - t0) / dt
+                om = 1.0 - u
+                zs.append(
+                    (1.0 + 2.0 * u) * om * om * col_i[j]
+                    + dt * (u * om * om) * col_fi[j]
+                    + u * u * (3.0 - 2.0 * u) * col_i[j + 1]
+                    + dt * (u * u * (u - 1.0)) * col_fi[j + 1]
+                )
+            z2, z3, z4, z5, z6 = zs
+
         # Stages.  k1 is the FSAL derivative carried over from the last
         # accepted step.  Each stage evaluates the field at its state
         # (g, q, i) with the delayed intensity z.
         g = ya + h * (a21 * k1a)
         q = yb + h * (a21 * k1b)
         i = yc + h * (a21 * k1c)
-        z = lagged(t + c2 * h) if delayed else i
+        z = z2 if delayed else i
         k2a = gg * (aa - g * (1.0 + i))
         k2b = gq * (bb - q * (1.0 + sat * i))
         k2c = (g - q - 1.0) * i + kap * z
@@ -527,7 +547,7 @@ def solve_dde(
         g = ya + h * (a31 * k1a + a32 * k2a)
         q = yb + h * (a31 * k1b + a32 * k2b)
         i = yc + h * (a31 * k1c + a32 * k2c)
-        z = lagged(t + c3 * h) if delayed else i
+        z = z3 if delayed else i
         k3a = gg * (aa - g * (1.0 + i))
         k3b = gq * (bb - q * (1.0 + sat * i))
         k3c = (g - q - 1.0) * i + kap * z
@@ -535,7 +555,7 @@ def solve_dde(
         g = ya + h * (a41 * k1a + a42 * k2a + a43 * k3a)
         q = yb + h * (a41 * k1b + a42 * k2b + a43 * k3b)
         i = yc + h * (a41 * k1c + a42 * k2c + a43 * k3c)
-        z = lagged(t + c4 * h) if delayed else i
+        z = z4 if delayed else i
         k4a = gg * (aa - g * (1.0 + i))
         k4b = gq * (bb - q * (1.0 + sat * i))
         k4c = (g - q - 1.0) * i + kap * z
@@ -543,13 +563,11 @@ def solve_dde(
         g = ya + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a)
         q = yb + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b)
         i = yc + h * (a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c)
-        z = lagged(t + c5 * h) if delayed else i
+        z = z5 if delayed else i
         k5a = gg * (aa - g * (1.0 + i))
         k5b = gq * (bb - q * (1.0 + sat * i))
         k5c = (g - q - 1.0) * i + kap * z
 
-        # Stages 6 and 7 both sit at t + h: one delayed lookup serves both.
-        z6 = lagged(t + h) if delayed else None
         g = ya + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a)
         q = yb + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b)
         i = yc + h * (a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c)
@@ -570,10 +588,15 @@ def solve_dde(
         ea = h * (e1 * k1a + 0.0 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
         eb = h * (e1 * k1b + 0.0 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
         ec = h * (e1 * k1c + 0.0 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
+        # max(|y|, |y_new|) per component, written as max(a, b) evaluates:
+        # b if b > a else a.
+        ua, va = abs(ya), abs(na)
+        ub, vb = abs(yb), abs(nb)
+        uc, vc = abs(yc), abs(nc)
         err = math.sqrt((
-            (ea / (atol + rtol * max(abs(ya), abs(na)))) ** 2
-            + (eb / (atol + rtol * max(abs(yb), abs(nb)))) ** 2
-            + (ec / (atol + rtol * max(abs(yc), abs(nc)))) ** 2
+            (ea / (atol + rtol * (va if va > ua else ua))) ** 2
+            + (eb / (atol + rtol * (vb if vb > ub else ub))) ** 2
+            + (ec / (atol + rtol * (vc if vc > uc else uc))) ** 2
         ) / 3)
 
         if err <= 1.0:

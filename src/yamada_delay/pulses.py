@@ -65,6 +65,8 @@ REFRACTORY = 5.0
 THRESHOLD_FRAC = 0.3
 SAMPLE_DT = 0.1
 MIN_THRESHOLD = 1e-12
+#: Relative rounding margin of the interval bounds of the peak search.
+PEAK_MARGIN = 1e-12
 #: Largest interval coefficient of variation that still counts as a train.
 INTERVAL_CV_TOL = 0.01
 #: Trailing intervals averaged into a settled train's period estimate.
@@ -143,16 +145,43 @@ def _upward_root(y0, d0, y1, d1) -> np.ndarray:
 
 
 def _peak_intensity(trajectory: Trajectory) -> float:
-    """Peak of ``I`` over ``trajectory.sample(SAMPLE_DT)``, interpolating the ``I`` column alone."""
+    """Peak of ``I`` over ``trajectory.sample(SAMPLE_DT)``, interpolating only near it.
+
+    On node interval ``i`` (length ``h``), the cubic Hermite piece of ``I``
+    is a convex combination of ``I_i`` and ``I_{i+1}`` plus ``h I'_i`` and
+    ``h I'_{i+1}`` with weights ``s (1 - s)^2`` and ``s^2 (s - 1)``, each at
+    most 4/27 in size, so no sample on it exceeds the bound
+
+        ``max(I_i, I_{i+1}) + (4/27) h (|I'_i| + |I'_{i+1}|)``.
+
+    The bound is raised by the rounding margin ``PEAK_MARGIN * (|I_i| +
+    |I_{i+1}| + h (|I'_i| + |I'_{i+1}|)) + 1e-300``: thousands of ulps of
+    the terms that the interpolation rounds, plus the absolute rounding of
+    subnormal terms.  The samples next to the node of largest ``I`` give a
+    level the peak reaches; an interval whose bound lies below it cannot
+    hold the peak, so only the samples in the other intervals are
+    interpolated.  The result is the maximum over all samples, bit for bit
+    (``tests/pulses_reference.py`` keeps the full-sample maximum).
+    """
+    t, ival, dval = trajectory.t, trajectory.y[:, 2], trajectory.yp[:, 2]
     ts = trajectory._sample_times(SAMPLE_DT)
-    return float(trajectory._interpolate(ts, slice(2, 3)).max())
+    # Interval i holds the samples t_i <= ts < t_{i+1}; the last also holds t1.
+    counts = np.diff(np.searchsorted(ts, t[:-1]), append=len(ts))
+    slope = np.diff(t) * (np.abs(dval[:-1]) + np.abs(dval[1:]))
+    bound = (np.maximum(ival[:-1], ival[1:]) + (4.0 / 27.0) * slope
+             + (PEAK_MARGIN * (np.abs(ival[:-1]) + np.abs(ival[1:]) + slope) + 1e-300))
+    top = int(np.searchsorted(ts, t[np.argmax(ival)]))
+    level = trajectory._interpolate(ts[max(top - 1, 0):top + 1], slice(2, 3)).max()
+    # Written so that a NaN bound or level keeps its samples (the maximum is then NaN).
+    keep = np.repeat(~(bound < level), counts)
+    return float(trajectory._interpolate(ts[keep], slice(2, 3)).max())
 
 
 def _pulse_heights(trajectory: Trajectory, pulse_times: np.ndarray, window: float) -> np.ndarray:
     """Peak intensity within ``window`` after each pulse time."""
     ends = np.minimum(pulse_times + window, trajectory.t1)
     ts = np.linspace(pulse_times, ends, 80, axis=-1)
-    return trajectory.evaluate_many(ts.ravel())[:, 2].reshape(ts.shape).max(axis=1)
+    return trajectory._interpolate(ts.ravel(), slice(2, 3)).reshape(ts.shape).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -334,7 +363,7 @@ def classify_response(
             delta = k * period - params.tau
     if label is None:
         window = min(5.0 * max(params.tau, 10.0), traj.t1 - traj.t0)
-        late = traj.evaluate_many(np.arange(traj.t1, traj.t1 - window, -SAMPLE_DT))[:, 2]
+        late = traj._interpolate(np.arange(traj.t1, traj.t1 - window, -SAMPLE_DT), slice(2, 3))[:, 0]
         late_mean = float(late.mean())
         settled = float(late.max() - late.min()) < 1e-3 * late_mean
         if late_mean > 1e-6 and settled:
@@ -705,8 +734,9 @@ def scan_kappa_min(
     lo, hi = (float(v) for v in kappa_bracket)
     if not (0.0 <= lo < hi <= 1.0):
         raise InvalidArgumentError("kappa bracket must satisfy 0 <= lo < hi <= 1")
-    if tol <= 0.0:
-        raise InvalidArgumentError("tol must be positive")
+    # Written so that NaN fails the check.
+    if not tol > 0.0:
+        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
     if tau <= 0.0:
         raise InvalidArgumentError("tau must be positive")
 

@@ -17,6 +17,7 @@ from yamada_delay import (
     monodromy_multipliers,
     preset,
 )
+from yamada_delay import pulses
 from yamada_delay.pulses import classify_response, scan_kappa_min, settle_train, single_pulse_seed
 
 import pulses_reference
@@ -90,13 +91,32 @@ def roundtrip_orbits():
 
 
 @pytest.fixture(scope="session")
-def kappa_onsets():
+def kappa_scans():
+    """Feedback-onset bisection at tau = 200 and 400, as in the benchmark.
+
+    Returns the onsets and, for each oracle run in call order, the run's
+    peak intensity next to the full-sample peak of ``pulses_reference``.
+    """
+    onsets, peaks = {}, []
+    peak_intensity = pulses._peak_intensity
+
+    def recorded(trajectory):
+        peak = peak_intensity(trajectory)
+        peaks.append((peak, pulses_reference.sampled_peak_intensity(trajectory)))
+        return peak
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulses, "_peak_intensity", recorded)
+        for tau in (200.0, 400.0):
+            p = preset("figure1", tau=tau)
+            onsets[tau] = scan_kappa_min(p, tau, (0.004, 0.02), 2.5e-4)
+    return onsets, peaks
+
+
+@pytest.fixture(scope="session")
+def kappa_onsets(kappa_scans):
     """Feedback-onset bisection at tau = 200 and 400."""
-    out = {}
-    for tau in (200.0, 400.0):
-        p = preset("figure1", tau=tau)
-        out[tau] = scan_kappa_min(p, tau, (0.004, 0.02), 2.5e-4)
-    return out
+    return kappa_scans[0]
 
 
 def orbit_peak_time(orbit) -> float:

@@ -7,6 +7,10 @@ Test-only code; nothing under ``src/`` imports it.
   trajectory's own cubic Hermite pieces for the crossings, against this
   function, which samples the run at spacing ``dt`` and bisects each
   bracketed upward crossing on the dense output to 1e-3 time accuracy.
+* :func:`sampled_peak_intensity` -- the run's peak as
+  :mod:`yamada_delay.pulses` took it before it interpolated only the
+  node intervals that can hold the peak: every sample interpolated.  The
+  differential tests in ``test_pulses.py`` require equality, bit for bit.
 * :func:`settle_train` and :func:`extract_orbit` -- the simulated path
   to a pulse-train orbit that the periodic collocation solve replaced:
   a 34-delay settling run (for ``k >= 2`` after a loop of trial runs at
@@ -27,6 +31,7 @@ from yamada_delay.model import ModelParams
 from yamada_delay.pulses import (
     PERIOD_INTERVALS,
     REFRACTORY,
+    SAMPLE_DT,
     measure_train,
     refine_period,
     single_pulse_seed,
@@ -55,6 +60,12 @@ def bisection_pulses(trajectory, threshold: float, refractory: float = REFRACTOR
         if not times or t_cross - times[-1] >= refractory:
             times.append(t_cross)
     return np.array(times)
+
+
+def sampled_peak_intensity(trajectory: Trajectory) -> float:
+    """Peak of ``I`` over ``trajectory.sample(SAMPLE_DT)``, every sample interpolated."""
+    ts = trajectory._sample_times(SAMPLE_DT)
+    return float(trajectory._interpolate(ts, slice(2, 3)).max())
 
 
 def settle_train(

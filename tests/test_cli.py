@@ -362,6 +362,12 @@ class TestMemoryCeiling:
 
 
 class TestScanKappa:
+    def test_nan_tolerance_rejected(self, capsys):
+        # NaN passed a ``tol <= 0`` check and ended the bisection at once
+        err = run_fail(capsys, ["scan-kappa", "--tau", "100", "--kappa-lo", "0.004",
+                                "--kappa-hi", "0.02", "--tol", "nan"], 2)
+        assert "tol must be positive, got nan" in err
+
     def test_bad_bracket_order(self, capsys):
         run_fail(capsys, ["scan-kappa", "--tau", "100", "--kappa-lo", "0.02",
                           "--kappa-hi", "0.01"], 2)

@@ -27,6 +27,7 @@ from yamada_delay import (
     settle_train,
     single_pulse_seed,
 )
+from yamada_delay import floquet
 from yamada_delay.floquet import _leading_eigs, _period_map, _step_maps
 
 from floquet_reference import full_period_map, reduced_period_map
@@ -268,6 +269,16 @@ class TestTwoBlockPeriodMap:
         op = _period_map(orbit30, 61, 0.6)
         M = reduced_period_map(orbit30, 61, 0.6)
         assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max()
+
+    def test_impossible_size_fails_before_the_march(self, orbits, monkeypatch):
+        # the block (727 TiB here) is allocated as soon as its shape is
+        # known, before the history windows and the other N-long arrays
+        def built(*args):
+            raise AssertionError("history windows built before the block was allocated")
+
+        monkeypatch.setattr(floquet, "_history_windows", built)
+        with pytest.raises(MemoryError):
+            _period_map(orbits[(1, 200.0)], 10_000_000, 0.05)
 
     def test_stencil_rows_and_marched_columns(self, cases):
         # k = 2 (T < tau): about half the rows are stencils and the march

@@ -22,6 +22,7 @@ from yamada_delay import (
     preset,
     rhs,
 )
+from yamada_delay import integrator
 from yamada_delay.integrator import _intensity_lookup, solve_dde
 from yamada_delay.pulses import (
     classify_response, measure_train, scan_kappa_min, single_pulse_seed,
@@ -178,6 +179,37 @@ class TestReferenceMarch:
         traj = integrate(params, history, t_end)
         self.assert_same_nodes((traj.t, traj.y, traj.yp),
                                reference.integrate(params, history, t_end,
+                                                   StepControl(max_step=1e9)))
+
+    def test_steps_straddle_the_handover(self, monkeypatch):
+        # Without the breakpoint at t = tau a step can cross it: its first
+        # lookups read the history, its last ones the stored nodes, and
+        # the next step's walk starts at the first node interval.
+        monkeypatch.setattr(integrator, "SMOOTHING_ROUNDS", 0)
+        monkeypatch.setattr(reference, "SMOOTHING_ROUNDS", 0)
+        params = preset("figure1", kappa=0.1, tau=7.3)
+        history = HistorySpec.off_plus_pulse(1.0, 1.0)
+        traj = integrate(params, history, 60.0)
+        t, h = traj.t[:-1], np.diff(traj.t)
+        assert np.any((t + 0.2 * h - params.tau <= 0.0) & (t + h - params.tau > 0.0))
+        self.assert_same_nodes((traj.t, traj.y, traj.yp),
+                               reference.integrate(params, history, 60.0,
+                                                   StepControl(max_step=1e9)))
+
+    def test_delay_cap_binds(self):
+        # At tau = 0.4 the quiescent steps sit at the cap tau / 4, and a
+        # step's lookups walk across the shorter steps of a delayed pulse.
+        params = preset("figure1", kappa=0.1, tau=0.4)
+        history = HistorySpec.off_plus_pulse(1.0, 0.2)
+        traj = integrate(params, history, 80.0)
+        t, h = traj.t[:-1], np.diff(traj.t)
+        assert np.count_nonzero(np.isclose(h, params.tau / 4.0, rtol=1e-12, atol=0.0)) > len(h) // 2
+        late = t + 0.2 * h > params.tau
+        first, last = (np.searchsorted(traj.t, s - params.tau, side="right")
+                       for s in (t[late] + 0.2 * h[late], t[late] + h[late]))
+        assert (last - first).max() >= 3
+        self.assert_same_nodes((traj.t, traj.y, traj.yp),
+                               reference.integrate(params, history, 80.0,
                                                    StepControl(max_step=1e9)))
 
     def test_nan_derivative_message(self):

@@ -6,10 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yamada_delay import (
     BranchSample,
     HistorySpec,
+    Trajectory,
     InvalidArgumentError,
     NoBranchError,
     classify_response,
@@ -31,11 +34,12 @@ from yamada_delay.pulses import (
     SAMPLE_DT,
     SUSTAINED_TRAIN,
     THRESHOLD_FRAC,
+    _peak_intensity,
     _pulse_heights,
     measure_train,
 )
 
-from pulses_reference import bisection_pulses
+from pulses_reference import bisection_pulses, sampled_peak_intensity
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +111,60 @@ class TestHermiteCrossings:
                 for t in times]
         assert np.array_equal(_pulse_heights(traj, times, 5.0), loop)
         assert len(_pulse_heights(traj, times[:0], 5.0)) == 0
+
+
+def _node_trajectory(t0, gaps, intensity, slope):
+    """A trajectory on given ``I`` and ``I'`` node data (``G = Q = 0``)."""
+    t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    y, yp = np.zeros((len(t), 3)), np.zeros((len(t), 3))
+    y[:, 2], yp[:, 2] = intensity, slope
+    return Trajectory(t, y, yp, preset("figure1"))
+
+
+@st.composite
+def _node_data(draw):
+    n = draw(st.integers(2, 30))
+    values = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+    slopes = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
+    return (draw(st.floats(-100.0, 100.0)),
+            draw(st.lists(st.floats(1e-3, 3.0), min_size=n - 1, max_size=n - 1)),
+            draw(st.lists(values, min_size=n, max_size=n)),
+            draw(st.lists(slopes, min_size=n, max_size=n)))
+
+
+class TestPeakSearch:
+    """The bounded peak search equals the full-sample peak, bit for bit."""
+
+    def test_fig1_runs(self, fig1_runs):
+        for stats in fig1_runs.values():
+            p = stats.params
+            traj = integrate(p, single_pulse_seed(p), stats.horizon)
+            peak = sampled_peak_intensity(traj)
+            assert _peak_intensity(traj) == peak
+            assert stats.threshold == max(THRESHOLD_FRAC * peak, MIN_THRESHOLD)
+
+    def test_scan_oracle_runs(self, kappa_scans):
+        # the 8 classification runs of each onset scan, as in the benchmark
+        _, peaks = kappa_scans
+        assert len(peaks) == 16
+        for peak, reference in peaks:
+            assert peak == reference
+
+    @pytest.mark.parametrize("t0, gaps, intensity, slope", [
+        (-3.7, [0.25], [-2.0, -1.0], [0.0, 3.0]),  # peak on the appended t1 sample
+        (12.0, [0.05], [0.0, 0.0], [0.0, 0.0]),  # one grid sample plus t1
+        (0.0, [1.0], [1.0, 1.0], [4.0, -4.0]),  # peak inside the interval
+        (5.0, [0.3, 0.3], [-1.0, -3.0, -1.0], [-9.0, 0.0, 9.0]),  # two tops, I < 0
+    ])
+    def test_small_trajectories(self, t0, gaps, intensity, slope):
+        traj = _node_trajectory(t0, gaps, intensity, slope)
+        assert _peak_intensity(traj) == sampled_peak_intensity(traj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_node_data())
+    def test_random_node_data(self, data):
+        traj = _node_trajectory(*data)
+        assert _peak_intensity(traj) == sampled_peak_intensity(traj)
 
 
 class TestMeasureTrain:
@@ -348,6 +406,8 @@ class TestFeedbackOnset:
             scan_kappa_min(p, 100.0, (-0.1, 0.01), 1e-3)
         with pytest.raises(InvalidArgumentError):
             scan_kappa_min(p, 100.0, (0.004, 0.02), 0.0)
+        with pytest.raises(InvalidArgumentError, match="got nan"):
+            scan_kappa_min(p, 100.0, (0.004, 0.02), float("nan"))
         with pytest.raises(InvalidArgumentError):
             scan_kappa_min(p, -5.0, (0.004, 0.02), 1e-3)
 
