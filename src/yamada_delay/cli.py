@@ -418,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.opt("--k", dest="k", type=int, default=1, help="pulses per delay interval")
     c.handler = _run_bounds
 
-    c = _Command(sub, "scan-kappa", "bisect for the smallest train-sustaining feedback")
+    c = _Command(sub, "scan-kappa", "search for the smallest train-sustaining feedback")
     c.model_opts()
     c.tol_opts()
     c.opt("--kappa-lo", dest="kappa_lo", type=float, required=True,
           help="bracket lower endpoint (must decay)")
     c.opt("--kappa-hi", dest="kappa_hi", type=float, required=True,
           help="bracket upper endpoint (must sustain)")
-    c.opt("--tol", dest="tol", type=float, default=2.5e-4, help="bisection tolerance")
+    c.opt("--tol", dest="tol", type=float, default=2.5e-4, help="width of the final bracket")
     c.handler = _run_scan_kappa
 
     return parser

@@ -708,11 +708,25 @@ def scan_kappa_min(
     tol: float,
     control: StepControl | None = None,
 ) -> float:
-    """Bisect for the smallest feedback strength sustaining a train.
+    """Search for the smallest feedback strength sustaining a train.
 
     Uses :func:`classify_response` with the standard pulse-seeded
     history as the oracle: below the onset the re-injected pulse decays,
     above it the train regenerates indefinitely.
+
+    The search walks bisection's tree but tests the cheap side first: a
+    decaying run ends soon after the first re-injection, a sustained one
+    carries a train to the horizon.  Where bisection would test the
+    midpoint ``mid`` of ``[lo, hi]`` and, if it sustains, the midpoint
+    ``q`` of ``[lo, mid]``, the search tests ``q`` first.  If ``q``
+    sustains, so does ``mid`` and its run is saved; if not, ``mid`` is
+    tested, and ``q``'s run is wasted when ``mid`` decays too.  ``q`` is
+    tried only while the runs saved are at least the runs wasted, so the
+    search makes at most one oracle call more than bisection and never
+    more sustained runs.  Every kappa it tests is a float that bisection
+    computes from the same endpoints, and the final bracket is one of
+    bisection's final cells: for an oracle monotone in kappa the result
+    is bisection's, bit for bit.
 
     Parameters
     ----------
@@ -724,7 +738,7 @@ def scan_kappa_min(
         ``(lo, hi)`` with lo < hi; lo must classify as not sustained
         and hi as sustained.
     tol : float
-        Bisection tolerance on kappa, > 0.
+        Width of the final bracket, > 0.
 
     Returns
     -------
@@ -748,16 +762,28 @@ def scan_kappa_min(
         stats = classify_response(p, seed, horizon, control=control)
         return stats.classification == SUSTAINED_TRAIN
 
+    def splits(lo: float, hi: float) -> bool:
+        # the halvings leave about an ulp of roundoff on hi - lo: without
+        # the slack a bracket that is tol wide in exact arithmetic halves
+        # once more, and one between adjacent floats halves forever
+        return hi - lo > tol + 4.0 * math.ulp(hi)
+
     if sustained(lo):
         raise InvalidArgumentError("lower bracket endpoint already sustains a train")
     if not sustained(hi):
         raise InvalidArgumentError("upper bracket endpoint does not sustain a train")
-    # the halvings leave about an ulp of roundoff on hi - lo: without the
-    # slack a bracket that is tol wide in exact arithmetic halves once
-    # more, and one between adjacent floats halves forever
-    while hi - lo > tol + 4.0 * math.ulp(hi):
+    credit = 1  # one plus the runs saved minus the runs wasted
+    while splits(lo, hi):
         mid = 0.5 * (lo + hi)
-        if sustained(mid):
+        if credit > 0 and splits(lo, mid):
+            q = 0.5 * (lo + mid)
+            if sustained(q):
+                hi, credit = q, credit + 1
+            elif sustained(mid):
+                lo, hi = q, mid
+            else:
+                lo, credit = mid, credit - 1
+        elif sustained(mid):
             hi = mid
         else:
             lo = mid

@@ -18,9 +18,11 @@ from yamada_delay import (
     preset,
 )
 from yamada_delay import pulses
+from yamada_delay.floquet import _period_map
 from yamada_delay.pulses import classify_response, scan_kappa_min, settle_train, single_pulse_seed
 
 import pulses_reference
+from floquet_reference import arpack_reference
 
 
 def random_params(rng, with_feedback=True):
@@ -72,6 +74,17 @@ def floquet_sets(orbits):
 
 
 @pytest.fixture(scope="session")
+def period_maps(orbits, floquet_sets):
+    """Two-block period map of each session orbit, at the node count of its
+    multipliers, and the map's leading eigenvalues at machine precision."""
+    out = {}
+    for key, orbit in orbits.items():
+        op = _period_map(orbit, floquet_sets[key].N, 0.05)
+        out[key] = (op, arpack_reference(op))
+    return out
+
+
+@pytest.fixture(scope="session")
 def roundtrip_orbits():
     """A 1-pulse orbit and its reappearance at tau0 + T0, simulated.
 
@@ -92,7 +105,7 @@ def roundtrip_orbits():
 
 @pytest.fixture(scope="session")
 def kappa_scans():
-    """Feedback-onset bisection at tau = 200 and 400, as in the benchmark.
+    """Feedback-onset scans at tau = 200 and 400, as in the benchmark.
 
     Returns the onsets and, for each oracle run in call order, the run's
     peak intensity next to the full-sample peak of ``pulses_reference``.
@@ -115,7 +128,7 @@ def kappa_scans():
 
 @pytest.fixture(scope="session")
 def kappa_onsets(kappa_scans):
-    """Feedback-onset bisection at tau = 200 and 400."""
+    """Feedback-onset scans at tau = 200 and 400."""
     return kappa_scans[0]
 
 

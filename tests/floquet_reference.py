@@ -10,6 +10,8 @@ against these functions.
   per delayed lookup.
 * :func:`full_period_map` discretizes all three components at every
   history node (column ``3j + c`` is component ``c`` at node ``j``).
+* :func:`arpack_reference` takes the leading eigenvalues of a map at
+  machine precision, the solve that ``_leading_eigs`` stops early.
 
 Nothing under ``src/`` imports this module.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse.linalg
 
 from yamada_delay.floquet import _m1_along
 
@@ -261,3 +264,11 @@ def full_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.ndarr
     if out_j != N:
         raise RuntimeError("sampling walk failed to fill the period map")
     return M
+
+
+def arpack_reference(M, m=200):
+    """The m leading eigenvalues of ``M`` from ARPACK at machine precision
+    (``tol=0``), ordered as ``_leading_eigs`` orders them."""
+    vals = scipy.sparse.linalg.eigs(M, k=m, which="LM", v0=np.linspace(1.0, 2.0, M.shape[0]),
+                                    tol=0, return_eigenvectors=False)
+    return vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]

@@ -18,9 +18,16 @@ Test-only code; nothing under ``src/`` imports it.
   intervals polished by :func:`yamada_delay.pulses.refine_period`.  The
   differential tests in ``test_periodic.py`` compare the collocated
   periods against it.
+* :func:`bisect_kappa_min` -- the halving loop that
+  :func:`yamada_delay.scan_kappa_min` ran before it searched the lower
+  half first.  The differential tests in ``test_pulses.py`` require the
+  search's onset to equal bisection's, bit for bit, at no more than one
+  extra oracle call and no extra sustained one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -179,3 +186,20 @@ def extract_orbit(trajectory: Trajectory) -> PeriodicOrbit:
             "transient not settled"
         )
     return PeriodicOrbit(trajectory, period, train.k, params, anchor, residual)
+
+
+def bisect_kappa_min(sustained, kappa_bracket: tuple[float, float],
+                     tol: float) -> tuple[float, float]:
+    """Bisection's final bracket of the onset of ``sustained(kappa)``.
+
+    The endpoints are taken as checked (``lo`` decays, ``hi`` sustains);
+    ``scan_kappa_min`` returns the bracket's midpoint.
+    """
+    lo, hi = kappa_bracket
+    while hi - lo > tol + 4.0 * math.ulp(hi):
+        mid = 0.5 * (lo + hi)
+        if sustained(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

@@ -363,7 +363,7 @@ class TestMemoryCeiling:
 
 class TestScanKappa:
     def test_nan_tolerance_rejected(self, capsys):
-        # NaN passed a ``tol <= 0`` check and ended the bisection at once
+        # NaN passed a ``tol <= 0`` check and ended the search at once
         err = run_fail(capsys, ["scan-kappa", "--tau", "100", "--kappa-lo", "0.004",
                                 "--kappa-hi", "0.02", "--tol", "nan"], 2)
         assert "tol must be positive, got nan" in err

@@ -30,7 +30,7 @@ from yamada_delay import (
 from yamada_delay import floquet
 from yamada_delay.floquet import _leading_eigs, _period_map, _step_maps
 
-from floquet_reference import full_period_map, reduced_period_map
+from floquet_reference import arpack_reference, full_period_map, reduced_period_map
 
 
 class TestConstantOrbitOracle:
@@ -195,14 +195,6 @@ class TestReducedPeriodMap:
             assert np.abs(kept[:, None] - b[None, :]).min(axis=1).max() <= 1e-10
 
 
-def arpack_reference(M, m=200):
-    """The m leading eigenvalues of ``M`` from ARPACK at machine precision
-    (``tol=0``), ordered as ``_leading_eigs`` orders them."""
-    vals = scipy.sparse.linalg.eigs(M, k=m, which="LM", v0=np.linspace(1.0, 2.0, M.shape[0]),
-                                    tol=0, return_eigenvectors=False)
-    return vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
-
-
 def set_distance(a, b):
     """Largest distance from a multiplier of one set to the other set,
     over the multipliers above the truncation modulus (where clusters of
@@ -244,14 +236,13 @@ class TestTwoBlockPeriodMap:
         return settle_train(p, k=1)
 
     @pytest.fixture(scope="class")
-    def cases(self, orbit30, orbits, floquet_sets):
+    def cases(self, orbit30, orbits, floquet_sets, period_maps):
         """(k, tau) -> (multipliers, two-block operator, dense reference map)."""
-        sets = {(1, 30.0): (orbit30, monodromy_multipliers(orbit30))}
-        sets.update({key: (orbit, floquet_sets[key]) for key, orbit in orbits.items()})
-        return {
-            key: (fs, _period_map(orbit, fs.N, 0.05), reduced_period_map(orbit))
-            for key, (orbit, fs) in sets.items()
-        }
+        fs30 = monodromy_multipliers(orbit30)
+        out = {(1, 30.0): (fs30, _period_map(orbit30, fs30.N, 0.05), reduced_period_map(orbit30))}
+        out.update({key: (floquet_sets[key], period_maps[key][0], reduced_period_map(orbit))
+                    for key, orbit in orbits.items()})
+        return out
 
     def test_matvec_and_dense_assembly(self, cases):
         rng = np.random.default_rng(5)
@@ -309,12 +300,11 @@ class TestEigenStoppingRule:
     """ARPACK stopped at the accuracy of the map against the solve at
     machine precision."""
 
-    def test_matches_machine_precision_solve(self, orbits, floquet_sets):
+    def test_matches_machine_precision_solve(self, floquet_sets, period_maps):
         # the member of a near-equal-modulus cluster kept at the m-th
         # place may differ, so compare as sets
-        for key, orbit in orbits.items():
+        for key, (op, ref) in period_maps.items():
             fs = floquet_sets[key]
-            ref = arpack_reference(_period_map(orbit, fs.N, 0.05))
             assert set_distance(fs.multipliers, ref) <= 1e-12, key
             ref_trivial = ref[np.argmin(np.abs(ref - 1.0))]
             assert abs(fs.trivial - ref_trivial) <= 1e-13, key

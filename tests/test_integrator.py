@@ -454,17 +454,14 @@ class TestUncappedMatchesCapped:
 
     @pytest.mark.parametrize("tau", [200.0, 400.0])
     def test_kappa_onset(self, kappa_onsets, tau):
-        # The session scan bisects (0.004, 0.02) down to a bracket no
-        # wider than 2.5e-4 and returns its midpoint, so replaying the
-        # bisection against that midpoint recovers its final bracket.
-        # Handed that bracket, the scan checks both ends with the capped
-        # oracle (the lower must decay, the upper sustain) and returns
-        # the same midpoint: the capped onset lies in the same bracket.
+        # The session scan returns the midpoint of one of bisection's
+        # final cells of (0.004, 0.02) at tol 2.5e-4, so replaying the
+        # bisection against that midpoint recovers the cell.  Handed that
+        # bracket, the scan checks both ends with the capped oracle (the
+        # lower must decay, the upper sustain) and returns the same
+        # midpoint: the capped onset lies in the same bracket.
         kappa = kappa_onsets[tau]
-        lo, hi = 0.004, 0.02
-        while hi - lo > 2.5e-4 + 4.0 * math.ulp(hi):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if mid > kappa else (mid, hi)
+        lo, hi = pulses_reference.bisect_kappa_min(lambda k: k > kappa, (0.004, 0.02), 2.5e-4)
         p = preset("figure1", tau=tau)
         assert scan_kappa_min(p, tau, (lo, hi), 2.5e-4, self.CAPPED) == kappa
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from yamada_delay import (
@@ -39,7 +40,7 @@ from yamada_delay.pulses import (
     measure_train,
 )
 
-from pulses_reference import bisection_pulses, sampled_peak_intensity
+from pulses_reference import bisect_kappa_min, bisection_pulses, sampled_peak_intensity
 
 
 @pytest.fixture(scope="module")
@@ -144,9 +145,9 @@ class TestPeakSearch:
             assert stats.threshold == max(THRESHOLD_FRAC * peak, MIN_THRESHOLD)
 
     def test_scan_oracle_runs(self, kappa_scans):
-        # the 8 classification runs of each onset scan, as in the benchmark
+        # the 7 classification runs of each onset scan, as in the benchmark
         _, peaks = kappa_scans
-        assert len(peaks) == 16
+        assert len(peaks) == 14
         for peak, reference in peaks:
             assert peak == reference
 
@@ -377,18 +378,57 @@ class TestFeedbackOnset:
     @pytest.mark.parametrize(
         "bracket, tol, calls, onset",
         [
-            # six halvings leave hi - lo = 2.500000000000002e-4 > tol
-            ((0.004, 0.02), 2.5e-4, 8, 0.006125),
-            ((0.0, 1.0), 0.125, 5, 0.0625),
-            ((0.0, 1.0), 0.1, 6, 0.03125),
+            # bisection's six halvings leave hi - lo = 2.500000000000002e-4
+            # > tol; five runs after the endpoint checks reach that cell
+            ((0.004, 0.02), 2.5e-4, 7, 0.006125),
+            ((0.0, 1.0), 0.125, 4, 0.0625),
+            ((0.0, 1.0), 0.1, 4, 0.03125),
         ],
     )
     def test_oracle_calls(self, monkeypatch, bracket, tol, calls, onset):
-        # two endpoint checks plus one call per halving down to a bracket
-        # within tol
+        # two endpoint checks plus the runs of the lower-half-first search
         seen = self.stub_oracle(monkeypatch)
         assert scan_kappa_min(preset("figure1"), 10.0, bracket, tol) == onset
         assert len(seen) == calls
+
+    def test_lower_half_tested_first(self, monkeypatch):
+        # bisection tests 0.012, 0.008, 0.006, 0.007, 0.0065, 0.00625 after
+        # the endpoints, five of them sustained; the search skips 0.012 and
+        # 0.007, whose lower-half midpoints sustain, and wastes a run on
+        # 0.005, since the midpoint 0.006 above it decays as well
+        seen = self.stub_oracle(monkeypatch)
+        scan_kappa_min(preset("figure1"), 10.0, (0.004, 0.02), 2.5e-4)
+        want = [0.004, 0.02, 0.008, 0.005, 0.006, 0.0065, 0.00625]
+        assert seen == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_bisection(self, data):
+        lo, hi = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
+                                           unique=True)))
+        assume(hi - lo >= 1e-20)
+        tol = min(hi - lo, 10.0 ** data.draw(st.floats(-20.0, math.log10(hi - lo))))
+        onset = data.draw(st.floats(lo, hi, exclude_max=True))
+
+        seen, ref = [], []
+
+        def oracle(p, history, t_end, control=None):
+            seen.append(p.kappa > onset)
+            return SimpleNamespace(classification=SUSTAINED_TRAIN if seen[-1] else DECAY)
+
+        def reference(kappa):
+            ref.append(kappa > onset)
+            return ref[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pulses, "classify_response", oracle)
+            mp.setattr(pulses, "single_pulse_seed", lambda p, control=None: None)
+            got = scan_kappa_min(preset("figure1"), 10.0, (lo, hi), tol)
+        want_lo, want_hi = bisect_kappa_min(reference, (lo, hi), tol)
+        assert got == 0.5 * (want_lo + want_hi)
+        # bisection's runs plus its two endpoint checks, of which hi sustains
+        assert len(seen) <= len(ref) + 2 + 1
+        assert sum(seen) <= sum(ref) + 1
 
     def test_tolerance_below_float_spacing_ends(self, monkeypatch):
         # the bracket stops shrinking at adjacent floats; the scan must
