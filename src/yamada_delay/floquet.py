@@ -27,8 +27,12 @@ Runge-Kutta step is an affine map, fixed before the march: a 3x3 matrix
 on the state plus injection vectors for the three delayed lookups of the
 step.  Where those lookups read the initial history, their stencils form
 one short window of columns, and the step is one 3x3 product and one
-windowed add across all basis histories.  ARPACK takes the leading
-multipliers from products with the two blocks of the map.
+windowed add across all basis histories.  Since a history node is
+first read one delay after its own time, a marched row is zero right of
+a front that moves one column per row: the marched rows are stored as a
+dense panel of a few columns, a packed lower triangle and a few full
+rows, about half of a dense block.  ARPACK takes the leading multipliers
+from products with these parts and with the interpolation rows.
 
 As the delay grows, most multipliers condense onto the asymptotic
 continuous spectrum, the closed curve ``mu^k = kappa e^{i omega
@@ -124,7 +128,10 @@ class FloquetSet:
     Attributes
     ----------
     multipliers : ndarray of complex
-        Sorted by modulus, descending; closed under conjugation.
+        Sorted by modulus, descending, then by real and by imaginary
+        part, descending.  Closed under conjugation except at the cut:
+        where the conjugate of the last multiplier falls beyond the ``m``
+        returned, the last one is the member with positive imaginary part.
     N : int
         Number of history nodes used by the discretization.
     trivial : complex
@@ -138,9 +145,9 @@ class FloquetSet:
         wall seconds of the march and of the eigen-solve (``march_s``,
         ``eig_s``), the eigen method (``"arpack"`` or ``"dense"``), how
         many eigenvalues it ``converged``, how many products with the
-        map it made (``matvecs``, 0 for ``"dense"``), and the
-        ``trivial_defect`` ``|trivial - 1|``.  Not part of equality or of
-        the output.
+        map it made (``matvecs``, 0 for ``"dense"``), the bytes the
+        operator holds (``map_bytes``), and the ``trivial_defect``
+        ``|trivial - 1|``.  Not part of equality or of the output.
     """
 
     multipliers: np.ndarray
@@ -190,38 +197,73 @@ def _cubic_stencils(s: np.ndarray, n_nodes: int, spacing: float):
 
 @dataclass(frozen=True)
 class _PeriodMap:
-    """The discretized period map, stored as two blocks.
+    """The discretized period map, stored by its causal structure.
 
     The first ``n_shift`` rows are the new history nodes that still lie
     in the initial history (``T + theta_j < 0``, only when ``T < tau``):
     row ``j`` is the cubic stencil ``shift_w[j]`` at columns
     ``shift_idx[j]``.  The other rows come from the march, which reads
-    only the columns ``cols``; ``block`` holds them on those columns.
+    only the columns ``cols``: the first ``H`` history nodes and ``I``,
+    ``G``, ``Q`` at the last node.  Only ``I`` is delayed, so history
+    node ``theta_j`` is first read at ``t = theta_j + tau``: marched row
+    ``r`` is zero right of column ``r + b``, save the three last-node
+    columns.  The marched rows are stored in three parts:
+
+    * ``panel``, the first ``K = H - b`` rows on the first ``b`` columns
+      and the three last-node columns;
+    * ``tri``, the same rows on the columns ``b .. H - 1``, a lower
+      triangle packed row by row (row ``r`` holds columns ``b .. b + r``);
+    * ``tail``, the remaining rows on all of ``cols``.
 
     ``shape``, ``dtype`` and ``matvec`` make it an operator for ARPACK;
-    ``np.asarray`` assembles the dense matrix.
+    ``np.asarray`` assembles the dense matrix, and ``nbytes`` is what the
+    operator holds.
     """
 
     shift_idx: np.ndarray
     shift_w: np.ndarray
     cols: np.ndarray
-    block: np.ndarray
+    panel: np.ndarray
+    tri: np.ndarray
+    tail: np.ndarray
     dtype = np.dtype(float)
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = len(self.shift_w) + len(self.block)
+        n = len(self.shift_w) + len(self.panel) + len(self.tail)
         return n, n
 
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.shift_idx, self.shift_w, self.cols,
+                                      self.panel, self.tri, self.tail))
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        shifted = (self.shift_w * x[self.shift_idx]).sum(axis=1)
-        return np.concatenate([shifted, self.block @ x[self.cols]])
+        # imported here: scipy.linalg adds about 0.2 s to the package import
+        from scipy.linalg.blas import dtpmv
+
+        n_shift, (K, width) = len(self.shift_w), self.panel.shape
+        b = width - 3
+        y = np.empty(self.shape[0])
+        y[:n_shift] = (self.shift_w * x[self.shift_idx]).sum(axis=1)
+        head = y[n_shift:n_shift + K]
+        if K:
+            # packed lower by rows is packed upper by columns: L x = U^T x
+            head[:] = dtpmv(K, self.tri, x[b:b + K], lower=0, trans=1)
+        head += self.panel @ np.concatenate((x[:b], x[-3:]))
+        y[n_shift + K:] = self.tail @ x[self.cols]
+        return y
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        n_shift = len(self.shift_w)
+        n_shift, (K, width) = len(self.shift_w), self.panel.shape
+        b = width - 3
         M = np.zeros(self.shape, dtype=dtype)
         np.put_along_axis(M[:n_shift], self.shift_idx, self.shift_w, axis=1)
-        M[n_shift:, self.cols] = self.block
+        marched = M[n_shift:]
+        marched[:K, np.concatenate((self.cols[:b], self.cols[-3:]))] = self.panel
+        r, c = np.tril_indices(K)
+        marched[r, b + c] = self.tri
+        marched[K:, self.cols] = self.tail
         return M
 
 
@@ -238,8 +280,9 @@ def monodromy_multipliers(
     unknowns the map is block lower-triangular, and its interior
     ``G``/``Q`` block only shifts values to later nodes (the period spans
     three or more node spacings), so it adds nothing but zero
-    multipliers.  The map is kept as two blocks (see the module notes),
-    and ARPACK finds the multipliers from products with them.
+    multipliers.  The map is kept in its causal parts (see the module
+    notes and ``_PeriodMap``), and ARPACK finds the multipliers from
+    products with them.
 
     Parameters
     ----------
@@ -309,6 +352,7 @@ def monodromy_multipliers(
         "eig_method": method,
         "converged": converged,
         "matvecs": matvecs,
+        "map_bytes": op.nbytes,
         "trivial_defect": abs(trivial - 1.0),
     }
     return FloquetSet(mults, N, trivial, orbit.period, diagnostics)
@@ -330,7 +374,9 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     and one windowed add.  Only steps that look up ``t - tau > 0``
     (``k = 1`` orbits) read stored march rows of ``I`` and ``I'``, which
     are Hermite-interpolated across a step.  ``I'`` is evaluated only at
-    the nodes that bracket an output sample or get stored.
+    the nodes that bracket an output sample or get stored.  Each
+    sampled row goes straight into its part of the map: the march never
+    holds the dense block.
     """
     params = orbit.params
     tau = params.tau
@@ -371,16 +417,39 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     # (reach <= N - 4, so only N - 1 can be in both parts).
     cols = np.concatenate([np.arange(min(reach + 4, N - 1)), [N - 1, N, N + 1]])
     n_cols = len(cols)
+    n_front = n_cols - 3  # the history columns
     i_last, g_last, q_last = np.searchsorted(cols, [N - 1, N, N + 1])
 
     # New history nodes T + theta_j that still lie in the initial
-    # history are stencil rows; the march samples the others.  Their
-    # block is the largest array, so it is allocated first: a size too
-    # large to hold fails here, before the history windows, the stencils
-    # and the sample weights are built.
+    # history are stencil rows; the march samples the others, rows
+    # first[i] .. first[i + 1] - 1 in the step (t_{i-1}, t_i] of node i.
     out_times = T + (-tau + spacing * np.arange(N))
     n_shift = int(np.count_nonzero(out_times < 0.0))
-    block = np.empty((N + 2 - n_shift, n_cols))
+    sampled = out_times[n_shift:]
+    first = np.zeros(n_steps + 2, dtype=int)
+    first[1:] = np.searchsorted(sampled, t_nodes + 1e-12 * np.maximum(1.0, t_nodes), side="right")
+    if first[-1] < len(sampled):
+        raise NumericalError("internal sampling walk failed to fill the period map")
+
+    # The history columns read by node i end before front[i]: a step's
+    # stencils enter the state at its end, and a node's start stencil
+    # enters I' there.  Stored-row lookups (t - tau > 0) read rows behind
+    # the march, whose columns are counted already.  So row r is zero
+    # from column r + b + 1 on, save the last-node columns, and the
+    # marched rows split into the panel, the triangle and the tail of
+    # _PeriodMap.  Their storage is the largest array, so it is
+    # allocated first: a size too large to hold fails here, before the
+    # history windows, the stencils and the sample weights are built.
+    reads = np.where(lags[0] <= 0.0, stencils[0][0] + 4, 0)
+    for c in (1, 2):
+        np.maximum(reads[1:], np.where(lags[c] <= 0.0, stencils[c][0] + 4, 0), out=reads[1:])
+    front = np.minimum(np.maximum.accumulate(reads), n_front)
+    has_rows = first[1:] > first[:-1]
+    b = int(np.clip((front - first[:-1] - 1)[has_rows].max(), 0, n_front))
+    K = n_front - b
+    tri = np.empty(K * (K + 1) // 2)
+    panel = np.empty((K, b + 3))
+    tail = np.empty((N + 2 - n_shift - K, n_cols))
 
     Y = np.zeros((3, n_cols))
     Y[0, g_last] = Y[1, q_last] = Y[2, i_last] = 1.0
@@ -390,12 +459,16 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     # Each sampled node lies in the step (t_{i-1}, t_i] of its node at[j],
     # and is the cubic Hermite interpolant of I and I' at the two ends.
     shift_j0, shift_w = _cubic_stencils(out_times[:n_shift] + tau, N, spacing)
-    sampled = out_times[n_shift:]
-    at = np.searchsorted(t_nodes + 1e-12 * np.maximum(1.0, t_nodes), sampled)
-    if at[-1] > n_steps:
-        raise NumericalError("internal sampling walk failed to fill the period map")
+    at = np.repeat(np.arange(n_steps + 1), np.diff(first))
     sample_w = _hermite_weights(np.clip((sampled - (t_nodes[at] - h)) / h, 0.0, 1.0), h)
-    first = np.searchsorted(at, np.arange(n_steps + 2))
+
+    def store(r: int, row: np.ndarray) -> None:
+        """Marched row r, given on cols, into its part of the map."""
+        if r < K:
+            panel[r, :b], panel[r, b:] = row[:b], row[n_front:]
+            tri[r * (r + 1) // 2:(r + 1) * (r + 2) // 2] = row[b:b + r + 1]
+        else:
+            tail[r - K] = row
 
     # Stored I and I' rows at past march nodes, needed only when t - tau
     # lands in the computed part (k = 1 orbits).
@@ -427,8 +500,9 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
             ends[3] += lookup(0, i)
             if i < n_stored:
                 stored[i] = ends[2:]
-            if first[i] < first[i + 1]:
-                block[first[i]:first[i + 1]] = sample_w[first[i]:first[i + 1]] @ ends
+            if has_rows[i]:
+                for r, row in enumerate(sample_w[first[i]:first[i + 1]] @ ends, first[i]):
+                    store(r, row)
         if i == n_steps:
             break
         if i < n_hist:
@@ -437,8 +511,8 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
         else:
             Y = np.dot(P[i], Y) + inj[i - n_hist] @ np.stack([lookup(c, i) for c in range(3)])
 
-    block[-2:] = Y[:2]  # the march ends at t = T, the last node
-    return _PeriodMap(shift_j0[:, None] + np.arange(4), shift_w, cols, block)
+    tail[-2:] = Y[:2]  # the march ends at t = T, the last node
+    return _PeriodMap(shift_j0[:, None] + np.arange(4), shift_w, cols, panel, tri, tail)
 
 
 def _history_windows(stencils, inj: np.ndarray, kap: float, n_cols: int):
@@ -564,8 +638,15 @@ def _leading_eigs(M, m: int) -> tuple[np.ndarray, str, int, int]:
                 "requested multipliers; only those are returned",
                 stacklevel=3,
             )
+    converged = len(vals)
     order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
-    return vals[order][:m], method, len(vals), matvecs
+    vals = vals[order][:m]
+    # A conjugate pair cut at the m-th place keeps its +imag member, as
+    # the order above does where both members were computed; ARPACK may
+    # have returned the other one.
+    if vals[-1].imag < 0.0 and not (len(vals) > 1 and vals[-2] == vals[-1].conjugate()):
+        vals[-1] = vals[-1].conjugate()
+    return vals, method, converged, matvecs
 
 
 @dataclass(frozen=True)

@@ -728,6 +728,15 @@ def scan_kappa_min(
     bisection's final cells: for an oracle monotone in kappa the result
     is bisection's, bit for bit.
 
+    The lower end is checked first: one decaying run, and a bracket whose
+    lower end sustains fails at once.  The upper end is classified last,
+    and only if no tested kappa sustained: under the monotone oracle
+    that bisection assumes, a sustained kappa below ``hi`` implies that
+    ``hi`` sustains.  A bracket whose upper end decays thus fails after
+    the search, and an upper end that would not sustain (cw-like output
+    above the transcritical point, say) goes untested when a kappa
+    inside the bracket sustains.
+
     Parameters
     ----------
     params : ModelParams
@@ -736,7 +745,8 @@ def scan_kappa_min(
         Delay at which to scan, > 0.
     kappa_bracket : (float, float)
         ``(lo, hi)`` with lo < hi; lo must classify as not sustained
-        and hi as sustained.
+        and hi as sustained (``hi`` is run only when no kappa inside the
+        bracket sustains).
     tol : float
         Width of the final bracket, > 0.
 
@@ -770,8 +780,7 @@ def scan_kappa_min(
 
     if sustained(lo):
         raise InvalidArgumentError("lower bracket endpoint already sustains a train")
-    if not sustained(hi):
-        raise InvalidArgumentError("upper bracket endpoint does not sustain a train")
+    top = hi
     credit = 1  # one plus the runs saved minus the runs wasted
     while splits(lo, hi):
         mid = 0.5 * (lo + hi)
@@ -787,4 +796,7 @@ def scan_kappa_min(
             hi = mid
         else:
             lo = mid
+    # a tested kappa that sustains implies that the upper end does
+    if hi == top and not sustained(hi):
+        raise InvalidArgumentError("upper bracket endpoint does not sustain a train")
     return 0.5 * (lo + hi)

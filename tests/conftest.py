@@ -75,7 +75,7 @@ def floquet_sets(orbits):
 
 @pytest.fixture(scope="session")
 def period_maps(orbits, floquet_sets):
-    """Two-block period map of each session orbit, at the node count of its
+    """Period map of each session orbit, at the node count of its
     multipliers, and the map's leading eigenvalues at machine precision."""
     out = {}
     for key, orbit in orbits.items():

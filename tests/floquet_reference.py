@@ -1,7 +1,7 @@
 """Reference period maps, dense, as the library built them before.
 
 Test-only code: the differential tests in ``test_floquet.py`` compare
-:func:`yamada_delay.monodromy_multipliers` and its two-block operator
+:func:`yamada_delay.monodromy_multipliers` and its causal-part operator
 against these functions.
 
 * :func:`reduced_period_map` assembles the dense ``(N+2) x (N+2)`` map on

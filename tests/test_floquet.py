@@ -59,7 +59,7 @@ class TestConstantOrbitOracle:
     def test_semigroup_with_stencil_rows_reading_stencil_rows(self):
         # T < tau/2: a new node that still lies in the initial history
         # reads nodes that are themselves stencil rows; m < n - 2 takes
-        # the ARPACK route through the two blocks
+        # the ARPACK route through the stored parts of the map
         p = preset("figure1", kappa=0.2, tau=10.0)
         T = 3.0
         traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 20.0)
@@ -109,6 +109,7 @@ class TestConstantOrbitOracle:
         assert d["eig_method"] == "arpack" and d["converged"] == 12
         assert 0 < d["matvecs"] <= 2 * 12 + 2
         assert d["trivial_defect"] == abs(fs.trivial - 1.0)
+        assert d["map_bytes"] == op.nbytes
         # the default output carries none of it
         assert set(fs.to_json_obj()) == {"multipliers", "N", "trivial", "period"}
         with pytest.warns(UserWarning):
@@ -228,7 +229,8 @@ class TestStepMaps:
 
 
 class TestTwoBlockPeriodMap:
-    """The two-block operator against the dense (N+2)-unknown reference map."""
+    """The operator (interpolation rows plus the causal parts of the
+    marched rows) against the dense (N+2)-unknown reference map."""
 
     @pytest.fixture(scope="class")
     def orbit30(self):
@@ -237,7 +239,7 @@ class TestTwoBlockPeriodMap:
 
     @pytest.fixture(scope="class")
     def cases(self, orbit30, orbits, floquet_sets, period_maps):
-        """(k, tau) -> (multipliers, two-block operator, dense reference map)."""
+        """(k, tau) -> (multipliers, operator, dense reference map)."""
         fs30 = monodromy_multipliers(orbit30)
         out = {(1, 30.0): (fs30, _period_map(orbit30, fs30.N, 0.05), reduced_period_map(orbit30))}
         out.update({key: (floquet_sets[key], period_maps[key][0], reduced_period_map(orbit))
@@ -262,14 +264,55 @@ class TestTwoBlockPeriodMap:
         assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max()
 
     def test_impossible_size_fails_before_the_march(self, orbits, monkeypatch):
-        # the block (727 TiB here) is allocated as soon as its shape is
-        # known, before the history windows and the other N-long arrays
+        # the packed triangle (364 TiB here) is allocated as soon as its
+        # shape is known, before the history windows and the sample weights
         def built(*args):
             raise AssertionError("history windows built before the block was allocated")
 
         monkeypatch.setattr(floquet, "_history_windows", built)
         with pytest.raises(MemoryError):
             _period_map(orbits[(1, 200.0)], 10_000_000, 0.05)
+
+    def test_matvec_matches_assembled_map(self, cases):
+        # the packed triangle's product against the dense product of the
+        # same entries: only the order of the sums differs
+        rng = np.random.default_rng(8)
+        for key, (fs, op, M) in cases.items():
+            dense = np.asarray(op)
+            for x in rng.standard_normal((3, len(M))):
+                want = dense @ x
+                assert np.abs(op.matvec(x) - want).max() <= 1e-14 * np.abs(want).max(), key
+
+    def test_zero_right_of_front(self, cases):
+        # the reference march knows nothing of the layout: each marched row
+        # of it and of the assembled map is exactly zero right of the same
+        # front, save the last-node columns, and the offset b is the least
+        # for which that holds
+        for key, (fs, op, M) in cases.items():
+            n_shift, (K, width) = len(op.shift_w), op.panel.shape
+            b = width - 3
+            last = [np.array([np.flatnonzero(row).max() for row in A[n_shift:, :-3]])
+                    for A in (M, np.asarray(op))]
+            assert np.array_equal(last[0], last[1]), key
+            assert (last[0][:K] <= b + np.arange(K)).all(), key
+            assert (last[0][:K] - np.arange(K)).max() == b, key
+            assert (last[0] <= len(op.cols) - 4).all(), key
+
+    def test_stored_bytes(self, period_maps, floquet_sets):
+        # about half of the dense block of marched rows on marched columns
+        for key, (op, _) in period_maps.items():
+            block = (op.shape[0] - len(op.shift_w)) * len(op.cols) * 8
+            assert op.nbytes <= 0.55 * block, key
+            assert floquet_sets[key].diagnostics["map_bytes"] == op.nbytes, key
+
+    def test_map_at_node_cap(self):
+        # N = 4000 with T > tau, so every row is marched: the dense map
+        # would take 128 MB
+        p = preset("figure1", kappa=0.1, tau=1000.0)
+        traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 1010.0)
+        op = _period_map(PeriodicOrbit(traj, 1003.0, 1, p, traj.t1, 0.0), 4000, 0.05)
+        assert op.shape == (4002, 4002) and len(op.shift_w) == 0
+        assert op.nbytes <= 70e6
 
     def test_stencil_rows_and_marched_columns(self, cases):
         # k = 2 (T < tau): about half the rows are stencils and the march
@@ -282,18 +325,36 @@ class TestTwoBlockPeriodMap:
                 assert 0.45 * n < len(op.shift_w) < 0.55 * n
                 assert len(op.cols) < 0.55 * n
 
-    def test_multipliers_match_dense_map_route(self, cases):
-        # the eigen route of the dense map: eigvals up to 1000 unknowns,
-        # ARPACK at machine precision on the dense array above
+    @pytest.fixture(scope="class")
+    def dense_route(self, cases):
+        """(k, tau) -> the 200 leading eigenvalues of the dense reference
+        map, in the documented order: eigvals up to 1000 unknowns, ARPACK
+        at machine precision above.  ARPACK computes 201, so that a
+        conjugate pair cut at the 200th place is computed whole."""
+        out = {}
         for key, (fs, op, M) in cases.items():
             if len(M) > 1000:
-                ref = arpack_reference(M)
+                vals = arpack_reference(M, m=201)
             else:
                 vals = np.linalg.eigvals(M)
-                ref = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))][:200]
+            out[key] = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))][:200]
+        return out
+
+    def test_multipliers_match_dense_map_route(self, cases, dense_route):
+        for key, (fs, op, M) in cases.items():
+            ref = dense_route[key]
             assert set_distance(fs.multipliers, ref) <= 1e-10, key
             ref_trivial = ref[np.argmin(np.abs(ref - 1.0))]
             assert abs(abs(fs.trivial - 1.0) - abs(ref_trivial - 1.0)) <= 1e-10, key
+
+    def test_cut_keeps_positive_member_of_split_pair(self, cases, dense_route):
+        # on the session orbits the 200th and 201st multipliers form one
+        # conjugate pair; the documented order keeps its +imag member,
+        # whichever member ARPACK returned
+        for key, (fs, op, M) in cases.items():
+            assert abs(fs.multipliers[-1] - dense_route[key][-1]) <= 1e-10, key
+            if key[1] >= 200.0:
+                assert fs.multipliers[-1].imag > 0.0, key
 
 
 class TestEigenStoppingRule:
@@ -336,6 +397,19 @@ class TestLeadingEigs:
             vals, method, converged, matvecs = _leading_eigs(np.zeros((1001, 1001)), 200)
         assert len(vals) == converged == 60 and method == "arpack"
         assert matvecs == 0  # the stand-in made no product
+
+    @pytest.mark.parametrize("found, want", [
+        ([0.9, 0.5 - 0.1j], [0.9, 0.5 + 0.1j]),  # the pair cut: +imag kept
+        ([0.5 - 0.1j, 0.5 + 0.1j], [0.5 + 0.1j, 0.5 - 0.1j]),  # both kept
+        ([0.9, 0.5 + 0.1j], [0.9, 0.5 + 0.1j]),
+        ([0.9, -0.5], [0.9, -0.5]),
+    ])
+    def test_split_pair_at_the_cut(self, monkeypatch, found, want):
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs",
+                            lambda M, k, **kwargs: np.array(found, dtype=complex))
+        vals, method, converged, _ = _leading_eigs(np.zeros((50, 50)), 2)
+        assert method == "arpack" and converged == 2
+        assert vals.tolist() == want
 
     def test_too_few_converged_raises(self, monkeypatch):
         self.stall_arpack(monkeypatch, 5)

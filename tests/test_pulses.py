@@ -29,6 +29,7 @@ from yamada_delay import (
 )
 from yamada_delay import pulses
 from yamada_delay.pulses import (
+    CW_LIKE,
     DECAY,
     INTERVAL_CV_TOL,
     MIN_THRESHOLD,
@@ -145,9 +146,9 @@ class TestPeakSearch:
             assert stats.threshold == max(THRESHOLD_FRAC * peak, MIN_THRESHOLD)
 
     def test_scan_oracle_runs(self, kappa_scans):
-        # the 7 classification runs of each onset scan, as in the benchmark
+        # the 6 classification runs of each onset scan, as in the benchmark
         _, peaks = kappa_scans
-        assert len(peaks) == 14
+        assert len(peaks) == 12
         for peak, reference in peaks:
             assert peak == reference
 
@@ -362,13 +363,16 @@ class TestFeedbackOnset:
         assert kappa_onsets[400.0] <= kappa_onsets[200.0] + 5e-4
 
     @staticmethod
-    def stub_oracle(monkeypatch):
+    def stub_oracle(monkeypatch, cw_above=math.inf):
         """Replace the integrating oracle by one that sustains above 0.0061
-        and records the kappa of every call."""
+        (up to ``cw_above``, where it reports cw-like output) and records
+        the kappa of every call."""
         seen = []
 
         def oracle(p, history, t_end, control=None):
             seen.append(p.kappa)
+            if p.kappa > cw_above:
+                return SimpleNamespace(classification=CW_LIKE)
             sustained = p.kappa > 0.0061
             return SimpleNamespace(classification=SUSTAINED_TRAIN if sustained else DECAY)
 
@@ -379,14 +383,15 @@ class TestFeedbackOnset:
         "bracket, tol, calls, onset",
         [
             # bisection's six halvings leave hi - lo = 2.500000000000002e-4
-            # > tol; five runs after the endpoint checks reach that cell
-            ((0.004, 0.02), 2.5e-4, 7, 0.006125),
-            ((0.0, 1.0), 0.125, 4, 0.0625),
-            ((0.0, 1.0), 0.1, 4, 0.03125),
+            # > tol; five runs after the lower-end check reach that cell
+            ((0.004, 0.02), 2.5e-4, 6, 0.006125),
+            ((0.0, 1.0), 0.125, 3, 0.0625),
+            ((0.0, 1.0), 0.1, 3, 0.03125),
         ],
     )
     def test_oracle_calls(self, monkeypatch, bracket, tol, calls, onset):
-        # two endpoint checks plus the runs of the lower-half-first search
+        # the lower-end check plus the runs of the lower-half-first search;
+        # a sustained run inside the bracket settles the upper end
         seen = self.stub_oracle(monkeypatch)
         assert scan_kappa_min(preset("figure1"), 10.0, bracket, tol) == onset
         assert len(seen) == calls
@@ -395,11 +400,42 @@ class TestFeedbackOnset:
         # bisection tests 0.012, 0.008, 0.006, 0.007, 0.0065, 0.00625 after
         # the endpoints, five of them sustained; the search skips 0.012 and
         # 0.007, whose lower-half midpoints sustain, and wastes a run on
-        # 0.005, since the midpoint 0.006 above it decays as well
+        # 0.005, since the midpoint 0.006 above it decays as well; 0.008
+        # sustains, so the upper end 0.02 is never run
         seen = self.stub_oracle(monkeypatch)
         scan_kappa_min(preset("figure1"), 10.0, (0.004, 0.02), 2.5e-4)
-        want = [0.004, 0.02, 0.008, 0.005, 0.006, 0.0065, 0.00625]
+        want = [0.004, 0.008, 0.005, 0.006, 0.0065, 0.00625]
         assert seen == pytest.approx(want, rel=1e-12)
+
+    def test_sustaining_lower_end_fails_at_once(self, monkeypatch):
+        seen = self.stub_oracle(monkeypatch)
+        with pytest.raises(InvalidArgumentError, match="lower bracket endpoint"):
+            scan_kappa_min(preset("figure1"), 10.0, (0.007, 0.02), 1e-3)
+        assert seen == [0.007]
+
+    def test_decaying_upper_end_fails_after_the_search(self, monkeypatch):
+        # nothing inside the bracket sustains, so the upper end is run last
+        seen = self.stub_oracle(monkeypatch)
+        with pytest.raises(InvalidArgumentError, match="upper bracket endpoint"):
+            scan_kappa_min(preset("figure1"), 10.0, (0.001, 0.005), 1e-3)
+        assert seen == pytest.approx([0.001, 0.002, 0.003, 0.004, 0.005], rel=1e-12)
+
+    @pytest.mark.parametrize("bracket, tol", [((0.004, 0.02), 2.5e-4), ((0.0, 1.0), 1e-3),
+                                              ((0.006, 0.0062), 1e-5)])
+    def test_upper_end_not_run_once_a_kappa_sustains(self, monkeypatch, bracket, tol):
+        seen = self.stub_oracle(monkeypatch)
+        scan_kappa_min(preset("figure1"), 10.0, bracket, tol)
+        assert bracket[1] not in seen and max(seen) > 0.0061
+
+    def test_upper_end_beyond_the_train_range(self, monkeypatch):
+        # documented: a monotone oracle is assumed, and the upper end is
+        # classified only when nothing inside the bracket sustains, so a
+        # cw-like upper end (above the transcritical kappa = 0.3) does not
+        # abort a scan that finds the onset inside the bracket
+        seen = self.stub_oracle(monkeypatch, cw_above=0.3)
+        onset = scan_kappa_min(preset("figure1"), 10.0, (0.004, 0.5), 1e-4)
+        assert abs(onset - 0.0061) <= 1e-4
+        assert 0.5 not in seen and max(seen) <= 0.3
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -410,9 +446,10 @@ class TestFeedbackOnset:
         tol = min(hi - lo, 10.0 ** data.draw(st.floats(-20.0, math.log10(hi - lo))))
         onset = data.draw(st.floats(lo, hi, exclude_max=True))
 
-        seen, ref = [], []
+        seen, kappas, ref = [], [], []
 
         def oracle(p, history, t_end, control=None):
+            kappas.append(p.kappa)
             seen.append(p.kappa > onset)
             return SimpleNamespace(classification=SUSTAINED_TRAIN if seen[-1] else DECAY)
 
@@ -426,9 +463,14 @@ class TestFeedbackOnset:
             got = scan_kappa_min(preset("figure1"), 10.0, (lo, hi), tol)
         want_lo, want_hi = bisect_kappa_min(reference, (lo, hi), tol)
         assert got == 0.5 * (want_lo + want_hi)
-        # bisection's runs plus its two endpoint checks, of which hi sustains
-        assert len(seen) <= len(ref) + 2 + 1
-        assert sum(seen) <= sum(ref) + 1
+        # the upper end is run last, and only when nothing inside sustained
+        hi_runs = kappas.count(hi)
+        assert kappas[0] == lo and hi_runs == (not any(seen[1:len(seen) - hi_runs]))
+        assert hi not in kappas[:-1]
+        # bisection's runs plus the lower-end check, plus the upper end
+        # where it was run
+        assert len(seen) <= len(ref) + 1 + 1 + hi_runs
+        assert sum(seen) <= sum(ref) + hi_runs
 
     def test_tolerance_below_float_spacing_ends(self, monkeypatch):
         # the bracket stops shrinking at adjacent floats; the scan must
