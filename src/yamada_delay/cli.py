@@ -183,35 +183,33 @@ class _TrajectoryPayload:
     def to_json_obj(self):
         ts, ys = self.traj.sample(self.dt)
         return {
-            "t": [_io.jnum(v) for v in ts],
-            "G": [_io.jnum(v) for v in ys[:, 0]],
-            "Q": [_io.jnum(v) for v in ys[:, 1]],
-            "I": [_io.jnum(v) for v in ys[:, 2]],
+            "t": _io.jlist(ts),
+            "G": _io.jlist(ys[:, 0]),
+            "Q": _io.jlist(ys[:, 1]),
+            "I": _io.jlist(ys[:, 2]),
             "params": _io.params_json(self.traj.params),
         }
 
     def csv_rows(self):
         ts, ys = self.traj.sample(self.dt)
-        rows = [[float(t), float(g), float(q), float(i)] for t, (g, q, i) in zip(ts, ys)]
-        return ["t", "G", "Q", "I"], rows
+        return ["t", "G", "Q", "I"], _io.columns_to_rows(ts, ys[:, 0], ys[:, 1], ys[:, 2])
 
 
 class _HopfPayload:
+    FIELDS = ("omega", "kappa", "tau", "branch_index", "residual")
+
     def __init__(self, points):
         self.points = points
 
+    def columns(self) -> list[np.ndarray]:
+        return [np.array([getattr(p, f) for p in self.points]) for f in self.FIELDS]
+
     def to_json_obj(self):
-        return {"points": [
-            {"omega": _io.jnum(p.omega), "kappa": _io.jnum(p.kappa), "tau": _io.jnum(p.tau),
-             "branch_index": int(p.branch_index), "residual": _io.jnum(p.residual)}
-            for p in self.points
-        ]}
+        columns = [_io.jlist(c) for c in self.columns()]
+        return {"points": [dict(zip(self.FIELDS, row)) for row in zip(*columns)]}
 
     def csv_rows(self):
-        header = ["omega", "kappa", "tau", "branch_index", "residual"]
-        rows = [[float(p.omega), float(p.kappa), float(p.tau), int(p.branch_index),
-                 float(p.residual)] for p in self.points]
-        return header, rows
+        return list(self.FIELDS), _io.columns_to_rows(*self.columns())
 
 
 class _SpectrumPayload:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._io import jnum
+from ._io import columns_to_rows, jlist, jnum
 from .errors import InvalidArgumentError, NumericalError, SingularParameterError
 from .integrator import Trajectory
 from .model import M1_ENTRIES, ModelParams, m1_entries
@@ -146,8 +146,9 @@ class FloquetSet:
         ``eig_s``), the eigen method (``"arpack"`` or ``"dense"``), how
         many eigenvalues it ``converged``, how many products with the
         map it made (``matvecs``, 0 for ``"dense"``), the bytes the
-        operator holds (``map_bytes``), and the ``trivial_defect``
-        ``|trivial - 1|``.  Not part of equality or of the output.
+        operator holds (``map_bytes``), the step the march took
+        (``march_step``), and the ``trivial_defect`` ``|trivial - 1|``.
+        Not part of equality or of the output.
     """
 
     multipliers: np.ndarray
@@ -166,15 +167,17 @@ class FloquetSet:
 
     def to_json_obj(self) -> dict:
         return {
-            "multipliers": [jnum(m) for m in self.multipliers],
+            "multipliers": jlist(self.multipliers),
             "N": int(self.N),
             "trivial": jnum(self.trivial),
             "period": jnum(self.period),
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        rows = [[float(m.real), float(m.imag), float(abs(m))] for m in self.multipliers]
-        return ["mu_re", "mu_im", "modulus"], rows
+        mu = self.multipliers
+        # hypot, not np.abs, which rounds differently from abs() of one complex
+        return ["mu_re", "mu_im", "modulus"], columns_to_rows(mu.real, mu.imag,
+                                                              np.hypot(mu.real, mu.imag))
 
 
 def _cubic_stencils(s: np.ndarray, n_nodes: int, spacing: float):
@@ -297,7 +300,10 @@ def monodromy_multipliers(
         Number of leading multipliers to return (default 200), >= 1.
     step : float, optional
         Target step of the fixed-step variational march, positive and
-        finite.
+        finite.  The march takes ``max(ceil(T / step), floor(T / tau) +
+        1)`` equal steps over the period ``T``, so its step stays below
+        the delay and every delayed lookup reads the history or rows the
+        march has written.
 
     Returns
     -------
@@ -353,6 +359,7 @@ def monodromy_multipliers(
         "converged": converged,
         "matvecs": matvecs,
         "map_bytes": op.nbytes,
+        "march_step": orbit.period / _march_steps(orbit.period, tau, step),
         "trivial_defect": abs(trivial - 1.0),
     }
     return FloquetSet(mults, N, trivial, orbit.period, diagnostics)
@@ -384,7 +391,7 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     spacing = tau / (N - 1)
     kap = params.kappa
 
-    n_steps = max(1, int(math.ceil(T / step)))
+    n_steps = _march_steps(T, tau, step)
     h = T / n_steps
 
     # M1 along the orbit at nodes and midpoints of the march grid, and the
@@ -513,6 +520,13 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
 
     tail[-2:] = Y[:2]  # the march ends at t = T, the last node
     return _PeriodMap(shift_j0[:, None] + np.arange(4), shift_w, cols, panel, tri, tail)
+
+
+def _march_steps(T: float, tau: float, step: float) -> int:
+    """Steps of the march over the period ``T``: about ``T / step``, and
+    enough that each is shorter than ``tau``, so that a step's delayed
+    lookups end before the step starts."""
+    return max(math.ceil(T / step), math.floor(T / tau) + 1)
 
 
 def _history_windows(stencils, inj: np.ndarray, kap: float, n_cols: int):
@@ -699,15 +713,16 @@ class ACSCurve:
         return {
             "delta0": jnum(self.delta0),
             "k": int(self.k),
-            "omega": [jnum(w) for w in self.omega],
-            "branches": [[jnum(m) for m in row] for row in self.mu],
+            "omega": jlist(self.omega),
+            "branches": jlist(self.mu),
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
         header = ["omega", "branch", "mu_re", "mu_im", "modulus"]
-        rows = [[float(w), b, float(m.real), float(m.imag), float(abs(m))]
-                for w, branch in zip(self.omega, self.mu) for b, m in enumerate(branch)]
-        return header, rows
+        n, k = len(self.omega), self.k
+        mu = self.mu.ravel()
+        return header, columns_to_rows(np.repeat(self.omega, k), np.tile(np.arange(k), n),
+                                       mu.real, mu.imag, np.hypot(mu.real, mu.imag))
 
 
 def acs(params: ModelParams, delta0: float, k: int, omega_values) -> ACSCurve:

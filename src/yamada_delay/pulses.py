@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._io import jnum, params_json
+from ._io import columns_to_rows, jlist, jnum, params_json
 from .errors import InvalidArgumentError, NoBranchError, NumericalError
 from .integrator import HistorySpec, StepControl, Trajectory, integrate
 from .model import ModelParams
@@ -288,16 +288,16 @@ class PulseTrainStats:
             "n_pulses": len(self.pulse_times),
             "threshold": jnum(self.threshold),
             "horizon": jnum(self.horizon),
-            "pulse_times": [jnum(t) for t in self.pulse_times],
-            "heights": [jnum(h) for h in self.heights],
+            "pulse_times": jlist(self.pulse_times),
+            "heights": jlist(self.heights),
             "params": params_json(self.params),
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
         header = ["pulse_index", "pulse_time", "height", "classification", "k", "period", "delta"]
         train = ["" if x is None else x for x in (self.k, self.period, self.delta)]
-        rows = [[i, float(t), float(h), self.classification, *train]
-                for i, (t, h) in enumerate(zip(self.pulse_times, self.heights))]
+        rows = [[*row, self.classification, *train] for row in columns_to_rows(
+            np.arange(len(self.pulse_times)), self.pulse_times, self.heights)]
         return header, rows or [[0, "", "", self.classification, "", "", ""]]
 
 
@@ -597,17 +597,16 @@ class BranchSample:
         return float(np.interp(tau, self.tau, self.period))
 
     def to_json_obj(self) -> dict:
+        columns = (jlist(self.tau), jlist(self.period), jlist(self.k), jlist(self.delta))
         return {
-            "samples": [{"tau": jnum(t), "period": jnum(p), "k": int(k), "delta": jnum(d)}
-                        for t, p, k, d in zip(self.tau, self.period, self.k, self.delta)],
+            "samples": [{"tau": t, "period": p, "k": k, "delta": d} for t, p, k, d in zip(*columns)],
             "t_min": jnum(self.t_min),
             "aborted_at": None if self.aborted_at is None else jnum(self.aborted_at),
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        rows = [[float(t), float(p), int(k), float(d)]
-                for t, p, k, d in zip(self.tau, self.period, self.k, self.delta)]
-        return ["tau", "period", "k", "delta"], rows
+        return ["tau", "period", "k", "delta"], columns_to_rows(
+            self.tau, self.period, self.k, self.delta)
 
 
 def sweep_tau(

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._io import jnum
+from ._io import columns_to_rows, jlist, jnum
 from .errors import InvalidArgumentError, NumericalError, SingularParameterError
 from .model import ModelParams, State, jacobians, rhs
 
@@ -66,12 +66,17 @@ class SpectrumSet:
         vanishes (a multiple root, e.g. at a double zero).
     window : tuple of float
         ``(re_min, re_max, im_min, im_max)`` searched.
+    diagnostics : dict
+        How the search went: the Newton ``starts``, how many of them
+        ``converged``, the ``roots`` kept in the window and their
+        ``residual_max``.  Not part of equality or of the output.
     """
 
     roots: np.ndarray
     residuals: np.ndarray
     multiple: np.ndarray
     window: tuple[float, float, float, float]
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -84,18 +89,17 @@ class SpectrumSet:
     def to_json_obj(self) -> dict:
         re_min, re_max, im_min, im_max = self.window
         return {
-            "roots": [jnum(z) for z in self.roots],
-            "residuals": [jnum(r) for r in self.residuals],
-            "multiple": [bool(b) for b in self.multiple],
+            "roots": jlist(self.roots),
+            "residuals": jlist(self.residuals),
+            "multiple": jlist(self.multiple),
             "window": {"re_min": jnum(re_min), "re_max": jnum(re_max),
                        "im_min": jnum(im_min), "im_max": jnum(im_max)},
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
         header = ["re", "im", "residual", "multiple"]
-        rows = [[float(z.real), float(z.imag), float(r), bool(b)]
-                for z, r, b in zip(self.roots, self.residuals, self.multiple)]
-        return header, rows
+        return header, columns_to_rows(self.roots.real, self.roots.imag, self.residuals,
+                                       self.multiple)
 
 
 def char_off(lam: complex, params: ModelParams) -> complex:
@@ -296,6 +300,7 @@ def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
             poles, zeros, np.roots(crit), np.linalg.eigvals(m1 + np.diag([0.0, 0.0, kappa])),
             _real_roots(p0, p1, kappa, tau, win[0], win[1])])
         found = []
+        n_starts = n_converged = 0
         if tau != 0.0:
             # the log form on branch j is tau (lambda - a33) + Log g = ell_j, and big_l
             # is log z + 2 pi i j for the real z = tau kappa e^{-tau a33}, which overflows
@@ -311,10 +316,13 @@ def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
                 refined = np.where(np.isfinite(step), refined - step, refined)
             lam, ok = _newton_search(branch_fp, np.concatenate([seeds, refined]), win)
             found = [lam[ok]]
+            n_starts, n_converged = len(ok), int(np.count_nonzero(ok))
             stuck = ~ok[len(seeds):]
             starts = (starts[:, None] + 1j * math.pi / tau * np.arange(-4, 5)).ravel()
         lam, ok = _newton_search(char_fp, starts.astype(complex), win)
         found = np.concatenate(found + [lam[ok]])
+        n_starts += len(ok)
+        n_converged += int(np.count_nonzero(ok))
         if tau != 0.0 and stuck.any():
             # An unconverged branch keeps its refined seed, for the residual
             # check below, unless another start found that branch's root:
@@ -332,7 +340,9 @@ def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
         state = "off-state" if a31 == 0.0 else "lasing-state"  # a31 = I
         raise NumericalError(f"{missed} of {len(roots)} {state} roots in the window miss "
                              f"the residual bound {_RESIDUAL_TOL:g}; narrow the window")
-    return SpectrumSet(roots, resid, np.abs(dz) < 1e-6, win)
+    diagnostics = {"starts": n_starts, "converged": n_converged, "roots": len(roots),
+                   "residual_max": float(resid.max(initial=0.0))}
+    return SpectrumSet(roots, resid, np.abs(dz) < 1e-6, win, diagnostics)
 
 
 def roots_off(params: ModelParams, window) -> SpectrumSet:

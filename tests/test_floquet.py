@@ -76,6 +76,35 @@ class TestConstantOrbitOracle:
         for mu in expected[:6]:
             assert np.abs(fs.multipliers - mu).min() < 1e-3
 
+    def test_delay_shorter_than_the_step(self, monkeypatch):
+        # tau = 0.04 < step = 0.05: the march takes steps shorter than the
+        # delay, so no lookup reads a row it has not written.  Fresh
+        # arrays are filled with NaN to show any such read.
+        p = preset("figure1", kappa=0.2, tau=0.04)
+        T = 3.0
+        traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 20.0)
+        orbit = PeriodicOrbit(traj, T, 1, p, traj.t1, 0.0)
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind in "fc":
+                out.fill(np.nan)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", nan_empty)
+            M = np.asarray(_period_map(orbit, 8, 0.05))
+        assert np.isfinite(M).all()
+        with pytest.warns(UserWarning):
+            fs = monodromy_multipliers(orbit, N=8, m=3)
+        assert fs.diagnostics["march_step"] == T / 76 < p.tau
+        # exp(lambda T) of the off state: its one real root and -gamma_G = -gamma_Q
+        roots = roots_off(p, (-1.0, 0.5, -10.0, 10.0)).roots
+        expected = sorted([math.exp(-p.gamma_G * T), *np.exp(roots.real * T)], reverse=True)
+        assert fs.multipliers.real == pytest.approx(expected, abs=1e-9)
+        assert np.abs(np.linalg.eigvals(M)).max() == pytest.approx(expected[0], abs=1e-9)
+
     @staticmethod
     def constant_orbit():
         p = preset("figure1", kappa=0.2, tau=5.0)
@@ -110,6 +139,7 @@ class TestConstantOrbitOracle:
         assert 0 < d["matvecs"] <= 2 * 12 + 2
         assert d["trivial_defect"] == abs(fs.trivial - 1.0)
         assert d["map_bytes"] == op.nbytes
+        assert d["march_step"] == 3.0 / 60
         # the default output carries none of it
         assert set(fs.to_json_obj()) == {"multipliers", "N", "trivial", "period"}
         with pytest.warns(UserWarning):

@@ -351,6 +351,16 @@ class TestRootsGeneric:
         with pytest.raises(InvalidArgumentError):
             roots_generic(State(3.0, 2.0, 1.0), p, WINDOW)
 
+    def test_diagnostics(self):
+        p = preset("figure1", kappa=0.05, tau=20.0)
+        for spec in (roots_off(p, WINDOW), roots_generic(steady_states(p).q, p, WINDOW)):
+            d = spec.diagnostics
+            assert d["roots"] == len(spec) > 0
+            assert len(spec) <= d["converged"] <= d["starts"]
+            assert d["residual_max"] == spec.residuals.max()
+            # the default output carries none of it
+            assert set(spec.to_json_obj()) == {"roots", "residuals", "multiple", "window"}
+
 
 class TestHopfCurve:
     def test_points_are_roots(self):
