@@ -25,19 +25,6 @@ from typing import IO, Any
 import numpy as np
 
 
-def fmt(x: Any) -> Any:
-    """Full-precision CSV cell for one scalar."""
-    if type(x) is float:
-        return repr(x)
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def jnum(x: Any) -> Any:
     """JSON-safe scalar (complex becomes {re, im}; inf becomes a string)."""
     if isinstance(x, float):
@@ -101,7 +88,7 @@ def params_json(params) -> dict:
 def write_csv(stream: IO[str], header: list[str], rows: list[list]) -> None:
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(header)
-    w.writerows([fmt(c) for c in row] for row in rows)
+    w.writerows(rows)
 
 
 # ------------------------------------------------------------ JSON text

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import _io
+from . import _io, floquet
 from .errors import InvalidArgumentError, NumericalError
 from .floquet import acs, acs_max_modulus, max_pulses, min_stable_delay, monodromy_multipliers
 from .integrator import HistorySpec, StepControl, integrate
@@ -282,6 +282,8 @@ def _run_hopf(ns):
 
 def _run_floquet(ns):
     p = _params_from(ns)
+    # The same checks monodromy_multipliers makes, before the orbit solve.
+    floquet._checked_nodes(p.tau, ns.n_nodes, ns.n_multipliers, ns.step)
     orbit = settle_train(p, k=ns.k, control=_control_from(ns))
     return monodromy_multipliers(orbit, N=ns.n_nodes, m=ns.n_multipliers, step=ns.step)
 

@@ -270,6 +270,22 @@ class _PeriodMap:
         return M
 
 
+def _checked_nodes(tau: float, N: int | None, m: int, step: float) -> int:
+    """The node count of :func:`monodromy_multipliers` once its arguments pass its checks."""
+    if tau <= 0.0:
+        raise InvalidArgumentError("Floquet computation requires tau > 0")
+    # Written so that NaN fails both checks.
+    if not 0.0 < step < math.inf:
+        raise InvalidArgumentError(f"march step must be positive and finite, got {step!r}")
+    if not m >= 1:
+        raise InvalidArgumentError(f"need at least 1 multiplier, got m = {m!r}")
+    if N is None:
+        N = min(4000, int(math.ceil(tau / 0.25)) + 1)
+    if N < 8:
+        raise InvalidArgumentError("need at least 8 history nodes")
+    return N
+
+
 def monodromy_multipliers(
     orbit: PeriodicOrbit,
     N: int | None = None,
@@ -324,17 +340,7 @@ def monodromy_multipliers(
     """
     params = orbit.params
     tau = params.tau
-    if tau <= 0.0:
-        raise InvalidArgumentError("Floquet computation requires tau > 0")
-    # Written so that NaN fails both checks.
-    if not 0.0 < step < math.inf:
-        raise InvalidArgumentError(f"march step must be positive and finite, got {step!r}")
-    if not m >= 1:
-        raise InvalidArgumentError(f"need at least 1 multiplier, got m = {m!r}")
-    if N is None:
-        N = min(4000, int(math.ceil(tau / 0.25)) + 1)
-    if N < 8:
-        raise InvalidArgumentError("need at least 8 history nodes")
+    N = _checked_nodes(tau, N, m, step)
 
     t0 = time.perf_counter()
     op = _period_map(orbit, N, step)

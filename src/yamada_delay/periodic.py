@@ -125,6 +125,9 @@ class PeriodicOrbit:
         the mesh intervals ``L``, the largest collocation ``residual``
         and the wall seconds of the solve (``solve_s``).  Empty for an
         orbit built by hand.  Not part of equality or of the output.
+    dT_dtau : float
+        Slope ``dT / dtau`` of the branch of orbits at fixed ``k``; NaN for
+        an orbit built by hand.  Not part of equality or of the output.
     """
 
     trajectory: Trajectory
@@ -134,6 +137,7 @@ class PeriodicOrbit:
     anchor: float
     residual: float
     diagnostics: dict = field(default_factory=dict, compare=False)
+    dT_dtau: float = field(default=math.nan, compare=False)
 
     def state_many(self, ts) -> np.ndarray:
         """Orbit states at arbitrary times, reduced modulo the period."""
@@ -291,8 +295,8 @@ def solve_periodic(
     xs = guess.evaluate_many(start + length * fine)
     speed = np.sqrt((np.diff(xs, axis=0) ** 2).sum(axis=1)) / np.diff(fine)
     mesh = _Mesh(_equidistributed(fine, np.sqrt(speed), intervals))
-    X, T, steps = _newton(guess.evaluate_many(start + length * mesh.s),
-                          length if period is None else period, level, mesh, params)
+    X, T, steps, slope = _newton(guess.evaluate_many(start + length * mesh.s),
+                                 length if period is None else period, level, mesh, params)
     residuals = _interval_residuals(X, T, mesh, params)
     remeshed = False
     # Written so that NaN fails the check.
@@ -310,7 +314,7 @@ def solve_periodic(
         nodes, val, _ = mesh.at(new.s)
         X = (val[..., None] * X[nodes]).sum(axis=-2)
         mesh, remeshed = new, True
-        X, T, n = _newton(X, T, level, mesh, params)
+        X, T, n, slope = _newton(X, T, level, mesh, params)
         steps += n
         residuals = _interval_residuals(X, T, mesh, params)
 
@@ -323,7 +327,7 @@ def solve_periodic(
         "solve_s": time.perf_counter() - wall0,
     }
     k = max(1, int(round(params.tau / T)))
-    return PeriodicOrbit(traj, T, k, params, traj.t1, residual, diagnostics)
+    return PeriodicOrbit(traj, T, k, params, traj.t1, residual, diagnostics, slope)
 
 
 def _equidistributed(edges: np.ndarray, density: np.ndarray, intervals: int) -> np.ndarray:
@@ -349,7 +353,10 @@ def _newton(X: np.ndarray, T: float, level: float, mesh: _Mesh, p: ModelParams):
     for a three-pulse train lose the pulse (``kappa = 0.008``, ``tau =
     400``).  Close to the orbit every full step is taken.
 
-    Returns the converged ``X``, ``T`` and the number of steps taken.
+    Returns the converged ``X``, ``T``, the number of steps taken and the
+    branch slope ``dT / dtau``, solved with the last factorization: only
+    the delayed point ``s - tau / T`` moves with ``tau``, so ``dF / dtau``
+    is ``h kappa dz/ds`` on the ``I`` rows and zero elsewhere.
     """
     from scipy.sparse.linalg import splu
 
@@ -362,7 +369,8 @@ def _newton(X: np.ndarray, T: float, level: float, mesh: _Mesh, p: ModelParams):
     F, J, norm = equations(X, T)
     for steps in range(1, NEWTON_MAX_STEPS + 1):
         try:
-            du = splu(J).solve(F)
+            lu = splu(J)
+            du = lu.solve(F)
         except RuntimeError as exc:  # an exactly singular Jacobian
             raise NumericalError(f"periodic orbit: singular Newton system ({exc})") from None
         if not np.all(np.isfinite(du)):
@@ -370,7 +378,11 @@ def _newton(X: np.ndarray, T: float, level: float, mesh: _Mesh, p: ModelParams):
         dX, dT = du[:-1].reshape(-1, 3), du[-1]
         size = np.append(np.abs(dX).max(axis=0), abs(dT))
         if (size / scale).max() <= NEWTON_TOL:
-            return X - dX, T - dT, steps
+            d_nodes, _, d_der = mesh.delayed(mesh.gauss, T, p.tau)
+            dz = (d_der * X[d_nodes, 2]).sum(axis=-1)
+            F_tau = np.zeros_like(F)
+            F_tau[2:-1:3] = (mesh.h[:, None] * p.kappa * dz).ravel()  # the I rows
+            return X - dX, T - dT, steps, float(-lu.solve(F_tau)[-1])
         damping = 1.0
         while True:
             X1, T1 = X - damping * dX, T - damping * dT

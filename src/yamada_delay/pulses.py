@@ -276,15 +276,12 @@ class PulseTrainStats:
     horizon: float
 
     def to_json_obj(self) -> dict:
-        def opt(x):
-            return None if x is None else jnum(x)
-
         return {
             "classification": self.classification,
-            "k": opt(self.k),
-            "period": opt(self.period),
-            "delta": opt(self.delta),
-            "interval_cv": opt(self.interval_cv),
+            "k": jnum(self.k),
+            "period": jnum(self.period),
+            "delta": jnum(self.delta),
+            "interval_cv": jnum(self.interval_cv),
             "n_pulses": len(self.pulse_times),
             "threshold": jnum(self.threshold),
             "horizon": jnum(self.horizon),
@@ -488,8 +485,8 @@ def settle_train(
     delay: read modulo the period, a ``k``-pulse train at ``tau`` is the
     one-pulse train at ``d = tau - (k - 1) T(d)`` (reappearance), so the
     one-pulse profile is already close, and only ``T`` needs a good start.
-    It comes from the one-pulse branch ``T(d)``, solved at ``tau0`` and at
-    a delay 1 % shorter for its slope, and followed to ``d`` to first order.
+    It comes from the one-pulse branch ``T(d)``, solved at ``tau0`` with its
+    exact slope ``dT_dtau``, and followed to ``d`` to first order.
     Near the feedback onset the regeneration lag ``T - d`` is about 20
     instead of 3 and changes along the branch: at ``kappa = 0.008``,
     ``tau = 200``, ``k = 2`` the period ``(tau + lag) / k`` with the
@@ -548,16 +545,12 @@ def settle_train(
         return solve_periodic(params, guess, start, train.period, level, span)
     # The k-pulse train at tau is the one-pulse train at d = tau - (k - 1) T(d).
     # Follow the one-pulse branch T(d) from tau0 to that delay to first order,
-    # with its slope from a second solve at a delay 1 % shorter.
+    # with the slope the solve at tau0 returns.
     one = solve_periodic(p0, guess, start, train.period, level, tau0)
-    step = 0.01 * tau0
-    near = solve_periodic(p0.replace(tau=tau0 - step), one.trajectory, 0.0, one.period, level,
-                          tau0, period=one.period - step)
-    slope = (one.period - near.period) / step
-    shift = (params.tau - tau0 - (k - 1) * one.period) / (1.0 + (k - 1) * slope)
+    shift = (params.tau - tau0 - (k - 1) * one.period) / (1.0 + (k - 1) * one.dT_dtau)
     try:
         return solve_periodic(params, one.trajectory, 0.0, one.period, level, span,
-                              period=one.period + slope * shift)
+                              period=one.period + one.dT_dtau * shift)
     except NumericalError as exc:
         raise NoBranchError(f"no {k}-pulse train found at tau = {params.tau:g} from the one-pulse "
                             f"train at the reappearance delay {tau0 + shift:g}: {exc}") from exc

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import yamada_delay
+from yamada_delay import cli
 from yamada_delay.cli import main
 
 
@@ -259,6 +260,20 @@ class TestFloquet:
     def test_bad_march_arguments_rejected(self, capsys, option, value, named):
         err = run_fail(capsys, ["floquet", "--kappa", "0.1", "--tau", "30", option, value], 2)
         assert named in err
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--n-multipliers", "0", "need at least 1 multiplier, got m = 0"),
+        ("--n-nodes", "7", "need at least 8 history nodes"),
+        ("--step", "nan", "march step must be positive and finite, got nan"),
+    ])
+    def test_bad_arguments_rejected_before_the_orbit_solve(self, monkeypatch, capsys, option,
+                                                           value, named):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the orbit was solved")
+
+        monkeypatch.setattr(cli, "settle_train", no_solve)
+        argv = ["floquet", "--kappa", "0.1", "--tau", "400", "--k", "2", option, value]
+        assert named in run_fail(capsys, argv, 2)
 
 
 class TestAcs:
