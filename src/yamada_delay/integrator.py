@@ -478,6 +478,7 @@ def solve_dde(
     # The delayed lookups of a step sit at t + c h, c = c2 .. c6 (stage 7
     # shares stage 6's t + h).
     lags = _C[1:6]
+    c2, c3, c4, c5, c6 = lags
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[1:6]
     b1, _, b3, b4, b5, b6 = _A[6]
     e1, _, e3, e4, e5, e6, e7 = _E
@@ -490,16 +491,33 @@ def solve_dde(
     naccept = 0
     nreject = 0
     facmax = 5.0
+    max_steps = control.max_steps
+    append_t = nodes_t.append
+    extend_y = nodes_y.extend
+    extend_f = nodes_f.extend
+    append_i = col_i.append
+    append_fi = col_fi.append
 
+    # In the loop t >= 0, and each conditional expression evaluates as the
+    # builtin max or min it stands for (``x if x > 1.0 else 1.0`` is
+    # ``max(1.0, x)``), without the call.  A step that would end past the
+    # guard of the next breakpoint ends on it; the guard is computed once
+    # per breakpoint.
+    stop = breaks[0]
+    guard = stop - 1e-12 * (stop if stop > 1.0 else 1.0)
     t_last = t_end - 1e-12 * max(1.0, t_end)
     while t < t_last:
-        while breaks[ibreak] <= t + 1e-12 * max(1.0, t):
-            ibreak += 1
-        stop = breaks[ibreak]
-        h = min(h, hmax)
-        if t + h >= stop - 1e-12 * max(1.0, stop):
+        passed = t + 1e-12 * (t if t > 1.0 else 1.0)
+        if stop <= passed:
+            while breaks[ibreak] <= passed:
+                ibreak += 1
+            stop = breaks[ibreak]
+            guard = stop - 1e-12 * (stop if stop > 1.0 else 1.0)
+        if h > hmax:
+            h = hmax
+        if t + h >= guard:
             h = stop - t
-        if h < 1e-13 * max(1.0, abs(t)):
+        if h < 1e-13 * (t if t > 1.0 else 1.0):
             raise StiffnessError(t)
 
         # The step's five delayed intensities I(t + c h - tau), all before
@@ -507,8 +525,64 @@ def solve_dde(
         # Their times increase with c.  Those up to the handover (s <= 0)
         # come from the history; the first one past it finds its node
         # interval by bisection and the others walk forward from there.
-        # The Hermite arithmetic is _intensity_lookup's, term for term.
-        if delayed:
+        # The Hermite arithmetic is _intensity_lookup's, term for term,
+        # unrolled once all five lie past the handover.
+        s = t + c2 * h - tau
+        if s > 0.0 and delayed:
+            j = bisect_right(nodes_t, s) - 1
+            t0 = nodes_t[j]
+            dt = nodes_t[j + 1] - t0
+            u = (s - t0) / dt
+            om = 1.0 - u
+            z2 = ((1.0 + 2.0 * u) * om * om * col_i[j]
+                  + dt * (u * om * om) * col_fi[j]
+                  + u * u * (3.0 - 2.0 * u) * col_i[j + 1]
+                  + dt * (u * u * (u - 1.0)) * col_fi[j + 1])
+            s = t + c3 * h - tau
+            while nodes_t[j + 1] <= s:
+                j += 1
+            t0 = nodes_t[j]
+            dt = nodes_t[j + 1] - t0
+            u = (s - t0) / dt
+            om = 1.0 - u
+            z3 = ((1.0 + 2.0 * u) * om * om * col_i[j]
+                  + dt * (u * om * om) * col_fi[j]
+                  + u * u * (3.0 - 2.0 * u) * col_i[j + 1]
+                  + dt * (u * u * (u - 1.0)) * col_fi[j + 1])
+            s = t + c4 * h - tau
+            while nodes_t[j + 1] <= s:
+                j += 1
+            t0 = nodes_t[j]
+            dt = nodes_t[j + 1] - t0
+            u = (s - t0) / dt
+            om = 1.0 - u
+            z4 = ((1.0 + 2.0 * u) * om * om * col_i[j]
+                  + dt * (u * om * om) * col_fi[j]
+                  + u * u * (3.0 - 2.0 * u) * col_i[j + 1]
+                  + dt * (u * u * (u - 1.0)) * col_fi[j + 1])
+            s = t + c5 * h - tau
+            while nodes_t[j + 1] <= s:
+                j += 1
+            t0 = nodes_t[j]
+            dt = nodes_t[j + 1] - t0
+            u = (s - t0) / dt
+            om = 1.0 - u
+            z5 = ((1.0 + 2.0 * u) * om * om * col_i[j]
+                  + dt * (u * om * om) * col_fi[j]
+                  + u * u * (3.0 - 2.0 * u) * col_i[j + 1]
+                  + dt * (u * u * (u - 1.0)) * col_fi[j + 1])
+            s = t + c6 * h - tau
+            while nodes_t[j + 1] <= s:
+                j += 1
+            t0 = nodes_t[j]
+            dt = nodes_t[j + 1] - t0
+            u = (s - t0) / dt
+            om = 1.0 - u
+            z6 = ((1.0 + 2.0 * u) * om * om * col_i[j]
+                  + dt * (u * om * om) * col_fi[j]
+                  + u * u * (3.0 - 2.0 * u) * col_i[j + 1]
+                  + dt * (u * u * (u - 1.0)) * col_fi[j + 1])
+        elif delayed:
             zs = []
             j = -1
             for c in lags:
@@ -603,23 +677,26 @@ def solve_dde(
             t = t + h
             ya, yb, yc = na, nb, nc
             k1a, k1b, k1c = k7a, k7b, k7c
-            nodes_t.append(t)
-            nodes_y.extend((na, nb, nc))
-            nodes_f.extend((k7a, k7b, k7c))
-            col_i.append(nc)
-            col_fi.append(k7c)
+            append_t(t)
+            extend_y((na, nb, nc))
+            extend_f((k7a, k7b, k7c))
+            append_i(nc)
+            append_fi(k7c)
             naccept += 1
-            if naccept > control.max_steps:
-                raise StiffnessError(t, f"exceeded {control.max_steps} steps")
-            err = max(err, 1e-10)
+            if naccept > max_steps:
+                raise StiffnessError(t, f"exceeded {max_steps} steps")
+            if err < 1e-10:
+                err = 1e-10
             fac = 0.9 * err ** -0.17 * err_old ** 0.04
-            h = h * min(facmax, max(0.2, fac))
+            fac = fac if fac > 0.2 else 0.2
+            h = h * (fac if fac < facmax else facmax)
             err_old = err
             facmax = 5.0
         else:
             if math.isnan(err):
                 raise NumericalError(f"non-finite derivative at t = {t:.6g}")
-            h = h * max(0.2, 0.9 * err ** -0.2)
+            fac = 0.9 * err ** -0.2
+            h = h * (fac if fac > 0.2 else 0.2)
             facmax = 1.0  # no growth right after a rejection
             nreject += 1
 

@@ -75,6 +75,13 @@ PERIOD_INTERVALS = 8
 GUESS_DELAYS = 4.0
 #: Regeneration lag ``delta`` assumed by that guess (only the guess depends on it).
 DRIFT_ESTIMATE = 3.0
+#: Screening run of :func:`scan_kappa_min`: its length in delays, the time
+#: in delays after which a pulse must occur (the seeded pulse has then
+#: regenerated twice), and that pulse's least height as a share of the
+#: seed's peak intensity.
+_SCREEN_DELAYS = 3.0
+_SCREEN_AFTER = 2.0
+_SCREEN_FRAC = 0.5
 #: Leading share of a run left out of the train statistics by
 #: :func:`classify_response` and by :func:`sweep_tau`.
 TRANSIENT_FRAC = 0.25
@@ -693,6 +700,20 @@ def fold_estimate(branch: BranchSample, k: int) -> float | None:
     return None
 
 
+def _regenerates(params: ModelParams, history: HistorySpec, level: float,
+                 control: StepControl | None = None) -> bool:
+    """Screening verdict of :func:`scan_kappa_min`: does the seeded pulse regenerate twice?
+
+    Integrates ``_SCREEN_DELAYS`` delays and reports whether a node after
+    ``_SCREEN_AFTER`` delays reaches the intensity ``level``.  The verdict
+    only predicts :func:`classify_response`; the scan never returns it.
+    """
+    tau = params.tau
+    traj = integrate(params, history, _SCREEN_DELAYS * tau, control)
+    late = traj.y[np.searchsorted(traj.t, _SCREEN_AFTER * tau, side="right"):, 2]
+    return bool(late.max() >= level)
+
+
 def scan_kappa_min(
     params: ModelParams,
     tau: float,
@@ -704,30 +725,39 @@ def scan_kappa_min(
 
     Uses :func:`classify_response` with the standard pulse-seeded
     history as the oracle: below the onset the re-injected pulse decays,
-    above it the train regenerates indefinitely.
+    above it the train regenerates indefinitely.  A full run integrates
+    20 delays and a screening run 3; the search goes in three steps.
 
-    The search walks bisection's tree but tests the cheap side first: a
-    decaying run ends soon after the first re-injection, a sustained one
-    carries a train to the horizon.  Where bisection would test the
-    midpoint ``mid`` of ``[lo, hi]`` and, if it sustains, the midpoint
-    ``q`` of ``[lo, mid]``, the search tests ``q`` first.  If ``q``
-    sustains, so does ``mid`` and its run is saved; if not, ``mid`` is
-    tested, and ``q``'s run is wasted when ``mid`` decays too.  ``q`` is
-    tried only while the runs saved are at least the runs wasted, so the
-    search makes at most one oracle call more than bisection and never
-    more sustained runs.  Every kappa it tests is a float that bisection
-    computes from the same endpoints, and the final bracket is one of
-    bisection's final cells: for an oracle monotone in kappa the result
-    is bisection's, bit for bit.
+    1. *Screen.*  After the lower end is checked in full (one decaying
+       run; a bracket whose lower end sustains fails at once), the
+       search walks bisection's tree down to a predicted final cell
+       ``[a, b]``, deciding each midpoint by a screening run of three
+       delays: the point counts as sustaining when a pulse of at least
+       half the seed's peak intensity occurs after two delays, that is,
+       when the seeded pulse has regenerated twice.
+    2. *Certify.*  ``a`` is classified in full (unless it is the lower
+       end), then ``b`` (unless it is the upper end, or ``a`` sustained).
+    3. *Finish.*  Plain bisection over the original bracket, through a
+       memo of the full runs: a kappa at or above the lowest sustaining
+       one sustains, and one at or below the highest decaying one
+       decays.  Only a kappa the memo does not decide is classified.
+       When ``a`` decays and ``b`` sustains, ``[a, b]`` is bisection's
+       final cell and no further run is made.
 
-    The lower end is checked first: one decaying run, and a bracket whose
-    lower end sustains fails at once.  The upper end is classified last,
-    and only if no tested kappa sustained: under the monotone oracle
-    that bisection assumes, a sustained kappa below ``hi`` implies that
-    ``hi`` sustains.  A bracket whose upper end decays thus fails after
-    the search, and an upper end that would not sustain (cw-like output
-    above the transcritical point, say) goes untested when a kappa
-    inside the bracket sustains.
+    The screen steers only which kappas are run in full: for an oracle
+    monotone in kappa, whatever the screening verdicts, the result is
+    bisection's, bit for bit, the full runs are at most bisection's
+    plus three (the lower end, ``a`` and ``b``), and the sustained ones
+    at most bisection's plus one.  Classifying ``a`` before ``b`` keeps
+    that at one: ``b`` is run only after ``a`` decayed, and if it then
+    sustains, ``[a, b]`` is the final cell.
+
+    The upper end is classified last, and only if no full run sustained:
+    under the monotone oracle that bisection assumes, a sustained kappa
+    below ``hi`` implies that ``hi`` sustains.  A bracket whose upper
+    end decays thus fails after the search, and an upper end that would
+    not sustain (cw-like output above the transcritical point, say)
+    goes untested when a kappa inside the bracket sustains.
 
     Parameters
     ----------
@@ -737,8 +767,8 @@ def scan_kappa_min(
         Delay at which to scan, > 0.
     kappa_bracket : (float, float)
         ``(lo, hi)`` with lo < hi; lo must classify as not sustained
-        and hi as sustained (``hi`` is run only when no kappa inside the
-        bracket sustains).
+        and hi as sustained (``hi`` is run only when no full run
+        sustains).
     tol : float
         Width of the final bracket, > 0.
 
@@ -757,12 +787,24 @@ def scan_kappa_min(
         raise InvalidArgumentError("tau must be positive")
 
     horizon = 20.0 * max(tau, 1.0)
-    seed = single_pulse_seed(params.replace(tau=float(tau)), control=control)
+    p_tau = params.replace(tau=float(tau))
+    seed = single_pulse_seed(p_tau, control=control)
+    level = _SCREEN_FRAC * _history_peak_intensity(p_tau, seed)
+    # the highest kappa whose full run decayed and the lowest whose run sustained
+    decays, sustains = -math.inf, math.inf
 
     def sustained(kappa: float) -> bool:
-        p = params.replace(kappa=kappa, tau=float(tau))
-        stats = classify_response(p, seed, horizon, control=control)
-        return stats.classification == SUSTAINED_TRAIN
+        nonlocal decays, sustains
+        if kappa >= sustains:
+            return True
+        if kappa <= decays:
+            return False
+        stats = classify_response(p_tau.replace(kappa=kappa), seed, horizon, control=control)
+        if stats.classification == SUSTAINED_TRAIN:
+            sustains = kappa
+            return True
+        decays = kappa
+        return False
 
     def splits(lo: float, hi: float) -> bool:
         # the halvings leave about an ulp of roundoff on hi - lo: without
@@ -772,23 +814,25 @@ def scan_kappa_min(
 
     if sustained(lo):
         raise InvalidArgumentError("lower bracket endpoint already sustains a train")
-    top = hi
-    credit = 1  # one plus the runs saved minus the runs wasted
+    a, b = lo, hi
+    while splits(a, b):
+        mid = 0.5 * (a + b)
+        if _regenerates(p_tau.replace(kappa=mid), seed, level, control):
+            b = mid
+        else:
+            a = mid
+    # the memo skips a == lo, and b once a sustained
+    sustained(a)
+    if b != hi:
+        sustained(b)
     while splits(lo, hi):
         mid = 0.5 * (lo + hi)
-        if credit > 0 and splits(lo, mid):
-            q = 0.5 * (lo + mid)
-            if sustained(q):
-                hi, credit = q, credit + 1
-            elif sustained(mid):
-                lo, hi = q, mid
-            else:
-                lo, credit = mid, credit - 1
-        elif sustained(mid):
+        if sustained(mid):
             hi = mid
         else:
             lo = mid
-    # a tested kappa that sustains implies that the upper end does
-    if hi == top and not sustained(hi):
+    # A full run that sustains implies that the upper end does; if none
+    # did, hi never moved and is still the upper end.
+    if sustains == math.inf and not sustained(hi):
         raise InvalidArgumentError("upper bracket endpoint does not sustain a train")
     return 0.5 * (lo + hi)

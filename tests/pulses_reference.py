@@ -18,11 +18,14 @@ Test-only code; nothing under ``src/`` imports it.
   intervals polished by :func:`yamada_delay.pulses.refine_period`.  The
   differential tests in ``test_periodic.py`` compare the collocated
   periods against it.
-* :func:`bisect_kappa_min` -- the halving loop that
-  :func:`yamada_delay.scan_kappa_min` ran before it searched the lower
-  half first.  The differential tests in ``test_pulses.py`` require the
-  search's onset to equal bisection's, bit for bit, at no more than one
-  extra oracle call and no extra sustained one.
+* :func:`bisect_kappa_min` -- the plain halving loop.
+  :func:`yamada_delay.scan_kappa_min` walks its tree with short screening
+  runs and certifies the predicted final cell with full runs.  The
+  differential tests in ``test_pulses.py`` require the scan's onset to
+  equal bisection's, bit for bit, both for a screen that agrees with the
+  oracle (at most two full runs beyond bisection's, none of them
+  sustained) and for arbitrary screening verdicts (at most three beyond
+  bisection's, one of them sustained), not counting the upper end.
 """
 
 from __future__ import annotations

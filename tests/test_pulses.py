@@ -146,9 +146,10 @@ class TestPeakSearch:
             assert stats.threshold == max(THRESHOLD_FRAC * peak, MIN_THRESHOLD)
 
     def test_scan_oracle_runs(self, kappa_scans):
-        # the 6 classification runs of each onset scan, as in the benchmark
+        # the 3 classification runs of each onset scan, as in the benchmark:
+        # the lower end and the screened final cell's two ends
         _, peaks = kappa_scans
-        assert len(peaks) == 12
+        assert len(peaks) == 6
         for peak, reference in peaks:
             assert peak == reference
 
@@ -363,11 +364,12 @@ class TestFeedbackOnset:
         assert kappa_onsets[400.0] <= kappa_onsets[200.0] + 5e-4
 
     @staticmethod
-    def stub_oracle(monkeypatch, cw_above=math.inf):
+    def stub_oracle(monkeypatch, cw_above=math.inf, screened=None):
         """Replace the integrating oracle by one that sustains above 0.0061
         (up to ``cw_above``, where it reports cw-like output) and records
-        the kappa of every call."""
-        seen = []
+        the kappa of every call, and the screen by one that agrees with it
+        (recording its kappas in ``screened``, if given)."""
+        seen, screened = [], [] if screened is None else screened
 
         def oracle(p, history, t_end, control=None):
             seen.append(p.kappa)
@@ -376,36 +378,44 @@ class TestFeedbackOnset:
             sustained = p.kappa > 0.0061
             return SimpleNamespace(classification=SUSTAINED_TRAIN if sustained else DECAY)
 
+        def screen(p, history, level, control=None):
+            screened.append(p.kappa)
+            return 0.0061 < p.kappa <= cw_above
+
         monkeypatch.setattr(pulses, "classify_response", oracle)
+        monkeypatch.setattr(pulses, "_regenerates", screen)
         return seen
 
     @pytest.mark.parametrize(
         "bracket, tol, calls, onset",
         [
             # bisection's six halvings leave hi - lo = 2.500000000000002e-4
-            # > tol; five runs after the lower-end check reach that cell
-            ((0.004, 0.02), 2.5e-4, 6, 0.006125),
-            ((0.0, 1.0), 0.125, 3, 0.0625),
-            ((0.0, 1.0), 0.1, 3, 0.03125),
+            # > tol; the screen walks them to the cell [0.006, 0.00625]
+            ((0.004, 0.02), 2.5e-4, 3, 0.006125),
+            # the final cell [0, b] needs only b certified
+            ((0.0, 1.0), 0.125, 2, 0.0625),
+            ((0.0, 1.0), 0.1, 2, 0.03125),
         ],
     )
     def test_oracle_calls(self, monkeypatch, bracket, tol, calls, onset):
-        # the lower-end check plus the runs of the lower-half-first search;
-        # a sustained run inside the bracket settles the upper end
+        # the lower-end check plus the final cell's ends; a sustained run
+        # inside the bracket settles the upper end
         seen = self.stub_oracle(monkeypatch)
         assert scan_kappa_min(preset("figure1"), 10.0, bracket, tol) == onset
         assert len(seen) == calls
 
-    def test_lower_half_tested_first(self, monkeypatch):
+    def test_screen_predicts_the_final_cell(self, monkeypatch):
         # bisection tests 0.012, 0.008, 0.006, 0.007, 0.0065, 0.00625 after
-        # the endpoints, five of them sustained; the search skips 0.012 and
-        # 0.007, whose lower-half midpoints sustain, and wastes a run on
-        # 0.005, since the midpoint 0.006 above it decays as well; 0.008
-        # sustains, so the upper end 0.02 is never run
-        seen = self.stub_oracle(monkeypatch)
+        # the endpoints; the screen walks the same points, and the full
+        # runs certify the lower end, the cell's lower end 0.006 (decays)
+        # and its upper end 0.00625 (sustains), which decide every point
+        # of bisection's path, so the upper end 0.02 is never run
+        screened = []
+        seen = self.stub_oracle(monkeypatch, screened=screened)
         scan_kappa_min(preset("figure1"), 10.0, (0.004, 0.02), 2.5e-4)
-        want = [0.004, 0.008, 0.005, 0.006, 0.0065, 0.00625]
-        assert seen == pytest.approx(want, rel=1e-12)
+        want = [0.012, 0.008, 0.006, 0.007, 0.0065, 0.00625]
+        assert screened == pytest.approx(want, rel=1e-12)
+        assert seen == pytest.approx([0.004, 0.006, 0.00625], rel=1e-12)
 
     def test_sustaining_lower_end_fails_at_once(self, monkeypatch):
         seen = self.stub_oracle(monkeypatch)
@@ -414,11 +424,12 @@ class TestFeedbackOnset:
         assert seen == [0.007]
 
     def test_decaying_upper_end_fails_after_the_search(self, monkeypatch):
-        # nothing inside the bracket sustains, so the upper end is run last
+        # nothing inside the bracket sustains, so the upper end is run last;
+        # the decaying cell end 0.004 decides bisection's points 0.003, 0.004
         seen = self.stub_oracle(monkeypatch)
         with pytest.raises(InvalidArgumentError, match="upper bracket endpoint"):
             scan_kappa_min(preset("figure1"), 10.0, (0.001, 0.005), 1e-3)
-        assert seen == pytest.approx([0.001, 0.002, 0.003, 0.004, 0.005], rel=1e-12)
+        assert seen == pytest.approx([0.001, 0.004, 0.005], rel=1e-12)
 
     @pytest.mark.parametrize("bracket, tol", [((0.004, 0.02), 2.5e-4), ((0.0, 1.0), 1e-3),
                                               ((0.006, 0.0062), 1e-5)])
@@ -437,9 +448,15 @@ class TestFeedbackOnset:
         assert abs(onset - 0.0061) <= 1e-4
         assert 0.5 not in seen and max(seen) <= 0.3
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_matches_bisection(self, data):
+    @staticmethod
+    def scan_against_bisection(data, screen):
+        """Scan a drawn bracket with a drawn monotone oracle and the screen
+        ``screen(verdict)`` of the oracle's verdict on the screened kappa.
+
+        Checks the onset against bisection's, bit for bit, and the order of
+        the full runs; returns the full runs' verdicts, the number of
+        upper-end runs and bisection's verdicts.
+        """
         lo, hi = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
                                            unique=True)))
         assume(hi - lo >= 1e-20)
@@ -459,7 +476,10 @@ class TestFeedbackOnset:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pulses, "classify_response", oracle)
+            mp.setattr(pulses, "_regenerates",
+                       lambda p, history, level, control=None: screen(p.kappa > onset))
             mp.setattr(pulses, "single_pulse_seed", lambda p, control=None: None)
+            mp.setattr(pulses, "_history_peak_intensity", lambda p, history: 1.0)
             got = scan_kappa_min(preset("figure1"), 10.0, (lo, hi), tol)
         want_lo, want_hi = bisect_kappa_min(reference, (lo, hi), tol)
         assert got == 0.5 * (want_lo + want_hi)
@@ -467,10 +487,28 @@ class TestFeedbackOnset:
         hi_runs = kappas.count(hi)
         assert kappas[0] == lo and hi_runs == (not any(seen[1:len(seen) - hi_runs]))
         assert hi not in kappas[:-1]
-        # bisection's runs plus the lower-end check, plus the upper end
-        # where it was run
+        return seen, hi_runs, ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_bisection(self, data):
+        # a screen that agrees with the oracle predicts bisection's final
+        # cell: bisection's runs plus the lower-end check, plus the upper
+        # end where it was run, and no extra sustained run
+        seen, hi_runs, ref = self.scan_against_bisection(data, lambda verdict: verdict)
         assert len(seen) <= len(ref) + 1 + 1 + hi_runs
         assert sum(seen) <= sum(ref) + hi_runs
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_adversarial_screen_matches_bisection(self, data):
+        # arbitrary screening verdicts: at most the lower end, the final
+        # cell's two ends and the upper end beyond bisection's runs, and
+        # one sustained run beyond bisection's
+        seen, hi_runs, ref = self.scan_against_bisection(
+            data, lambda verdict: data.draw(st.booleans()))
+        assert len(seen) <= len(ref) + 3 + hi_runs
+        assert sum(seen) <= sum(ref) + 1
 
     def test_tolerance_below_float_spacing_ends(self, monkeypatch):
         # the bracket stops shrinking at adjacent floats; the scan must
