@@ -26,12 +26,14 @@ four-point interpolation rows.  The variational field is linear, so each
 Runge-Kutta step is an affine map, fixed before the march: a 3x3 matrix
 on the state plus injection vectors for the three delayed lookups of the
 step.  Where those lookups read the initial history, their stencils form
-one short window of columns, and the step is one 3x3 product and one
-windowed add across all basis histories.  Since a history node is
-first read one delay after its own time, a marched row is zero right of
-a front that moves one column per row: the marched rows are stored as a
-dense panel of a few columns, a packed lower triangle and a few full
-rows, about half of a dense block.  ARPACK takes the leading multipliers
+one short window of columns, so a step adds only that window to what
+its 3x3 matrix makes of the state.  Those steps are split into chunks,
+and all chunks march at once from the identity: over a chunk, the state
+is a 3x3 matrix times the chunk's start state plus a band of the
+columns the chunk injected.  A marched row is then a 3-vector times a
+chunk state plus a short band row, and the operator holds the chunk
+states, those rows and the few rows marched after the history steps,
+a sixth of a dense block or less.  ARPACK takes the leading multipliers
 from products with these parts and with the interpolation rows.
 
 As the delay grows, most multipliers condense onto the asymptotic
@@ -44,6 +46,7 @@ bounds are evaluated here as well.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
 import warnings
@@ -83,6 +86,13 @@ _STEP_MAP_CHUNK = 256
 #: multipliers by at most 1e-13.  At 1e-12 the first Arnoldi cycle of
 #: ``2m + 1`` vectors ends the solve.
 _EIG_TOL = 1e-12
+
+#: Fewest Arnoldi vectors ARPACK keeps.  Its default, ``2m + 1``, is
+#: far too few for a small ``m`` at a long delay, where the leading
+#: multipliers sit in a tight cluster: for ``m = 8`` on the k = 1 train
+#: at tau = 1600, 20 vectors take about 20 000 products and 64 about
+#: 1 700.  From ``m = 32`` on the default applies.
+_MIN_NCV = 64
 
 
 def extract_orbit(run: Trajectory | PeriodicOrbit) -> PeriodicOrbit:
@@ -146,7 +156,9 @@ class FloquetSet:
         ``eig_s``), the eigen method (``"arpack"`` or ``"dense"``), how
         many eigenvalues it ``converged``, how many products with the
         map it made (``matvecs``, 0 for ``"dense"``), the bytes the
-        operator holds (``map_bytes``), the step the march took
+        operator holds (``map_bytes``), how many chunks the history steps
+        of the march were split into (``chunks``) and how many columns a
+        chunk's band holds (``band_width``), the step the march took
         (``march_step``), and the ``trivial_defect`` ``|trivial - 1|``.
         Not part of equality or of the output.
     """
@@ -200,73 +212,101 @@ def _cubic_stencils(s: np.ndarray, n_nodes: int, spacing: float):
 
 @dataclass(frozen=True)
 class _PeriodMap:
-    """The discretized period map, stored by its causal structure.
+    """The discretized period map, stored by the three-component state.
 
-    The first ``n_shift`` rows are the new history nodes that still lie
-    in the initial history (``T + theta_j < 0``, only when ``T < tau``):
-    row ``j`` is the cubic stencil ``shift_w[j]`` at columns
-    ``shift_idx[j]``.  The other rows come from the march, which reads
-    only the columns ``cols``: the first ``H`` history nodes and ``I``,
-    ``G``, ``Q`` at the last node.  Only ``I`` is delayed, so history
-    node ``theta_j`` is first read at ``t = theta_j + tau``: marched row
-    ``r`` is zero right of column ``r + b``, save the three last-node
-    columns.  The marched rows are stored in three parts:
+    The first rows are the new history nodes that still lie in the
+    initial history (``T + theta_j < 0``, only when ``T < tau``): row
+    ``j`` is a cubic stencil with the weights ``shift_w[j]`` on the
+    columns from ``shift_c0 + j``, applied as one shifted slice per
+    weight.  A stencil clamped at an end of the grid starts a column off
+    that line, so its weights sit one place over in a row of
+    ``shift_w`` one column wider.  The other rows come from the march, which reads only the
+    columns ``cols``: the first history nodes and ``I``, ``G``, ``Q`` at
+    the last node.  Until its delayed lookups leave the initial history,
+    the march splits into chunks of steps.  Over chunk ``a`` its
+    three-component state is a 3x3 matrix times the state ``Y_a`` at the
+    chunk's start, plus what the chunk's own steps injected on a band of
+    columns.  So a row sampled in the chunk is a 3-vector times ``Y_a``
+    plus a band row:
 
-    * ``panel``, the first ``K = H - b`` rows on the first ``b`` columns
-      and the three last-node columns;
-    * ``tri``, the same rows on the columns ``b .. H - 1``, a lower
-      triangle packed row by row (row ``r`` holds columns ``b .. b + r``);
-    * ``tail``, the remaining rows on all of ``cols``.
+    * ``states``, the ``Y_a`` on ``cols``, shape ``(n_chunks, 3, n_cols)``;
+    * ``chunk_rows``, the rows of each chunk, padded to the most rows of
+      a chunk: the 3-vector, then the band row on the columns
+      ``window[a]`` (the ``bw`` columns its rows reach, clipped at the
+      last column, where the band holds zeros), shape ``(n_chunks,
+      rows per chunk, 3 + bw)``; ``rows`` places the sampled rows in
+      that padded layout;
+    * ``tail``, dense on ``cols``: the rows sampled after those steps
+      (``k = 1`` orbits, whose lookups read marched rows) and ``G``,
+      ``Q`` at ``T``.
 
     ``shape``, ``dtype`` and ``matvec`` make it an operator for ARPACK;
     ``np.asarray`` assembles the dense matrix, and ``nbytes`` is what the
     operator holds.
     """
 
-    shift_idx: np.ndarray
+    shift_c0: int
     shift_w: np.ndarray
     cols: np.ndarray
-    panel: np.ndarray
-    tri: np.ndarray
+    states: np.ndarray
+    window: np.ndarray
+    chunk_rows: np.ndarray
+    rows: np.ndarray
     tail: np.ndarray
     dtype = np.dtype(float)
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = len(self.shift_w) + len(self.panel) + len(self.tail)
+        n = len(self.shift_w) + len(self.rows) + len(self.tail)
         return n, n
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.shift_idx, self.shift_w, self.cols,
-                                      self.panel, self.tri, self.tail))
+        return sum(a.nbytes for a in (self.shift_w, self.cols, self.states, self.window,
+                                      self.chunk_rows, self.rows, self.tail))
+
+    def _shift_columns(self, l: int) -> tuple[int, int, int]:
+        """Column offset ``c`` of weight ``l`` and the stencil rows
+        ``a .. b - 1`` for which column ``c + j`` is a history node."""
+        n_shift, N = len(self.shift_w), self.shape[0] - 2
+        c = self.shift_c0 + l
+        return c, max(-c, 0), min(n_shift, N - c)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        # imported here: scipy.linalg adds about 0.2 s to the package import
-        from scipy.linalg.blas import dtpmv
-
-        n_shift, (K, width) = len(self.shift_w), self.panel.shape
-        b = width - 3
+        n_shift, width = self.shift_w.shape
+        n_band, n_chunks = len(self.rows), len(self.states)
         y = np.empty(self.shape[0])
-        y[:n_shift] = (self.shift_w * x[self.shift_idx]).sum(axis=1)
-        head = y[n_shift:n_shift + K]
-        if K:
-            # packed lower by rows is packed upper by columns: L x = U^T x
-            head[:] = dtpmv(K, self.tri, x[b:b + K], lower=0, trans=1)
-        head += self.panel @ np.concatenate((x[:b], x[-3:]))
-        y[n_shift + K:] = self.tail @ x[self.cols]
+        shift = y[:n_shift]
+        shift[:] = 0.0
+        for l in range(width):
+            c, a, b = self._shift_columns(l)
+            shift[a:b] += self.shift_w[a:b, l] * x[c + a:c + b]
+        xc = x[self.cols]
+        parts = np.empty((n_chunks, self.chunk_rows.shape[2], 1))
+        parts[:, :3, 0] = (self.states.reshape(-1, len(xc)) @ xc).reshape(-1, 3)
+        parts[:, 3:, 0] = xc[self.window]
+        y[n_shift:n_shift + n_band] = (self.chunk_rows @ parts).ravel()[self.rows]
+        y[n_shift + n_band:] = self.tail @ xc
         return y
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        n_shift, (K, width) = len(self.shift_w), self.panel.shape
-        b = width - 3
+        n_shift, width = self.shift_w.shape
+        n_band = len(self.rows)
         M = np.zeros(self.shape, dtype=dtype)
-        np.put_along_axis(M[:n_shift], self.shift_idx, self.shift_w, axis=1)
+        for l in range(width):
+            c, a, b = self._shift_columns(l)
+            r = np.arange(a, b)
+            M[r, c + r] = self.shift_w[a:b, l]
         marched = M[n_shift:]
-        marched[:K, np.concatenate((self.cols[:b], self.cols[-3:]))] = self.panel
-        r, c = np.tril_indices(K)
-        marched[r, b + c] = self.tri
-        marched[K:, self.cols] = self.tail
+        chunk, slot = np.divmod(self.rows, max(self.chunk_rows.shape[1], 1))
+        for a, (Y, window) in enumerate(zip(self.states, self.window)):
+            r = np.flatnonzero(chunk == a)
+            block = self.chunk_rows[a, slot[r], :3] @ Y
+            lo = window[0] if len(window) else 0
+            band = block[:, lo:lo + len(window)]
+            band += self.chunk_rows[a, slot[r], 3:3 + band.shape[1]]
+            marched[r[:, None], self.cols] = block
+        marched[n_band:, self.cols] = self.tail
         return M
 
 
@@ -299,9 +339,10 @@ def monodromy_multipliers(
     unknowns the map is block lower-triangular, and its interior
     ``G``/``Q`` block only shifts values to later nodes (the period spans
     three or more node spacings), so it adds nothing but zero
-    multipliers.  The map is kept in its causal parts (see the module
-    notes and ``_PeriodMap``), and ARPACK finds the multipliers from
-    products with them.
+    multipliers.  The map is kept by the three-component state of the
+    march (see the module notes and ``_PeriodMap``), and ARPACK finds the
+    multipliers from products with its parts, with at least 64 Arnoldi
+    vectors so that a small ``m`` does not crawl on a cluster.
 
     Parameters
     ----------
@@ -365,6 +406,8 @@ def monodromy_multipliers(
         "converged": converged,
         "matvecs": matvecs,
         "map_bytes": op.nbytes,
+        "chunks": len(op.states),
+        "band_width": op.window.shape[1],
         "march_step": orbit.period / _march_steps(orbit.period, tau, step),
         "trivial_defect": abs(trivial - 1.0),
     }
@@ -382,14 +425,14 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
 
     Each RK4 step is the affine map of :func:`_step_maps`, fixed before
     the march.  A step whose three lookups ``kappa I(t - tau)`` all read
-    the initial history adds its cubic stencils as one window ``D[i]``
-    of ``W`` columns from column ``o[i]``, so it costs one 3x3 product
-    and one windowed add.  Only steps that look up ``t - tau > 0``
-    (``k = 1`` orbits) read stored march rows of ``I`` and ``I'``, which
-    are Hermite-interpolated across a step.  ``I'`` is evaluated only at
-    the nodes that bracket an output sample or get stored.  Each
-    sampled row goes straight into its part of the map: the march never
-    holds the dense block.
+    the initial history (the first ``n_hist`` steps) adds its cubic
+    stencils as one window ``D[i]`` of ``W`` columns from column
+    ``o[i]``.  Those steps are split into chunks that march at once in
+    batched 3x3 products, and one sweep over the chunks gives their
+    start states (see ``_PeriodMap``).  Only the steps that look up
+    ``t - tau > 0`` (``k = 1`` orbits) read stored march rows of ``I``
+    and ``I'``, Hermite-interpolated across a step; they march one at a
+    time, and their rows are stored dense.
     """
     params = orbit.params
     tau = params.tau
@@ -430,8 +473,9 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     # (reach <= N - 4, so only N - 1 can be in both parts).
     cols = np.concatenate([np.arange(min(reach + 4, N - 1)), [N - 1, N, N + 1]])
     n_cols = len(cols)
-    n_front = n_cols - 3  # the history columns
     i_last, g_last, q_last = np.searchsorted(cols, [N - 1, N, N + 1])
+    Y = np.zeros((3, n_cols))
+    Y[0, g_last] = Y[1, q_last] = Y[2, i_last] = 1.0
 
     # New history nodes T + theta_j that still lie in the initial
     # history are stencil rows; the march samples the others, rows
@@ -443,50 +487,100 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     first[1:] = np.searchsorted(sampled, t_nodes + 1e-12 * np.maximum(1.0, t_nodes), side="right")
     if first[-1] < len(sampled):
         raise NumericalError("internal sampling walk failed to fill the period map")
+    at = np.repeat(np.arange(n_steps + 1), np.diff(first))
 
-    # The history columns read by node i end before front[i]: a step's
-    # stencils enter the state at its end, and a node's start stencil
-    # enters I' there.  Stored-row lookups (t - tau > 0) read rows behind
-    # the march, whose columns are counted already.  So row r is zero
-    # from column r + b + 1 on, save the last-node columns, and the
-    # marched rows split into the panel, the triangle and the tail of
-    # _PeriodMap.  Their storage is the largest array, so it is
-    # allocated first: a size too large to hold fails here, before the
-    # history windows, the stencils and the sample weights are built.
-    reads = np.where(lags[0] <= 0.0, stencils[0][0] + 4, 0)
-    for c in (1, 2):
-        np.maximum(reads[1:], np.where(lags[c] <= 0.0, stencils[c][0] + 4, 0), out=reads[1:])
-    front = np.minimum(np.maximum.accumulate(reads), n_front)
-    has_rows = first[1:] > first[:-1]
-    b = int(np.clip((front - first[:-1] - 1)[has_rows].max(), 0, n_front))
-    K = n_front - b
-    tri = np.empty(K * (K + 1) // 2)
-    panel = np.empty((K, b + 3))
-    tail = np.empty((N + 2 - n_shift - K, n_cols))
-
-    Y = np.zeros((3, n_cols))
-    Y[0, g_last] = Y[1, q_last] = Y[2, i_last] = 1.0
+    # Chunks of B steps balance the two stores: 3 n_hist / B rows of
+    # chunk states against a band of about B h / spacing columns per
+    # row.  The rows at nodes 1 .. n_hist go to the chunk of the node
+    # before theirs, at place m = 1 .. B in it (a row at node 0 to chunk
+    # 0, m = 0); the later rows and G, Q at T are the dense tail.  The
+    # chunk states and the tail grow with N, so they are allocated
+    # first: a size too large to hold fails here, before the history
+    # windows, the bands and the sample weights are built.
+    B = max(1, round(math.sqrt(3.0 * n_hist * spacing / h)))
+    starts = np.arange(0, n_hist, B)
+    n_chunks = len(starts)
+    n_band = int(first[n_hist + 1])
+    row_nodes = at[:n_band]
+    chunk = np.maximum(row_nodes - 1, 0) // B
+    place = row_nodes - starts[chunk]
+    per_chunk = np.bincount(chunk, minlength=n_chunks)
+    slot = np.arange(n_band) - np.repeat(np.cumsum(per_chunk) - per_chunk, per_chunk)
+    states = np.empty((n_chunks, 3, n_cols))
+    tail = np.empty((len(sampled) - n_band + 2, n_cols))
     o, W, D = _history_windows(stencils, inj[:n_hist], kap, n_cols)
     inj = inj[n_hist:].copy()  # for the steps that read march rows
 
-    # Each sampled node lies in the step (t_{i-1}, t_i] of its node at[j],
+    # Chunk a's band starts at its first window.  The march carries it
+    # past the chunk's last window and the stencil of I' at its last
+    # node (all move forward with the step), width_march columns.  A row
+    # at node i reads the end stencil of step i - 1 and the stencil of
+    # I' at node i, so the rows keep only the bw columns they reach.
+    lo = o[starts]
+    last = np.minimum(starts + B, n_hist)
+    j0_nodes, w_nodes = stencils[0]
+    width_march = int(max(np.maximum(o[last - 1] + W, j0_nodes[last] + 4) - lo))
+    reads = np.maximum(j0_nodes[row_nodes], stencils[2][0][np.maximum(row_nodes - 1, 0)])
+    reads[row_nodes == 0] = j0_nodes[0]
+    bw = int((reads + 4 - lo[chunk]).max(initial=0))
+
+    # Each sampled row lies in the step (t_{i-1}, t_i] of its node at[r],
     # and is the cubic Hermite interpolant of I and I' at the two ends.
-    shift_j0, shift_w = _cubic_stencils(out_times[:n_shift] + tau, N, spacing)
-    at = np.repeat(np.arange(n_steps + 1), np.diff(first))
     sample_w = _hermite_weights(np.clip((sampled - (t_nodes[at] - h)) / h, 0.0, 1.0), h)
 
-    def store(r: int, row: np.ndarray) -> None:
-        """Marched row r, given on cols, into its part of the map."""
-        if r < K:
-            panel[r, :b], panel[r, b:] = row[:b], row[n_front:]
-            tri[r * (r + 1) // 2:(r + 1) * (r + 2) // 2] = row[b:b + r + 1]
-        else:
-            tail[r - K] = row
+    # All chunks march at once.  After m steps, PZ[a] holds the product
+    # of chunk a's step maps (3 columns) and its injections on the band,
+    # so I at node s_a + m is PZ[a, 2] on (Y_a, band).  I' is di_rows
+    # times PZ[a] plus the node's stencil, which is added to the rows
+    # after the march.  ring[a] holds I and I' at the node before and
+    # at the current one, on the columns the rows keep.
+    PZ = np.zeros((n_chunks, 3, 3 + width_march))
+    PZ[:, :, :3] = np.eye(3)
+    ring = np.zeros((n_chunks, 4, 3 + bw))
+    chunk_rows = np.zeros((n_chunks, per_chunk.max(initial=0), 3 + bw))
+    by_place = np.argsort(place, kind="stable")
+    bounds = np.searchsorted(place[by_place], np.arange(B + 2))
+    row_chunk, row_slot, row_w = chunk[by_place], slot[by_place], sample_w[by_place][:, None, :]
+    each = np.arange(n_chunks)[:, None]
+    for m in range(B + 1):
+        di = di_rows[m:n_hist + 1:B][:n_chunks]  # at the nodes s_a + m that exist
+        k = len(di)
+        ring[:k, :2] = ring[:k, 2:]
+        ring[:k, 2] = PZ[:k, 2, :3 + bw]
+        np.matmul(di[:, None, :], PZ[:k, :, :3 + bw], out=ring[:k, 3:])
+        r = slice(bounds[m], bounds[m + 1])
+        a = row_chunk[r]
+        chunk_rows[a, row_slot[r]] = (row_w[r] @ ring[a])[:, 0]
+        if m == B:
+            break
+        step_maps = P[m:n_hist:B]  # step s_a + m of the chunks that take it
+        k = len(step_maps)
+        PZ[:k] = step_maps @ PZ[:k]
+        window = 3 + (o[m:n_hist:B] - lo[:k])[:, None] + np.arange(W)
+        PZ[each[:k], :, window] += D[m:n_hist:B].transpose(0, 2, 1)
+
+    # The stencils of I' at the nodes that bracket each row (at a row
+    # of node 0 the weight of the node before is 0).
+    for e, nodes in ((1, np.maximum(row_nodes - 1, 0)), (3, row_nodes)):
+        window = 3 + (j0_nodes[nodes] - lo[chunk])[:, None] + np.arange(4)
+        weights = (kap * sample_w[:n_band, e, None]) * w_nodes[nodes]
+        chunk_rows[chunk[:, None], slot[:, None], window] += weights
+
+    # One sweep gives the chunk states, and the state after n_hist steps.
+    # A band past the last column holds zeros there.
+    Y_hist = Y
+    for a in range(n_chunks):
+        states[a] = Y_hist
+        Y_hist = PZ[a, :, :3] @ Y_hist
+        band = Y_hist[:, lo[a]:lo[a] + width_march]
+        band += PZ[a, :, 3:3 + band.shape[1]]
 
     # Stored I and I' rows at past march nodes, needed only when t - tau
-    # lands in the computed part (k = 1 orbits).
+    # lands in the computed part (k = 1 orbits).  The first n_stored
+    # steps are marched again one at a time to give them.
     n_stored = int(np.count_nonzero(t_nodes <= max(0.0, T - tau) + 2.0 * h))
     stored = np.empty((n_stored, 2, n_cols))
+    has_rows = first[1:] > first[:-1]
     need = np.zeros(n_steps + 1, dtype=bool)
     need[at] = need[np.maximum(at - 1, 0)] = True
     need[:n_stored] = True
@@ -505,17 +599,19 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
 
     # I, I' at the last needed node and at the current one.
     ends = np.zeros((4, n_cols))
-    for i, needed in enumerate(need.tolist()):
-        if needed:
+    for i in itertools.chain(range(min(n_stored, n_hist)), range(n_hist, n_steps + 1)):
+        if i == n_hist:
+            Y = Y_hist
+        if need[i]:
             ends[:2] = ends[2:]
             ends[2] = Y[2]
             np.dot(di_rows[i], Y, out=ends[3])
             ends[3] += lookup(0, i)
             if i < n_stored:
                 stored[i] = ends[2:]
-            if has_rows[i]:
-                for r, row in enumerate(sample_w[first[i]:first[i + 1]] @ ends, first[i]):
-                    store(r, row)
+            if i > n_hist and has_rows[i]:
+                r = slice(first[i], first[i + 1])
+                tail[r.start - n_band:r.stop - n_band] = sample_w[r] @ ends
         if i == n_steps:
             break
         if i < n_hist:
@@ -525,7 +621,17 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
             Y = np.dot(P[i], Y) + inj[i - n_hist] @ np.stack([lookup(c, i) for c in range(3)])
 
     tail[-2:] = Y[:2]  # the march ends at t = T, the last node
-    return _PeriodMap(shift_j0[:, None] + np.arange(4), shift_w, cols, panel, tri, tail)
+
+    # Stencil row j starts at column shift_j0[j] = j + off[j], where off
+    # is constant save at a clamped end of the grid.
+    shift_j0, w = _cubic_stencils(out_times[:n_shift] + tau, N, spacing)
+    off = shift_j0 - np.arange(n_shift)
+    shift_c0 = int(off.min()) if n_shift else 0
+    shift_w = np.zeros((n_shift, 4 + int(off.max(initial=shift_c0)) - shift_c0))
+    np.put_along_axis(shift_w, (off - shift_c0)[:, None] + np.arange(4), w, axis=1)
+    rows = chunk * chunk_rows.shape[1] + slot
+    window = np.minimum(lo[:, None] + np.arange(bw), n_cols - 1)
+    return _PeriodMap(shift_c0, shift_w, cols, states, window, chunk_rows, rows, tail)
 
 
 def _march_steps(T: float, tau: float, step: float) -> int:
@@ -616,11 +722,12 @@ def _leading_eigs(M, m: int) -> tuple[np.ndarray, str, int, int]:
     """The m largest-modulus eigenvalues, deterministically ordered.
 
     ``M`` is an ndarray or a :class:`_PeriodMap`.  ARPACK finds them from
-    matrix-vector products, to the relative residual ``_EIG_TOL``; only
-    where it cannot run (``m >= n - 2``) does ``eigvals`` take the dense
-    matrix.  Returns the eigenvalues, the method (``"arpack"`` or
-    ``"dense"``), how many eigenvalues it converged and how many
-    products with ``M`` it made (0 on the dense path).
+    matrix-vector products, to the relative residual ``_EIG_TOL`` and
+    with at least ``_MIN_NCV`` Arnoldi vectors; only where it cannot run
+    (``m >= n - 2``) does ``eigvals`` take the dense matrix.  Returns
+    the eigenvalues, the method (``"arpack"`` or ``"dense"``), how many
+    eigenvalues it converged and how many products with ``M`` it made
+    (0 on the dense path).
     """
     n = M.shape[0]
     matvecs = 0
@@ -646,7 +753,8 @@ def _leading_eigs(M, m: int) -> tuple[np.ndarray, str, int, int]:
         op = LinearOperator(A.shape, matvec=product, dtype=A.dtype)
         v0 = np.linspace(1.0, 2.0, n)
         try:
-            vals = eigs(op, k=m, which="LM", v0=v0, tol=_EIG_TOL, return_eigenvectors=False)
+            vals = eigs(op, k=m, which="LM", v0=v0, ncv=min(n, max(2 * m + 1, _MIN_NCV)),
+                        tol=_EIG_TOL, return_eigenvectors=False)
         except ArpackNoConvergence as exc:
             vals = exc.eigenvalues
             if vals is None or len(vals) < max(10, m // 4):

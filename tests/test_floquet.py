@@ -66,7 +66,7 @@ class TestConstantOrbitOracle:
         orbit = PeriodicOrbit(traj, T, 1, p, traj.t1, 0.0)
         op = _period_map(orbit, 41, 0.05)
         n_shift = len(op.shift_w)
-        assert n_shift > 0 and (op.shift_idx[:, 0] < n_shift).any()
+        assert n_shift > 0 and np.asarray(op)[:n_shift, :n_shift].any()
         with pytest.warns(UserWarning):
             fs = monodromy_multipliers(orbit, m=12)
         assert fs.N == 41 and len(fs) == 12
@@ -140,6 +140,8 @@ class TestConstantOrbitOracle:
         assert d["trivial_defect"] == abs(fs.trivial - 1.0)
         assert d["map_bytes"] == op.nbytes
         assert d["march_step"] == 3.0 / 60
+        assert d["chunks"] == len(op.states) > 0
+        assert d["band_width"] == op.window.shape[1] > 0
         # the default output carries none of it
         assert set(fs.to_json_obj()) == {"multipliers", "N", "trivial", "period"}
         with pytest.warns(UserWarning):
@@ -294,8 +296,9 @@ class TestTwoBlockPeriodMap:
         assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max()
 
     def test_impossible_size_fails_before_the_march(self, orbits, monkeypatch):
-        # the packed triangle (364 TiB here) is allocated as soon as its
-        # shape is known, before the history windows and the sample weights
+        # the chunk states (2000 chunks of 3 x 10^7 here, 480 TB) are
+        # allocated as soon as their shape is known, before the history
+        # windows, the bands and the sample weights
         def built(*args):
             raise AssertionError("history windows built before the block was allocated")
 
@@ -304,8 +307,8 @@ class TestTwoBlockPeriodMap:
             _period_map(orbits[(1, 200.0)], 10_000_000, 0.05)
 
     def test_matvec_matches_assembled_map(self, cases):
-        # the packed triangle's product against the dense product of the
-        # same entries: only the order of the sums differs
+        # the stored parts' product against the dense product of the
+        # same map: only the order of the sums differs
         rng = np.random.default_rng(8)
         for key, (fs, op, M) in cases.items():
             dense = np.asarray(op)
@@ -316,17 +319,56 @@ class TestTwoBlockPeriodMap:
     def test_zero_right_of_front(self, cases):
         # the reference march knows nothing of the layout: each marched row
         # of it and of the assembled map is exactly zero right of the same
-        # front, save the last-node columns, and the offset b is the least
-        # for which that holds
+        # front, save the last-node columns.  Outside its chunk's band, a
+        # row sampled in a chunk is its 3-vector times the chunk's start
+        # state, and the band is the least for which that holds.
         for key, (fs, op, M) in cases.items():
-            n_shift, (K, width) = len(op.shift_w), op.panel.shape
-            b = width - 3
+            n_shift = len(op.shift_w)
             last = [np.array([np.flatnonzero(row).max() for row in A[n_shift:, :-3]])
                     for A in (M, np.asarray(op))]
             assert np.array_equal(last[0], last[1]), key
-            assert (last[0][:K] <= b + np.arange(K)).all(), key
-            assert (last[0][:K] - np.arange(K)).max() == b, key
             assert (last[0] <= len(op.cols) - 4).all(), key
+            chunk, slot = np.divmod(op.rows, op.chunk_rows.shape[1])
+            scale = np.abs(M).max()
+            first_read, last_read = [], []
+            for a, (state, window) in enumerate(zip(op.states, op.window)):
+                parts = op.chunk_rows[a, slot[chunk == a]]
+                rest = M[n_shift + np.flatnonzero(chunk == a)][:, op.cols] - parts[:, :3] @ state
+                assert np.abs(np.delete(rest, window, axis=1)).max(initial=0.0) <= 1e-13 * scale, key
+                read = np.flatnonzero((np.abs(rest[:, window]) > 1e-13 * scale).any(axis=0))
+                if len(read):
+                    first_read.append(read[0])
+                    last_read.append(read[-1])
+            assert min(first_read) == 0 and max(last_read) == op.window.shape[1] - 1, key
+
+    def test_chunk_boundaries(self):
+        # against the reference march on constant orbits whose chunks
+        # (length B from the rule sqrt(3 n_hist spacing / h)) split the
+        # march unevenly: a row sampled exactly at a chunk start and at
+        # t = 0, a last chunk shorter than B, and fewer history steps
+        # than B with stencil rows clamped at both ends of the grid
+        for tau, N, step in ((10.0, 41, 0.05), (10.0, 41, 0.04), (30.0, 8, 0.05)):
+            p = preset("figure1", kappa=0.2, tau=tau)
+            traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 20.0)
+            orbit = PeriodicOrbit(traj, 3.0, 1, p, traj.t1, 0.0)
+            n_hist = math.ceil(3.0 / step)  # T < tau: every step reads the history
+            h, spacing = 3.0 / n_hist, tau / (N - 1)
+            B = round(math.sqrt(3.0 * n_hist * spacing / h))
+            op = _period_map(orbit, N, step)
+            assert len(op.states) == math.ceil(n_hist / B)
+            if step == 0.05 and tau == 10.0:
+                sampled = 3.0 - tau + spacing * np.arange(N)
+                assert n_hist % B == 0 and np.isclose(sampled, B * h, rtol=0, atol=1e-12).any()
+                assert np.isclose(sampled, 0.0, rtol=0, atol=1e-12).any()
+            elif tau == 10.0:
+                assert 0 < n_hist % B
+            else:
+                assert n_hist < B and 3.0 < spacing and op.shift_w.shape[1] > 4
+            M = reduced_period_map(orbit, N, step)
+            assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max(), (tau, N, step)
+            for x in np.random.default_rng(3).standard_normal((3, len(M))):
+                want = M @ x
+                assert np.abs(op.matvec(x) - want).max() <= 1e-13 * np.abs(want).max(), (tau, N, step)
 
     def test_stored_bytes(self, period_maps, floquet_sets):
         # about half of the dense block of marched rows on marched columns
@@ -337,12 +379,12 @@ class TestTwoBlockPeriodMap:
 
     def test_map_at_node_cap(self):
         # N = 4000 with T > tau, so every row is marched: the dense map
-        # would take 128 MB
+        # would take 128 MB, its causal lower triangle about 64 MB
         p = preset("figure1", kappa=0.1, tau=1000.0)
         traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 1010.0)
         op = _period_map(PeriodicOrbit(traj, 1003.0, 1, p, traj.t1, 0.0), 4000, 0.05)
         assert op.shape == (4002, 4002) and len(op.shift_w) == 0
-        assert op.nbytes <= 70e6
+        assert op.nbytes <= 16e6
 
     def test_stencil_rows_and_marched_columns(self, cases):
         # k = 2 (T < tau): about half the rows are stencils and the march
@@ -399,6 +441,18 @@ class TestEigenStoppingRule:
             assert set_distance(fs.multipliers, ref) <= 1e-12, key
             ref_trivial = ref[np.argmin(np.abs(ref - 1.0))]
             assert abs(fs.trivial - ref_trivial) <= 1e-13, key
+
+    @pytest.mark.parametrize("key", [(1, 200.0), (2, 400.0)])
+    def test_few_multipliers(self, orbits, floquet_sets, key):
+        # ARPACK keeps at least 64 Arnoldi vectors, so a small m costs a
+        # few hundred products and finds the leading multipliers of the
+        # default set.  The (1, 400) orbit is left out: its leading
+        # multipliers near 1/3 form the ill-conditioned cluster, which
+        # moves by 2e-10 with the Krylov sequence.
+        fs = monodromy_multipliers(orbits[key], m=8)
+        assert len(fs) == 8 and fs.diagnostics["converged"] >= 8
+        assert np.abs(fs.multipliers - floquet_sets[key].multipliers[:8]).max() <= 1e-12
+        assert 0 < fs.diagnostics["matvecs"] <= 5 * 64
 
     @pytest.mark.parametrize("tau", [200.0, 400.0])
     def test_one_arnoldi_cycle(self, floquet_sets, tau):
