@@ -33,8 +33,11 @@ is a 3x3 matrix times the chunk's start state plus a band of the
 columns the chunk injected.  A marched row is then a 3-vector times a
 chunk state plus a short band row, and the operator holds the chunk
 states, those rows and the few rows marched after the history steps,
-a sixth of a dense block or less.  ARPACK takes the leading multipliers
-from products with these parts and with the interpolation rows.
+a sixth of a dense block or less.  One product with a vector or a block
+of columns reads these parts and gathers the interpolation rows'
+stencils; ARPACK takes the leading multipliers from it, and the dense
+map, where ``eigvals`` takes it instead, is its product with the
+identity.
 
 As the delay grows, most multipliers condense onto the asymptotic
 continuous spectrum, the closed curve ``mu^k = kappa e^{i omega
@@ -197,12 +200,14 @@ def _cubic_stencils(s: np.ndarray, n_nodes: int, spacing: float):
 
     ``s`` is measured from the first node, in time units; each four-point
     stencil is clamped at the ends of the grid.  Returns the first node of
-    every stencil and the weights, shape ``(len(s), 4)``.
+    every stencil and the weights, shape ``(len(s), 4)``, stored by
+    column: the weights of one stencil point are contiguous, for the
+    loop below and for sums over the four points.
     """
     u = s / spacing
     j0 = np.clip(np.floor(u).astype(int) - 1, 0, n_nodes - 4)
     x = u - j0
-    w = np.ones((len(u), 4))
+    w = np.ones((len(u), 4), order="F")
     for l in range(4):
         for mth in range(4):
             if mth != l:
@@ -216,18 +221,15 @@ class _PeriodMap:
 
     The first rows are the new history nodes that still lie in the
     initial history (``T + theta_j < 0``, only when ``T < tau``): row
-    ``j`` is a cubic stencil with the weights ``shift_w[j]`` on the
-    columns from ``shift_c0 + j``, applied as one shifted slice per
-    weight.  A stencil clamped at an end of the grid starts a column off
-    that line, so its weights sit one place over in a row of
-    ``shift_w`` one column wider.  The other rows come from the march, which reads only the
-    columns ``cols``: the first history nodes and ``I``, ``G``, ``Q`` at
-    the last node.  Until its delayed lookups leave the initial history,
-    the march splits into chunks of steps.  Over chunk ``a`` its
-    three-component state is a 3x3 matrix times the state ``Y_a`` at the
-    chunk's start, plus what the chunk's own steps injected on a band of
-    columns.  So a row sampled in the chunk is a 3-vector times ``Y_a``
-    plus a band row:
+    ``j`` is a cubic stencil with the weights ``shift_w[j]`` on the four
+    columns from ``shift_j0[j]``.  The other rows come from the march,
+    which reads only the columns ``cols``: the first history nodes and
+    ``I``, ``G``, ``Q`` at the last node.  Until its delayed lookups
+    leave the initial history, the march splits into chunks of steps.
+    Over chunk ``a`` its three-component state is a 3x3 matrix times the
+    state ``Y_a`` at the chunk's start, plus what the chunk's own steps
+    injected on a band of columns.  So a row sampled in the chunk is a
+    3-vector times ``Y_a`` plus a band row:
 
     * ``states``, the ``Y_a`` on ``cols``, shape ``(n_chunks, 3, n_cols)``;
     * ``chunk_rows``, the rows of each chunk, padded to the most rows of
@@ -240,12 +242,12 @@ class _PeriodMap:
       (``k = 1`` orbits, whose lookups read marched rows) and ``G``,
       ``Q`` at ``T``.
 
-    ``shape``, ``dtype`` and ``matvec`` make it an operator for ARPACK;
-    ``np.asarray`` assembles the dense matrix, and ``nbytes`` is what the
-    operator holds.
+    ``op @ x`` is the product with a vector ``(n,)`` or a block ``(n,
+    r)``, the one place that reads this layout; ``np.asarray`` is the
+    product with the identity, and ``nbytes`` is what the operator holds.
     """
 
-    shift_c0: int
+    shift_j0: np.ndarray
     shift_w: np.ndarray
     cols: np.ndarray
     states: np.ndarray
@@ -253,7 +255,6 @@ class _PeriodMap:
     chunk_rows: np.ndarray
     rows: np.ndarray
     tail: np.ndarray
-    dtype = np.dtype(float)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -262,52 +263,24 @@ class _PeriodMap:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.shift_w, self.cols, self.states, self.window,
-                                      self.chunk_rows, self.rows, self.tail))
+        return sum(a.nbytes for a in (self.shift_j0, self.shift_w, self.cols, self.states,
+                                      self.window, self.chunk_rows, self.rows, self.tail))
 
-    def _shift_columns(self, l: int) -> tuple[int, int, int]:
-        """Column offset ``c`` of weight ``l`` and the stencil rows
-        ``a .. b - 1`` for which column ``c + j`` is a history node."""
-        n_shift, N = len(self.shift_w), self.shape[0] - 2
-        c = self.shift_c0 + l
-        return c, max(-c, 0), min(n_shift, N - c)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        n_shift, width = self.shift_w.shape
-        n_band, n_chunks = len(self.rows), len(self.states)
-        y = np.empty(self.shape[0])
-        shift = y[:n_shift]
-        shift[:] = 0.0
-        for l in range(width):
-            c, a, b = self._shift_columns(l)
-            shift[a:b] += self.shift_w[a:b, l] * x[c + a:c + b]
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n_chunks, n_cols = len(self.states), len(self.cols)
         xc = x[self.cols]
-        parts = np.empty((n_chunks, self.chunk_rows.shape[2], 1))
-        parts[:, :3, 0] = (self.states.reshape(-1, len(xc)) @ xc).reshape(-1, 3)
-        parts[:, 3:, 0] = xc[self.window]
-        y[n_shift:n_shift + n_band] = (self.chunk_rows @ parts).ravel()[self.rows]
-        y[n_shift + n_band:] = self.tail @ xc
-        return y
+        parts = np.empty((n_chunks, self.chunk_rows.shape[2]) + x.shape[1:])
+        parts[:, :3] = (self.states.reshape(-1, n_cols) @ xc).reshape(parts[:, :3].shape)
+        parts[:, 3:] = xc[self.window]
+        band = self.chunk_rows @ parts.reshape(n_chunks, parts.shape[1], -1)
+        return np.concatenate([
+            np.einsum("ij,ji...->i...", self.shift_w, x[np.arange(4)[:, None] + self.shift_j0]),
+            band.reshape((-1,) + x.shape[1:])[self.rows],
+            self.tail @ xc,
+        ])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        n_shift, width = self.shift_w.shape
-        n_band = len(self.rows)
-        M = np.zeros(self.shape, dtype=dtype)
-        for l in range(width):
-            c, a, b = self._shift_columns(l)
-            r = np.arange(a, b)
-            M[r, c + r] = self.shift_w[a:b, l]
-        marched = M[n_shift:]
-        chunk, slot = np.divmod(self.rows, max(self.chunk_rows.shape[1], 1))
-        for a, (Y, window) in enumerate(zip(self.states, self.window)):
-            r = np.flatnonzero(chunk == a)
-            block = self.chunk_rows[a, slot[r], :3] @ Y
-            lo = window[0] if len(window) else 0
-            band = block[:, lo:lo + len(window)]
-            band += self.chunk_rows[a, slot[r], 3:3 + band.shape[1]]
-            marched[r[:, None], self.cols] = block
-        marched[n_band:, self.cols] = self.tail
-        return M
+        return self @ np.eye(self.shape[0], dtype=dtype)
 
 
 def _checked_nodes(tau: float, N: int | None, m: int, step: float) -> int:
@@ -580,38 +553,35 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     # steps are marched again one at a time to give them.
     n_stored = int(np.count_nonzero(t_nodes <= max(0.0, T - tau) + 2.0 * h))
     stored = np.empty((n_stored, 2, n_cols))
-    has_rows = first[1:] > first[:-1]
-    need = np.zeros(n_steps + 1, dtype=bool)
-    need[at] = need[np.maximum(at - 1, 0)] = True
-    need[:n_stored] = True
+    # A lookup past the history (t - tau > 0, from step n_hist on) reads
+    # the stored rows j, j + 1 of the march step it falls in.
+    past_j = [np.floor(s[n_hist:] / h).astype(int) for s in lags]
+    past_w = [_hermite_weights((s[n_hist:] - j * h) / h, h) for s, j in zip(lags, past_j)]
 
     def lookup(c: int, i: int) -> np.ndarray:
         """kappa I(t - tau) of lookup i of kind c, as a row on cols."""
-        s = lags[c][i]
-        if s <= 0.0:
+        if lags[c][i] <= 0.0:
             row = np.zeros(n_cols)
             j0 = stencils[c][0][i]
             row[j0:j0 + 4] = kap * stencils[c][1][i]
             return row
-        j = int(s / h)
-        w = _hermite_weights((s - j * h) / h, h)
-        return kap * (w @ stored[j:j + 2].reshape(4, n_cols))
+        j = past_j[c][i - n_hist]
+        return kap * (past_w[c][i - n_hist] @ stored[j:j + 2].reshape(4, n_cols))
 
-    # I, I' at the last needed node and at the current one.
+    # I, I' at the node before and at the current one.
     ends = np.zeros((4, n_cols))
     for i in itertools.chain(range(min(n_stored, n_hist)), range(n_hist, n_steps + 1)):
         if i == n_hist:
             Y = Y_hist
-        if need[i]:
-            ends[:2] = ends[2:]
-            ends[2] = Y[2]
-            np.dot(di_rows[i], Y, out=ends[3])
-            ends[3] += lookup(0, i)
-            if i < n_stored:
-                stored[i] = ends[2:]
-            if i > n_hist and has_rows[i]:
-                r = slice(first[i], first[i + 1])
-                tail[r.start - n_band:r.stop - n_band] = sample_w[r] @ ends
+        ends[:2] = ends[2:]
+        ends[2] = Y[2]
+        np.dot(di_rows[i], Y, out=ends[3])
+        ends[3] += lookup(0, i)
+        if i < n_stored:
+            stored[i] = ends[2:]
+        if i > n_hist:
+            r = slice(first[i], first[i + 1])
+            tail[r.start - n_band:r.stop - n_band] = sample_w[r] @ ends
         if i == n_steps:
             break
         if i < n_hist:
@@ -622,16 +592,10 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
 
     tail[-2:] = Y[:2]  # the march ends at t = T, the last node
 
-    # Stencil row j starts at column shift_j0[j] = j + off[j], where off
-    # is constant save at a clamped end of the grid.
-    shift_j0, w = _cubic_stencils(out_times[:n_shift] + tau, N, spacing)
-    off = shift_j0 - np.arange(n_shift)
-    shift_c0 = int(off.min()) if n_shift else 0
-    shift_w = np.zeros((n_shift, 4 + int(off.max(initial=shift_c0)) - shift_c0))
-    np.put_along_axis(shift_w, (off - shift_c0)[:, None] + np.arange(4), w, axis=1)
+    shift_j0, shift_w = _cubic_stencils(out_times[:n_shift] + tau, N, spacing)
     rows = chunk * chunk_rows.shape[1] + slot
     window = np.minimum(lo[:, None] + np.arange(bw), n_cols - 1)
-    return _PeriodMap(shift_c0, shift_w, cols, states, window, chunk_rows, rows, tail)
+    return _PeriodMap(shift_j0, shift_w, cols, states, window, chunk_rows, rows, tail)
 
 
 def _march_steps(T: float, tau: float, step: float) -> int:
@@ -736,21 +700,14 @@ def _leading_eigs(M, m: int) -> tuple[np.ndarray, str, int, int]:
         vals = np.linalg.eigvals(np.asarray(M))
     else:
         method = "arpack"
-        from scipy.sparse.linalg import (
-            ArpackNoConvergence,
-            LinearOperator,
-            aslinearoperator,
-            eigs,
-        )
-
-        A = aslinearoperator(M)
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
         def product(x):
             nonlocal matvecs
             matvecs += 1
-            return A.matvec(x)
+            return M @ x
 
-        op = LinearOperator(A.shape, matvec=product, dtype=A.dtype)
+        op = LinearOperator(M.shape, matvec=product, dtype=float)
         v0 = np.linspace(1.0, 2.0, n)
         try:
             vals = eigs(op, k=m, which="LM", v0=v0, ncv=min(n, max(2 * m + 1, _MIN_NCV)),

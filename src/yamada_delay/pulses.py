@@ -69,8 +69,6 @@ MIN_THRESHOLD = 1e-12
 PEAK_MARGIN = 1e-12
 #: Largest interval coefficient of variation that still counts as a train.
 INTERVAL_CV_TOL = 0.01
-#: Trailing intervals averaged into a settled train's period estimate.
-PERIOD_INTERVALS = 8
 #: Length in delays of the simulated guess of :func:`settle_train`.
 GUESS_DELAYS = 4.0
 #: Regeneration lag ``delta`` assumed by that guess (only the guess depends on it).

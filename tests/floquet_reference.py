@@ -46,6 +46,13 @@ def _cardinal_weights(s: float, n_nodes: int, spacing: float):
     return j0, w
 
 
+def _steps(T: float, tau: float, step: float) -> int:
+    """March steps over the period: ``T / step`` rounded up, and at least
+    ``floor(T / tau) + 1``, so that each step is shorter than the delay
+    and its lookups read rows already written."""
+    return max(math.ceil(T / step), math.floor(T / tau) + 1)
+
+
 def reduced_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.ndarray:
     """Dense (N+2) x (N+2) period map: same unknowns, grid and march as the library."""
     params = orbit.params
@@ -57,7 +64,7 @@ def reduced_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.nd
     dim = N + 2
     kap = params.kappa
 
-    n_steps = max(1, int(math.ceil(T / step)))
+    n_steps = _steps(T, tau, step)
     h = T / n_steps
 
     # M1 along the orbit at nodes and midpoints of the march grid.
@@ -164,7 +171,7 @@ def full_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.ndarr
     dim = 3 * N
     kap = params.kappa
 
-    n_steps = max(1, int(math.ceil(T / step)))
+    n_steps = _steps(T, tau, step)
     h = T / n_steps
 
     t_nodes = np.arange(n_steps + 1) * h
@@ -267,8 +274,10 @@ def full_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.ndarr
 
 
 def arpack_reference(M, m=200):
-    """The m leading eigenvalues of ``M`` from ARPACK at machine precision
-    (``tol=0``), ordered as ``_leading_eigs`` orders them."""
-    vals = scipy.sparse.linalg.eigs(M, k=m, which="LM", v0=np.linspace(1.0, 2.0, M.shape[0]),
+    """The m leading eigenvalues of ``M`` (an ndarray or anything with
+    ``shape`` and ``M @ x``) from ARPACK at machine precision (``tol=0``),
+    ordered as ``_leading_eigs`` orders them."""
+    A = scipy.sparse.linalg.LinearOperator(M.shape, matvec=lambda x: M @ x, dtype=float)
+    vals = scipy.sparse.linalg.eigs(A, k=m, which="LM", v0=np.linspace(1.0, 2.0, M.shape[0]),
                                     tol=0, return_eigenvectors=False)
     return vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]

@@ -39,7 +39,6 @@ from yamada_delay.floquet import PeriodicOrbit
 from yamada_delay.integrator import HistorySpec, StepControl, Trajectory, integrate
 from yamada_delay.model import ModelParams
 from yamada_delay.pulses import (
-    PERIOD_INTERVALS,
     REFRACTORY,
     SAMPLE_DT,
     measure_train,
@@ -49,6 +48,8 @@ from yamada_delay.pulses import (
 
 #: Largest periodicity residual of an extracted orbit.
 RESIDUAL_TOL = 1e-5
+#: Trailing intervals averaged into a settled train's period estimate.
+PERIOD_INTERVALS = 8
 
 
 def bisection_pulses(trajectory, threshold: float, refractory: float = REFRACTORY,

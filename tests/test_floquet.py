@@ -79,7 +79,8 @@ class TestConstantOrbitOracle:
     def test_delay_shorter_than_the_step(self, monkeypatch):
         # tau = 0.04 < step = 0.05: the march takes steps shorter than the
         # delay, so no lookup reads a row it has not written.  Fresh
-        # arrays are filled with NaN to show any such read.
+        # arrays are filled with NaN to show any such read, and the map
+        # matches the reference march, which caps its step the same way.
         p = preset("figure1", kappa=0.2, tau=0.04)
         T = 3.0
         traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 20.0)
@@ -96,6 +97,8 @@ class TestConstantOrbitOracle:
             patch.setattr(np, "empty", nan_empty)
             M = np.asarray(_period_map(orbit, 8, 0.05))
         assert np.isfinite(M).all()
+        ref = reduced_period_map(orbit, 8, 0.05)
+        assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
         with pytest.warns(UserWarning):
             fs = monodromy_multipliers(orbit, N=8, m=3)
         assert fs.diagnostics["march_step"] == T / 76 < p.tau
@@ -285,7 +288,7 @@ class TestTwoBlockPeriodMap:
             assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max(), key
             for x in rng.standard_normal((3, len(M))):
                 want = M @ x
-                assert np.abs(op.matvec(x) - want).max() <= 1e-13 * np.abs(want).max(), key
+                assert np.abs(op @ x - want).max() <= 1e-13 * np.abs(want).max(), key
 
     def test_step_coarser_than_node_spacing(self, orbit30):
         # step 0.6 against node spacing 0.5: the three lookups of one
@@ -307,14 +310,15 @@ class TestTwoBlockPeriodMap:
             _period_map(orbits[(1, 200.0)], 10_000_000, 0.05)
 
     def test_matvec_matches_assembled_map(self, cases):
-        # the stored parts' product against the dense product of the
-        # same map: only the order of the sums differs
+        # a block product with the stored parts against the reference
+        # map's, column by column
         rng = np.random.default_rng(8)
         for key, (fs, op, M) in cases.items():
-            dense = np.asarray(op)
-            for x in rng.standard_normal((3, len(M))):
-                want = dense @ x
-                assert np.abs(op.matvec(x) - want).max() <= 1e-14 * np.abs(want).max(), key
+            X = rng.standard_normal((len(M), 5))
+            want = M @ X
+            got = op @ X
+            assert got.shape == want.shape, key
+            assert (np.abs(got - want).max(axis=0) <= 1e-13 * np.abs(want).max(axis=0)).all(), key
 
     def test_zero_right_of_front(self, cases):
         # the reference march knows nothing of the layout: each marched row
@@ -363,12 +367,12 @@ class TestTwoBlockPeriodMap:
             elif tau == 10.0:
                 assert 0 < n_hist % B
             else:
-                assert n_hist < B and 3.0 < spacing and op.shift_w.shape[1] > 4
+                assert n_hist < B and 3.0 < spacing and {0, N - 4} <= set(op.shift_j0.tolist())
             M = reduced_period_map(orbit, N, step)
             assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max(), (tau, N, step)
             for x in np.random.default_rng(3).standard_normal((3, len(M))):
                 want = M @ x
-                assert np.abs(op.matvec(x) - want).max() <= 1e-13 * np.abs(want).max(), (tau, N, step)
+                assert np.abs(op @ x - want).max() <= 1e-13 * np.abs(want).max(), (tau, N, step)
 
     def test_stored_bytes(self, period_maps, floquet_sets):
         # about half of the dense block of marched rows on marched columns

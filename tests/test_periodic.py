@@ -87,7 +87,7 @@ class TestNearOnset:
         # nearly neutral), so only their mean is the period, and the train
         # is still settling (2.5e-6 off at k = 2, 4.3e-5 at k = 3)
         run = pulses_reference.settle_train(p, k=k, control=self.CONTROL)
-        loops = pulses.measure_train(run, tau, last=k * (pulses.PERIOD_INTERVALS // k))
+        loops = pulses.measure_train(run, tau, last=k * (pulses_reference.PERIOD_INTERVALS // k))
         assert abs(orbit.period - loops.period) < 1e-4
 
     @pytest.mark.parametrize("kappa, k", [(0.01, 3), (0.007, 2)])
