@@ -446,6 +446,19 @@ class TestEigenStoppingRule:
             ref_trivial = ref[np.argmin(np.abs(ref - 1.0))]
             assert abs(fs.trivial - ref_trivial) <= 1e-13, key
 
+    def test_ill_conditioned_cluster_against_dense(self, floquet_sets, period_maps):
+        # The leading multipliers of (1, 400) near 1/3 form an ill-conditioned
+        # cluster: the summation order of the products moves them by 1e-11,
+        # and the machine-precision solve above follows ARPACK's own Krylov
+        # sequence.  Dense eigvals of the same operator is a reference
+        # outside ARPACK; it lies 2.1e-10 away.
+        op, _ = period_maps[(1, 400.0)]
+        dense = np.linalg.eigvals(np.asarray(op))
+        dense = dense[np.argsort(-np.abs(dense))]
+        arpack = floquet_sets[(1, 400.0)].multipliers
+        for x, y in ((arpack[:30], dense), (dense[:30], arpack)):
+            assert np.abs(x[:, None] - y[None, :]).min(axis=1).max() <= 1e-9
+
     @pytest.mark.parametrize("key", [(1, 200.0), (2, 400.0)])
     def test_few_multipliers(self, orbits, floquet_sets, key):
         # ARPACK keeps at least 64 Arnoldi vectors, so a small m costs a

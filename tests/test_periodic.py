@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from yamada_delay import (
     HistorySpec,
@@ -22,6 +23,7 @@ from yamada_delay import (
 from yamada_delay import floquet, periodic, pulses
 from yamada_delay.cli import main
 
+import periodic_reference
 import pulses_reference
 
 
@@ -133,8 +135,9 @@ class TestOrbit:
     def test_diagnostics(self, orbits):
         for orbit in orbits.values():
             d = orbit.diagnostics
-            assert set(d) == {"newton_steps", "L", "residual", "solve_s"}
+            assert set(d) == {"newton_steps", "factorizations", "L", "residual", "solve_s"}
             assert 1 <= d["newton_steps"] <= periodic.NEWTON_MAX_STEPS
+            assert 1 <= d["factorizations"] <= d["newton_steps"]
             assert d["L"] == periodic.INTERVALS
             assert d["residual"] == orbit.residual <= periodic.RESIDUAL_TOL
             assert d["solve_s"] > 0.0
@@ -191,6 +194,68 @@ class TestBranchSlope:
         # not part of equality
         assert bare == orbit
         assert dataclasses.replace(orbit, dT_dtau=0.0) == orbit
+
+
+def recorded_settle_train(monkeypatch, p, k):
+    """Each collocation solve of ``settle_train(p, k=k)``: the inputs and
+    results of its Newton calls, and its orbit."""
+    calls, solves = [], []
+    newton, solve = periodic._newton, pulses.solve_periodic
+
+    def recorded_newton(*args):
+        calls.append((args, newton(*args)))
+        return calls[-1][1]
+
+    def recorded_solve(*args, **kwargs):
+        first = len(calls)
+        orbit = solve(*args, **kwargs)
+        solves.append((calls[first:], orbit))
+        return orbit
+
+    monkeypatch.setattr(periodic, "_newton", recorded_newton)
+    monkeypatch.setattr(pulses, "solve_periodic", recorded_solve)
+    settle_train(p, k=k)
+    return solves
+
+
+class TestHeldFactorization:
+    """Newton keeps its factorization while it contracts.
+
+    Against full Newton, one factorization a step, as the library ran it
+    before (``periodic_reference.newton``), on the same start and mesh.
+    """
+
+    @pytest.mark.parametrize("kappa, tau, k", [
+        (0.1, 200.0, 1), (0.1, 400.0, 1), (0.1, 200.0, 2), (0.1, 400.0, 2),
+        (0.01, 200.0, 1), (0.008, 200.0, 1), (0.01, 200.0, 2), (0.008, 200.0, 2),
+        (0.008, 400.0, 3)])
+    def test_matches_full_newton(self, monkeypatch, kappa, tau, k):
+        solves = recorded_settle_train(monkeypatch, preset("figure1", kappa=kappa, tau=tau), k)
+        for calls, orbit in solves:
+            for args, (X, T, *_, slope) in calls:
+                X_ref, T_ref, _, slope_ref = periodic_reference.newton(*args)
+                assert abs(T - T_ref) <= 1e-12 * T_ref
+                amplitude = X_ref.max(axis=0) - X_ref.min(axis=0)
+                assert np.all(np.abs(X - X_ref) <= 1e-10 * amplitude)
+            # the orbit's slope is solved on its last mesh only
+            assert orbit.dT_dtau == slope()
+            assert abs(orbit.dT_dtau - slope_ref) <= 1e-12
+
+    @pytest.mark.parametrize("tau, k, most", [(200.0, 1, 2), (400.0, 2, 4)])
+    def test_factorizations_per_train(self, monkeypatch, tau, k, most):
+        # full Newton factors 6 times at (1, 200) and 11 times at (2, 400)
+        factored = []
+        splu = scipy.sparse.linalg.splu
+
+        def counted(A):
+            factored.append(A.shape)
+            return splu(A)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+        solves = recorded_settle_train(monkeypatch, preset("figure1", kappa=0.1, tau=tau), k)
+        counts = [orbit.diagnostics["factorizations"] for _, orbit in solves]
+        assert counts == [sum(out[3] for _, out in calls) for calls, _ in solves]
+        assert sum(counts) == len(factored) <= most
 
 
 class TestSettleTrain:
