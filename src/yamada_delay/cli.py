@@ -259,7 +259,7 @@ def _run_excite(ns):
 def _run_sweep(ns):
     p = _params_from(ns)
     taus = _grid(ns, "tau_start", "tau_stop", "tau_count", "delays")
-    return sweep_tau(p, taus, _control_from(ns), periods=ns.periods)
+    return sweep_tau(p, taus, _control_from(ns))
 
 
 def _run_spectrum(ns):
@@ -356,14 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
           help="run length (default scales with the delay)")
     c.handler = _run_excite
 
-    c = _Command(sub, "sweep", "trace a pulse-train branch over a range of delays")
+    c = _Command(sub, "sweep", "the one-pulse orbit at each of a range of delays")
     c.model_opts()
     c.tol_opts()
     c.opt("--tau-start", dest="tau_start", type=float, required=True, help="first delay")
     c.opt("--tau-stop", dest="tau_stop", type=float, required=True, help="last delay")
     c.opt("--tau-count", dest="tau_count", type=int, default=21, help="number of delays")
-    c.opt("--periods", dest="periods", type=float, default=16.0,
-          help="pulse periods simulated per delay")
     c.handler = _run_sweep
 
     c = _Command(sub, "spectrum", "characteristic roots of a steady state in a window")

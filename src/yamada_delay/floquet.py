@@ -80,6 +80,12 @@ __all__ = [
 
 #: March steps per batch of step maps.
 _STEP_MAP_CHUNK = 256
+#: Most steps the march may take over one period.  A step holds about
+#: 0.7 kB while the map is built (its step maps, the orbit's linearization
+#: at its node and midpoint, and its lookup stencils), so the ceiling
+#: keeps the build under about 0.7 GB, as the 4000-node default cap keeps
+#: the map itself small.  The default step takes about 4 000 steps at tau = 200.
+_MAX_MARCH_STEPS = 1_000_000
 
 #: Relative Ritz residual at which ARPACK stops.  The discretized map is
 #: itself accurate to about 1e-5 at the default spacing, so residuals at
@@ -343,7 +349,8 @@ def monodromy_multipliers(
     ------
     InvalidArgumentError
         For ``tau <= 0``, fewer than 8 nodes, ``m < 1``, or a march step
-        that is not positive and finite.
+        that is not positive and finite or that takes more than 1 000 000
+        steps over the period (checked before the map is built).
 
     Warns
     -----
@@ -355,6 +362,12 @@ def monodromy_multipliers(
     params = orbit.params
     tau = params.tau
     N = _checked_nodes(tau, N, m, step)
+    n_steps = _march_steps(orbit.period, tau, step)
+    if n_steps > _MAX_MARCH_STEPS:
+        raise InvalidArgumentError(
+            f"march step {step!r} takes {n_steps} steps over the period {orbit.period:g}, "
+            f"more than {_MAX_MARCH_STEPS}"
+        )
 
     t0 = time.perf_counter()
     op = _period_map(orbit, N, step)
@@ -381,7 +394,7 @@ def monodromy_multipliers(
         "map_bytes": op.nbytes,
         "chunks": len(op.states),
         "band_width": op.window.shape[1],
-        "march_step": orbit.period / _march_steps(orbit.period, tau, step),
+        "march_step": orbit.period / n_steps,
         "trivial_defect": abs(trivial - 1.0),
     }
     return FloquetSet(mults, N, trivial, orbit.period, diagnostics)

@@ -9,13 +9,15 @@ fill the delay line, then switch the feedback on and watch whether the
 re-injected pulse keeps regenerating itself.  :func:`settle_train` runs
 that protocol only for a few delays, as the guess of the periodic
 collocation solve in :mod:`yamada_delay.periodic`, which returns the
-train as an exactly periodic orbit.
+train as an exactly periodic orbit; :func:`sweep_tau` reads that orbit
+at each delay of a grid.
 
 Measured quantities follow the pulse-train bookkeeping ``T = (tau +
 delta) / k``: ``T`` is the inter-pulse interval, ``k`` the number of
 pulses per delay interval, and ``delta > 0`` the regeneration lag of the
 feedback loop.  Every experiment reads its runs through
-:func:`measure_train` and keeps only its own acceptance rule.
+:func:`measure_train`; :func:`classify_response` holds the only rule
+for a sustained train.
 """
 
 from __future__ import annotations
@@ -81,9 +83,8 @@ _SCREEN_DELAYS = 3.0
 _SCREEN_AFTER = 2.0
 _SCREEN_FRAC = 0.5
 #: Leading share of a run left out of the train statistics by
-#: :func:`classify_response` and by :func:`sweep_tau`.
+#: :func:`classify_response`.
 TRANSIENT_FRAC = 0.25
-WARMUP_FRAC = 0.4
 
 
 def detect_pulses(
@@ -563,24 +564,31 @@ def settle_train(
 
 @dataclass
 class BranchSample:
-    """Period data collected along one branch of sustained trains.
+    """One-pulse orbits along a grid of delays.
 
     Attributes
     ----------
     tau, period, delta : ndarray
-        Delay, measured period, and drift ``k * T - tau`` per point.
+        Delay, orbit period, and drift ``k * T - tau`` per point.
     k : ndarray of int
-        Pulses per delay interval (constant along a healthy branch).
+        Pulses per delay interval of each orbit.
+    dT_dtau : ndarray
+        Slope ``dT / dtau`` of the branch at each orbit
+        (:attr:`yamada_delay.periodic.PeriodicOrbit.dT_dtau`).
     aborted_at : float or None
-        First swept delay that failed classification, if any; samples
-        stop at the last good point.
+        First swept delay with no orbit, if any; samples stop at the
+        delay before it.
     """
 
     tau: np.ndarray
     period: np.ndarray
     k: np.ndarray
     delta: np.ndarray
+    dT_dtau: np.ndarray
     aborted_at: float | None = None
+
+    #: The per-sample columns, in output order.
+    FIELDS = ("tau", "period", "k", "delta", "dT_dtau")
 
     def __len__(self) -> int:
         return len(self.tau)
@@ -594,32 +602,31 @@ class BranchSample:
         """Linear interpolation of T(tau) on the sampled branch."""
         return float(np.interp(tau, self.tau, self.period))
 
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, f) for f in self.FIELDS]
+
     def to_json_obj(self) -> dict:
-        columns = (jlist(self.tau), jlist(self.period), jlist(self.k), jlist(self.delta))
+        columns = [jlist(c) for c in self.columns()]
         return {
-            "samples": [{"tau": t, "period": p, "k": k, "delta": d} for t, p, k, d in zip(*columns)],
+            "samples": [dict(zip(self.FIELDS, row)) for row in zip(*columns)],
             "t_min": jnum(self.t_min),
             "aborted_at": None if self.aborted_at is None else jnum(self.aborted_at),
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        return ["tau", "period", "k", "delta"], columns_to_rows(
-            self.tau, self.period, self.k, self.delta)
+        return list(self.FIELDS), columns_to_rows(*self.columns())
 
 
 def sweep_tau(
     params: ModelParams,
     tau_values,
     control: StepControl | None = None,
-    periods: float = 16.0,
 ) -> BranchSample:
-    """Trace a branch of sustained trains over increasing delays.
+    """The one-pulse orbit at each of a list of delays.
 
-    The first point is seeded by :func:`single_pulse_seed`; each later
-    point continues from the tail of the previous run, which keeps the
-    sweep on the same branch (same ``k``) as long as it remains stable.
-    For each delay the run covers roughly ``periods`` pulse periods,
-    the first ``WARMUP_FRAC`` of which is discarded before measuring.
+    Each delay is solved on its own by :func:`settle_train` with ``k =
+    1``, from its solitary-pulse guess, so no state is carried from one
+    delay to the next and the sweep cannot jump to another branch.
 
     Parameters
     ----------
@@ -627,17 +634,20 @@ def sweep_tau(
         ``tau`` is overridden per point.
     tau_values : array_like
         Strictly increasing delays, all > 0.
+    control : StepControl, optional
+        Step control of the guess runs.
 
     Returns
     -------
     BranchSample
-        Samples up to the last delay that sustained a clean train;
-        ``aborted_at`` records the first failure, if any.
+        The orbits up to the delay before the first at which
+        :func:`settle_train` raises :class:`NumericalError`;
+        ``aborted_at`` records that delay, if any.
 
     Raises
     ------
     NoBranchError
-        If the first delay does not sustain a train.
+        If there is no orbit at the first delay.
     """
     taus = np.asarray(list(tau_values), dtype=float)
     if taus.ndim != 1 or len(taus) == 0:
@@ -645,36 +655,29 @@ def sweep_tau(
     if np.any(np.diff(taus) <= 0.0) or taus[0] <= 0.0:
         raise InvalidArgumentError("tau_values must be positive and strictly increasing")
 
-    rows: list[tuple[float, float, int, float]] = []
-    aborted_at = None
-    prev_traj: Trajectory | None = None
+    orbits, aborted_at = [], None
     for tau in taus:
-        p = params.replace(tau=float(tau))
-        if prev_traj is None:
-            history = single_pulse_seed(p, control=control)
-        else:
-            history = HistorySpec.from_tail(prev_traj)
-        horizon = periods * (tau + 30.0)
-        traj = integrate(p, history, horizon, control)
-        train = measure_train(traj, p.tau, since=WARMUP_FRAC * traj.t1)
-        if len(train.train_times) < 5 or train.cv >= INTERVAL_CV_TOL or train.k < 1:
+        try:
+            orbits.append(settle_train(params.replace(tau=float(tau)), periods=1.0,
+                                       control=control))
+        except NumericalError as exc:
+            if not orbits:
+                raise NoBranchError(f"no pulse train at the first delay tau = {tau:g}: "
+                                    f"{exc}") from exc
             aborted_at = float(tau)
             break
-        rows.append((p.tau, train.period, train.k, train.k * train.period - p.tau))
-        prev_traj = traj
-    if not rows:
-        raise NoBranchError(f"no sustained train at the first delay tau = {taus[0]:g}")
-    tau_a, t_a, k_a, d_a = (np.array(col) for col in zip(*rows))
-    return BranchSample(tau_a, t_a, k_a.astype(int), d_a, aborted_at)
+    tau_a = taus[:len(orbits)]
+    T, k, slope = (np.array(c) for c in zip(*((o.period, o.k, o.dT_dtau) for o in orbits)))
+    return BranchSample(tau_a, T, k, k * T - tau_a, slope, aborted_at)
 
 
 def fold_estimate(branch: BranchSample, k: int) -> float | None:
     """Delay where the branch's reappearance map folds, if sampled.
 
     Reappearance maps a solution at ``tau`` to one at ``tau + k*T(tau)``;
-    that map folds where ``1 + k * T'(tau) = 0``.  The derivative is
-    estimated by finite differences on the sampled branch and the sign
-    change located by linear interpolation.
+    that map folds where ``1 + k * T'(tau) = 0``.  ``T'`` is each
+    orbit's exact slope ``dT_dtau``, and the sign change is located by
+    linear interpolation between samples.
 
     Returns
     -------
@@ -682,11 +685,10 @@ def fold_estimate(branch: BranchSample, k: int) -> float | None:
         Interpolated fold delay, or None when ``1 + k T'`` does not
         change sign over the sample.
     """
-    if len(branch) < 5:
-        raise InvalidArgumentError("fold estimation needs at least 5 branch samples")
-    tau, T = branch.tau, branch.period
-    dT = np.gradient(T, tau)
-    g = 1.0 + k * dT
+    if len(branch) < 2:
+        raise InvalidArgumentError("fold estimation needs at least 2 branch samples")
+    tau = branch.tau
+    g = 1.0 + k * branch.dT_dtau
     for i in range(len(g) - 1):
         if g[i] == 0.0:
             return float(tau[i])

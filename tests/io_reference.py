@@ -99,8 +99,10 @@ def to_json_obj(obj) -> dict:
         }
     if isinstance(obj, BranchSample):
         return {
-            "samples": [{"tau": jnum(t), "period": jnum(p), "k": int(k), "delta": jnum(d)}
-                        for t, p, k, d in zip(obj.tau, obj.period, obj.k, obj.delta)],
+            "samples": [{"tau": jnum(t), "period": jnum(p), "k": int(k), "delta": jnum(d),
+                         "dT_dtau": jnum(s)}
+                        for t, p, k, d, s in zip(obj.tau, obj.period, obj.k, obj.delta,
+                                                 obj.dT_dtau)],
             "t_min": jnum(obj.t_min),
             "aborted_at": None if obj.aborted_at is None else jnum(obj.aborted_at),
         }
@@ -138,9 +140,9 @@ def csv_rows(obj) -> tuple[list[str], list[list]]:
                 for i, (t, h) in enumerate(zip(obj.pulse_times, obj.heights))]
         return header, rows or [[0, "", "", obj.classification, "", "", ""]]
     if isinstance(obj, BranchSample):
-        return ["tau", "period", "k", "delta"], [
-            [float(t), float(p), int(k), float(d)]
-            for t, p, k, d in zip(obj.tau, obj.period, obj.k, obj.delta)]
+        return ["tau", "period", "k", "delta", "dT_dtau"], [
+            [float(t), float(p), int(k), float(d), float(s)]
+            for t, p, k, d, s in zip(obj.tau, obj.period, obj.k, obj.delta, obj.dT_dtau)]
     if isinstance(obj, cli._TrajectoryPayload):
         ts, ys = obj.traj.sample(obj.dt)
         return ["t", "G", "Q", "I"], [

@@ -18,6 +18,13 @@ Test-only code; nothing under ``src/`` imports it.
   intervals polished by :func:`yamada_delay.pulses.refine_period`.  The
   differential tests in ``test_periodic.py`` compare the collocated
   periods against it.
+* :func:`sweep_tau` -- the simulated branch sweep that the per-delay
+  orbit solve replaced: each delay after the first continues from the
+  tail of the previous run, runs about 16 pulse periods and accepts a
+  train of at least five pulses after the first 40 % whose intervals
+  vary by less than ``INTERVAL_CV_TOL``.  The differential tests in
+  ``test_pulses.py`` compare the orbit periods of
+  :func:`yamada_delay.sweep_tau` against it.
 * :func:`bisect_kappa_min` -- the plain halving loop.
   :func:`yamada_delay.scan_kappa_min` walks its tree with short screening
   runs and certifies the predicted final cell with full runs.  The
@@ -39,6 +46,7 @@ from yamada_delay.floquet import PeriodicOrbit
 from yamada_delay.integrator import HistorySpec, StepControl, Trajectory, integrate
 from yamada_delay.model import ModelParams
 from yamada_delay.pulses import (
+    INTERVAL_CV_TOL,
     REFRACTORY,
     SAMPLE_DT,
     measure_train,
@@ -190,6 +198,37 @@ def extract_orbit(trajectory: Trajectory) -> PeriodicOrbit:
             "transient not settled"
         )
     return PeriodicOrbit(trajectory, period, train.k, params, anchor, residual)
+
+
+def sweep_tau(params: ModelParams, tau_values, control: StepControl | None = None,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
+    """Delays, periods and ``k`` of the simulated branch sweep, and its ``aborted_at``.
+
+    The first delay is seeded by :func:`single_pulse_seed`, each later
+    one by the tail of the previous run.  A run covers ``16 (tau + 30)``
+    and its first 40 % is left out of the measurement.
+    """
+    periods, warmup_frac = 16.0, 0.4
+    rows = []
+    aborted_at = None
+    prev_traj = None
+    for tau in tau_values:
+        p = params.replace(tau=float(tau))
+        if prev_traj is None:
+            history = single_pulse_seed(p, control=control)
+        else:
+            history = HistorySpec.from_tail(prev_traj)
+        traj = integrate(p, history, periods * (tau + 30.0), control)
+        train = measure_train(traj, p.tau, since=warmup_frac * traj.t1)
+        if len(train.train_times) < 5 or train.cv >= INTERVAL_CV_TOL or train.k < 1:
+            aborted_at = float(tau)
+            break
+        rows.append((p.tau, train.period, train.k))
+        prev_traj = traj
+    if not rows:
+        raise NoBranchError(f"no sustained train at the first delay tau = {tau_values[0]:g}")
+    tau_a, t_a, k_a = (np.array(col) for col in zip(*rows))
+    return tau_a, t_a, k_a.astype(int), aborted_at
 
 
 def bisect_kappa_min(sustained, kappa_bracket: tuple[float, float],

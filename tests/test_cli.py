@@ -313,7 +313,7 @@ class TestSweep:
         header, rows = run_csv(capsys, ["sweep", "--kappa", "0.01",
                                         "--tau-start", "80", "--tau-stop", "100",
                                         "--tau-count", "2"])
-        assert header == ["tau", "period", "k", "delta"]
+        assert header == ["tau", "period", "k", "delta", "dT_dtau"]
         assert len(rows) == 2
         assert [float(r[0]) for r in rows] == [80.0, 100.0]
         assert all(int(r[2]) == 1 for r in rows)
@@ -323,10 +323,18 @@ class TestSweep:
                               "--tau-stop", "100", "--tau-count", "2"])
         assert set(d) == {"samples", "t_min", "aborted_at"}
         assert [s["tau"] for s in d["samples"]] == [80.0, 100.0]
-        assert all(set(s) == {"tau", "period", "k", "delta"} for s in d["samples"])
+        assert all(set(s) == {"tau", "period", "k", "delta", "dT_dtau"} for s in d["samples"])
         assert all(s["k"] == 1 and s["delta"] == s["period"] - s["tau"] for s in d["samples"])
         assert d["t_min"] == min(s["period"] for s in d["samples"])
         assert d["aborted_at"] is None
+
+    def test_no_periods_option(self, capsys):
+        # each delay is a collocated orbit, not a run of some length
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kappa", "0.01", "--tau-start", "80", "--tau-stop", "100",
+                  "--periods", "16"])
+        assert exc.value.code == 2
+        assert "--periods" in capsys.readouterr().err
 
     def test_no_branch_is_numerical_failure(self, capsys):
         run_fail(capsys, ["sweep", "--kappa", "0.001", "--tau-start", "100",

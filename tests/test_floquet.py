@@ -123,6 +123,22 @@ class TestConstantOrbitOracle:
         with pytest.raises(InvalidArgumentError, match=f"step .*got {step!r}"):
             monodromy_multipliers(self.constant_orbit(), step=step)
 
+    def test_march_step_count_is_checked_before_allocating(self, monkeypatch):
+        # 3e6 steps over T = 3: refused before the map's arrays exist
+        def no_map(*args):
+            raise RuntimeError("the period map was built")
+
+        monkeypatch.setattr(floquet, "_period_map", no_map)
+        orbit = self.constant_orbit()
+        with pytest.raises(InvalidArgumentError, match=r"march step 1e-06 takes 3000000 steps"):
+            monodromy_multipliers(orbit, step=1e-6)
+        # the ceiling itself is allowed
+        monkeypatch.setattr(floquet, "_MAX_MARCH_STEPS", 60)
+        with pytest.raises(InvalidArgumentError, match="takes 62 steps .* more than 60"):
+            monodromy_multipliers(orbit, step=0.049)
+        with pytest.raises(RuntimeError, match="was built"):
+            monodromy_multipliers(orbit, step=0.05)
+
     @pytest.mark.parametrize("m", [0, -3])
     def test_needs_at_least_one_multiplier(self, m):
         with pytest.raises(InvalidArgumentError, match=f"m = {m}"):

@@ -41,7 +41,12 @@ from yamada_delay.pulses import (
     measure_train,
 )
 
-from pulses_reference import bisect_kappa_min, bisection_pulses, sampled_peak_intensity
+from pulses_reference import (
+    bisect_kappa_min,
+    bisection_pulses,
+    sampled_peak_intensity,
+    sweep_tau as simulated_sweep,
+)
 
 
 @pytest.fixture(scope="module")
@@ -284,12 +289,14 @@ class TestRefinePeriod:
         assert refined == pytest.approx(orbit.period, abs=1e-5)
 
 
+FIXTURE_TAUS = [80.0, 120.0, 160.0, 200.0, 240.0, 280.0, 300.0]
+
+
 @pytest.fixture(scope="module")
 def branch():
-    # continuation tolerates moderate delay jumps; much larger ones
-    # kick the train off the branch, so step by 40 at most
+    # each delay is solved on its own, so the grid may be as coarse as wanted
     p = preset("figure1", kappa=0.01)
-    return sweep_tau(p, [80.0, 120.0, 160.0, 200.0, 240.0, 280.0, 300.0])
+    return sweep_tau(p, FIXTURE_TAUS)
 
 
 class TestBranchSweep:
@@ -329,30 +336,65 @@ class TestBranchSweep:
             sweep_tau(preset("figure1", kappa=0.001), [100.0])
 
 
+class TestOrbitSweep:
+    """The per-delay orbits against the simulated sweep they replaced
+    and against fresh simulations."""
+
+    def test_matches_simulated_sweep(self, branch):
+        taus, periods, k, aborted_at = simulated_sweep(preset("figure1", kappa=0.01),
+                                                       FIXTURE_TAUS)
+        assert branch.aborted_at is None and aborted_at is None
+        assert np.array_equal(branch.tau, taus)
+        assert np.array_equal(branch.k, k)
+        assert np.abs(branch.period - periods).max() <= 1e-4
+
+    def test_no_branch_jump_on_a_coarse_grid(self):
+        # the simulated sweep continued from a 150-long tail holding two
+        # pulses, landed on a k = 2 transient and stopped after one row
+        p = preset("figure1", kappa=0.1)
+        branch = sweep_tau(p, np.arange(100.0, 401.0, 50.0))
+        assert branch.aborted_at is None
+        assert len(branch) == 7
+        assert np.all(branch.k == 1)
+        for tau, period in zip(branch.tau, branch.period):
+            q = p.replace(tau=float(tau))
+            stats = classify_response(q, single_pulse_seed(q), 20.0 * tau)
+            assert stats.classification == SUSTAINED_TRAIN
+            assert abs(period - stats.period) <= 1e-4, tau
+
+
 class TestFoldEstimate:
     @staticmethod
-    def synthetic(period_fn, taus):
+    def synthetic(period_fn, slope_fn, taus):
         taus = np.asarray(taus, dtype=float)
         T = period_fn(taus)
-        return BranchSample(taus, T, np.ones(len(taus), dtype=int), T - taus)
+        return BranchSample(taus, T, np.ones(len(taus), dtype=int), T - taus, slope_fn(taus))
 
     def test_locates_sign_change(self):
         # T = 2 - tau^2/2 gives 1 + T' = 1 - tau: fold exactly at 1
-        branch = self.synthetic(lambda t: 2.0 - 0.5 * t * t, np.linspace(0.5, 1.5, 9))
+        branch = self.synthetic(lambda t: 2.0 - 0.5 * t * t, lambda t: -t,
+                                np.linspace(0.5, 1.5, 9))
         assert fold_estimate(branch, 1) == pytest.approx(1.0, abs=1e-9)
 
     def test_interpolates_between_samples(self):
-        branch = self.synthetic(lambda t: 2.0 - 0.5 * t * t, np.linspace(0.47, 1.53, 9))
+        branch = self.synthetic(lambda t: 2.0 - 0.5 * t * t, lambda t: -t,
+                                np.linspace(0.47, 1.53, 9))
         assert fold_estimate(branch, 1) == pytest.approx(1.0, abs=0.02)
 
     def test_none_without_fold(self):
-        branch = self.synthetic(lambda t: t + 3.0, np.linspace(1.0, 2.0, 9))
+        branch = self.synthetic(lambda t: t + 3.0, np.ones_like, np.linspace(1.0, 2.0, 9))
         assert fold_estimate(branch, 1) is None
 
-    def test_needs_five_samples(self):
-        branch = self.synthetic(lambda t: t + 3.0, np.linspace(1.0, 2.0, 4))
-        with pytest.raises(InvalidArgumentError):
-            fold_estimate(branch, 1)
+    def test_zero_at_the_last_sample(self):
+        branch = self.synthetic(lambda t: 2.0 - 0.5 * t * t, lambda t: -t, [0.5, 0.75, 1.0])
+        assert fold_estimate(branch, 1) == 1.0
+
+    def test_needs_two_samples(self):
+        fold = self.synthetic(lambda t: 2.0 - 0.5 * t * t, lambda t: -t, [0.5, 1.5])
+        assert fold_estimate(fold, 1) == pytest.approx(1.0, abs=1e-12)
+        single = self.synthetic(lambda t: 2.0 - 0.5 * t * t, lambda t: -t, [0.5])
+        with pytest.raises(InvalidArgumentError, match="at least 2"):
+            fold_estimate(single, 1)
 
 
 class TestFeedbackOnset:
