@@ -63,7 +63,9 @@ from .integrator import Trajectory
 from .model import M1_ENTRIES, ModelParams, m1_entries
 from .periodic import PeriodicOrbit, solve_periodic
 # detect_pulses and refine_period are unused here (and refine_period in pulses too),
-# but both stay importable from both modules: bench/spans.py patches them there by name.
+# but both stay importable from both modules for the benchmark: bench/spans.py
+# patches them in both by name, and bench/workloads.py's warm_up calls
+# pulses.refine_period.
 from .pulses import detect_pulses, measure_train, refine_period  # noqa: F401
 
 __all__ = [
@@ -882,8 +884,9 @@ def max_pulses(params: ModelParams, tau: float) -> float:
     ``kappa = 0``.  A nonpositive value (``kappa >= |A - B - 1|``)
     means no stable pulse train fits at all.
     """
-    if tau <= 0.0:
-        raise InvalidArgumentError("tau must be positive")
+    # Written so that NaN fails the check.
+    if not 0.0 < tau < math.inf:
+        raise InvalidArgumentError(f"tau must be positive and finite, got {tau!r}")
     c = params.A - params.B - 1.0
     if c == 0.0:
         raise SingularParameterError("A = B + 1 makes the pulse bound singular")

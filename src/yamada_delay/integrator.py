@@ -6,21 +6,24 @@ accepted node ``(t, y, y')`` in flat buffers.  The march uses the
 model's exact structure: the stages are unrolled for its three state
 components, each stage writes the rate equations inline from the six
 rate constants, and since only the intensity is delayed, each stage
-reads ``I(t - tau)`` alone, from a cubic Hermite interpolant of the
-``I`` column of the nodes.  The same Hermite interpolation serves as
-the user-facing dense output.  The step is capped at ``tau / 4`` so a
+reads ``I(t - tau)`` alone.  The step is capped at ``tau / 4`` so a
 delayed lookup never reads the step currently being built: the five
 delayed values of a step are fixed before its stages start (the method
-of steps), and are computed together, with one bisection for the
-first and a forward walk over the nodes for the others.  That is the
-only default cap; below it the error estimate alone sets the step, so
-the quiescent stretches between pulses are crossed in long steps.
+of steps).  That is the only default cap; below it the error estimate
+alone sets the step, so the quiescent stretches between pulses are
+crossed in long steps.
 
 Derivative discontinuities enter at ``t = 0`` (where the prescribed
 history hands over to the flow) and propagate to ``t = n*tau``; the
 solver places nodes exactly on those breakpoints for the first few
 rounds, after which the solution is smooth enough that step control
-alone handles them.
+alone handles them.  Since a step ends on ``tau``, the march has two
+phases.  A step that ends at or before ``tau`` reads all its
+delayed values from the prescribed history; a step that starts at or
+after ``tau`` reads them all from a cubic Hermite interpolant of the
+``I`` column of the stored nodes, with one bisection for the first and
+a forward walk for the others.  No step reads both.  The same Hermite
+interpolation serves as the user-facing dense output.
 
 Each run reports its own counts (:class:`SolverStats`, carried by the
 :class:`Trajectory`).
@@ -73,6 +76,8 @@ _E = (
 
 #: Delay intervals whose ends ``n * tau`` (and the images of history jumps)
 #: are forced step boundaries; later images are smooth enough to ignore.
+#: Must stay >= 1: the boundary at ``tau`` is what keeps a step from
+#: reading both the history and the stored nodes (see :func:`solve_dde`).
 SMOOTHING_ROUNDS = 3
 
 
@@ -371,13 +376,26 @@ def solve_dde(
     ``Q' = gamma_Q (B - Q (1 + a I))``,
     ``I' = (G - Q - 1) I + kappa I(t - tau)``,
 
-    and reads only the delayed intensity: one cubic Hermite interpolant
-    of the ``I`` column of the accepted nodes, the same arithmetic as the
-    third component of :meth:`Trajectory.evaluate`.  A step makes five
-    delayed lookups (stages 6 and 7 both sit at ``t + h`` and share one),
-    all computed in one loop before its stages: those up to the handover
-    come from ``history``; the first one past it finds its node interval
-    by bisection, and the others walk forward from there.
+    and reads only the delayed intensity.  A step makes five delayed
+    lookups at ``t + c h - tau`` (stages 6 and 7 both sit at ``t + h``
+    and share one), all before its stages, and from one source:
+
+    - a step that ends at or before ``tau`` calls ``history`` five times;
+    - a step that starts at or after ``tau`` reads one cubic Hermite
+      interpolant of the ``I`` column of the accepted nodes, the same
+      arithmetic as the third component of :meth:`Trajectory.evaluate`:
+      its first lookup finds its node interval by bisection, and the
+      others walk forward from there.
+
+    No step lies across ``tau``: ``tau`` is a breakpoint, so a step ends
+    on it and has all five lookups <= 0.  A step that starts at
+    or after ``tau`` has them all > 0, since the step-underflow guard
+    keeps ``c2 h`` far above the rounding of ``tau``.  The one exception
+    needs a history jump whose image lies within ``1e-12 tau`` of
+    ``tau`` (the breakpoints then merge) and a next step shorter than
+    five times that gap: such a step reads the history's value at 0
+    where the stored node at ``0+`` was, a difference of order gap times
+    ``|I'|``, below the step's own error.
 
     Parameters
     ----------
@@ -477,8 +495,7 @@ def solve_dde(
     # bit for bit, those of a generic loop over the tableau rows.
     # The delayed lookups of a step sit at t + c h, c = c2 .. c6 (stage 7
     # shares stage 6's t + h).
-    lags = _C[1:6]
-    c2, c3, c4, c5, c6 = lags
+    c2, c3, c4, c5, c6 = _C[1:6]
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[1:6]
     b1, _, b3, b4, b5, b6 = _A[6]
     e1, _, e3, e4, e5, e6, e7 = _E
@@ -522,11 +539,12 @@ def solve_dde(
 
         # The step's five delayed intensities I(t + c h - tau), all before
         # its stages: h <= tau / 4, so none reads the step being built.
-        # Their times increase with c.  Those up to the handover (s <= 0)
-        # come from the history; the first one past it finds its node
-        # interval by bisection and the others walk forward from there.
-        # The Hermite arithmetic is _intensity_lookup's, term for term,
-        # unrolled once all five lie past the handover.
+        # Their times increase with c, and they all lie on one side of the
+        # handover: tau is a breakpoint, so a step whose first lookup is
+        # <= 0 ends at or before tau and reads the history alone.  Past
+        # it, the first lookup finds its node interval by bisection and
+        # the others walk forward from there, with _intensity_lookup's
+        # Hermite arithmetic, term for term.
         s = t + c2 * h - tau
         if s > 0.0 and delayed:
             j = bisect_right(nodes_t, s) - 1
@@ -583,29 +601,11 @@ def solve_dde(
                   + u * u * (3.0 - 2.0 * u) * col_i[j + 1]
                   + dt * (u * u * (u - 1.0)) * col_fi[j + 1])
         elif delayed:
-            zs = []
-            j = -1
-            for c in lags:
-                s = t + c * h - tau
-                if s <= 0.0:
-                    zs.append(history(s))
-                    continue
-                if j < 0:
-                    j = bisect_right(nodes_t, s) - 1
-                else:
-                    while nodes_t[j + 1] <= s:
-                        j += 1
-                t0 = nodes_t[j]
-                dt = nodes_t[j + 1] - t0
-                u = (s - t0) / dt
-                om = 1.0 - u
-                zs.append(
-                    (1.0 + 2.0 * u) * om * om * col_i[j]
-                    + dt * (u * om * om) * col_fi[j]
-                    + u * u * (3.0 - 2.0 * u) * col_i[j + 1]
-                    + dt * (u * u * (u - 1.0)) * col_fi[j + 1]
-                )
-            z2, z3, z4, z5, z6 = zs
+            z2 = history(s)
+            z3 = history(t + c3 * h - tau)
+            z4 = history(t + c4 * h - tau)
+            z5 = history(t + c5 * h - tau)
+            z6 = history(t + c6 * h - tau)
 
         # Stages.  k1 is the FSAL derivative carried over from the last
         # accepted step.  Each stage evaluates the field at its state

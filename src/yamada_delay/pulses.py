@@ -106,14 +106,18 @@ def detect_pulses(
     threshold : float
         Intensity level, > 0.
     refractory : float, optional
+        Shortest spacing of two reported crossings, >= 0 and finite.
 
     Returns
     -------
     ndarray
         Strictly increasing crossing times; empty if none.
     """
-    if threshold <= 0.0:
-        raise InvalidArgumentError("threshold must be positive")
+    # Written so that NaN fails both checks.
+    if not threshold > 0.0:
+        raise InvalidArgumentError(f"threshold must be positive, got {threshold!r}")
+    if not 0.0 <= refractory < math.inf:
+        raise InvalidArgumentError(f"refractory must be nonnegative and finite, got {refractory!r}")
     s = trajectory.y[:, 2] - threshold
     up = np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))
     t0 = trajectory.t[up]
@@ -356,9 +360,9 @@ def classify_response(
         post_heights = heights[len(pulses) - len(post):]
         # Exclude pulses whose peak window is cut off by the horizon
         # from the height statistic (their maximum is not yet reached).
+        # Detected pulses lie REFRACTORY apart, so that drops at most the
+        # last one and leaves at least four.
         whole = post_heights[post + REFRACTORY <= traj.t1]
-        if len(whole) < 2:
-            whole = post_heights
         height_spread = float(whole.std() / whole.mean())
         persists = (horizon - post[-1]) < 2.0 * train.period
         if cv < INTERVAL_CV_TOL and height_spread < 0.05 and persists:
@@ -418,13 +422,17 @@ def reappearance_shift(tau0: float, T0: float, k: int) -> float:
     a solution at ``tau0 + k * T0`` for any integer ``k >= 0``: shifting
     the delay by whole periods re-reads the same history.
     """
-    if T0 <= 0.0:
-        raise InvalidArgumentError("period must be positive")
+    # Written so that NaN fails both checks.
+    if not 0.0 < T0 < math.inf:
+        raise InvalidArgumentError(f"period must be positive and finite, got {T0!r}")
+    if not math.isfinite(tau0):
+        raise InvalidArgumentError(f"tau0 must be finite, got {tau0!r}")
     return tau0 + k * T0
 
 
 # No longer called in the package (orbits are collocated), but kept importable
-# from here and from floquet: bench/spans.py patches it there by name.
+# from here and from floquet for the benchmark: bench/workloads.py's warm_up
+# calls pulses.refine_period, and bench/spans.py patches it in both modules.
 def refine_period(trajectory: Trajectory, period: float, window: float = 5e-3) -> float:
     """Sharpen a period estimate by minimizing the one-period defect.
 

@@ -626,7 +626,8 @@ class TestDelayBounds:
     def test_max_pulses_edge_cases(self):
         assert max_pulses(preset("figure1", kappa=0.0), 100.0) == math.inf
         assert max_pulses(preset("figure1", kappa=0.5), 100.0) < 0.0
-        with pytest.raises(InvalidArgumentError):
-            max_pulses(preset("figure1", kappa=0.1), 0.0)
+        for tau in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                max_pulses(preset("figure1", kappa=0.1), tau)
         with pytest.raises(SingularParameterError):
             max_pulses(preset("figure1", B=5.5, kappa=0.1), 100.0)

@@ -22,7 +22,6 @@ from yamada_delay import (
     preset,
     rhs,
 )
-from yamada_delay import integrator
 from yamada_delay.integrator import _intensity_lookup, solve_dde
 from yamada_delay.pulses import (
     classify_response, measure_train, scan_kappa_min, single_pulse_seed,
@@ -181,21 +180,6 @@ class TestReferenceMarch:
                                reference.integrate(params, history, t_end,
                                                    StepControl(max_step=1e9)))
 
-    def test_steps_straddle_the_handover(self, monkeypatch):
-        # Without the breakpoint at t = tau a step can cross it: its first
-        # lookups read the history, its last ones the stored nodes, and
-        # the next step's walk starts at the first node interval.
-        monkeypatch.setattr(integrator, "SMOOTHING_ROUNDS", 0)
-        monkeypatch.setattr(reference, "SMOOTHING_ROUNDS", 0)
-        params = preset("figure1", kappa=0.1, tau=7.3)
-        history = HistorySpec.off_plus_pulse(1.0, 1.0)
-        traj = integrate(params, history, 60.0)
-        t, h = traj.t[:-1], np.diff(traj.t)
-        assert np.any((t + 0.2 * h - params.tau <= 0.0) & (t + h - params.tau > 0.0))
-        self.assert_same_nodes((traj.t, traj.y, traj.yp),
-                               reference.integrate(params, history, 60.0,
-                                                   StepControl(max_step=1e9)))
-
     def test_delay_cap_binds(self):
         # At tau = 0.4 the quiescent steps sit at the cap tau / 4, and a
         # step's lookups walk across the shorter steps of a delayed pulse.
@@ -224,6 +208,58 @@ class TestReferenceMarch:
     def test_three_components_required(self, y0):
         with pytest.raises(InvalidArgumentError, match="three-component"):
             solve_dde(SCALAR_RATES, y0, scalar_history, 1.0, 3.0, StepControl())
+
+
+def _phase_case(name):
+    """(params, history, t_end) of one run checked for the march's two phases."""
+    if name in _MODEL_CASES:
+        return _model_case(name)[:3]
+    p = preset("figure1", kappa=0.1)
+    if name == "tau-0.1+0.2":
+        return p.replace(tau=0.1 + 0.2), HistorySpec.off_plus_pulse(1.0, 0.1), 20.0
+    if name == "tau-1/3":
+        return p.replace(tau=1.0 / 3.0), HistorySpec.off_plus_pulse(1.0, 0.1), 20.0
+    # a history kick so short that its delayed image lies within 1e-12 tau of tau
+    tau, width = {"kick-1e-13": (7.3, 1e-13), "kick-1e-10": (200.0, 1e-10)}[name]
+    return p.replace(tau=tau), HistorySpec.off_plus_pulse(1.0, width), 2.5 * tau
+
+
+class TestMarchPhases:
+    """No step reads both the history and the stored nodes.
+
+    ``tau`` is the first breakpoint, so the steps up to it read only the
+    prescribed history and the later ones only the stored nodes.
+    """
+
+    @pytest.mark.parametrize("name", [
+        *(name for name in _MODEL_CASES if name != "tau-zero"),
+        "tau-0.1+0.2", "tau-1/3", "kick-1e-13", "kick-1e-10",
+    ])
+    def test_no_step_mixes_its_lookups(self, name, monkeypatch):
+        params, history, t_end = _phase_case(name)
+        tau = params.tau
+        read = []
+        realize = HistorySpec.realize
+
+        def recording_realize(spec, p):
+            y0, intensity, jumps = realize(spec, p)
+
+            def recorded(s):
+                read.append(s)
+                return intensity(s)
+
+            return y0, recorded, jumps
+
+        monkeypatch.setattr(HistorySpec, "realize", recording_realize)
+        traj = integrate(params, history, t_end)
+        _, _, jumps = realize(history, params)
+
+        t, t_next = traj.t[:-1], traj.t[1:]
+        h = t_next - t
+        assert not np.any((t + 0.2 * h - tau <= 0.0) & (t_next - tau > 0.0))
+        if tau < t_end and all(abs(d) > 1e-12 * tau for d in jumps):
+            assert tau in traj.t
+        assert read and max(read) <= 0.0
 
 
 class TestInlinedField:

@@ -81,6 +81,14 @@ class TestDetectPulses:
             detect_pulses(traj, 0.0)
         with pytest.raises(InvalidArgumentError):
             detect_pulses(traj, -1.0)
+        with pytest.raises(InvalidArgumentError):
+            detect_pulses(traj, math.nan)
+
+    @pytest.mark.parametrize("refractory", [math.nan, -1.0, math.inf])
+    def test_refractory_validation(self, train_run, refractory):
+        p, traj = train_run
+        with pytest.raises(InvalidArgumentError, match="refractory"):
+            detect_pulses(traj, 1.0, refractory=refractory)
 
     def test_empty_for_quiet_run(self):
         p = preset("figure1", kappa=0.1, tau=20.0)
@@ -280,6 +288,14 @@ class TestReappearance:
     def test_rejects_bad_period(self):
         with pytest.raises(InvalidArgumentError):
             reappearance_shift(98.5, 0.0, 1)
+        for T0 in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError, match="period"):
+                reappearance_shift(98.5, T0, 1)
+
+    def test_rejects_non_finite_delay(self):
+        for tau0 in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError, match="tau0"):
+                reappearance_shift(tau0, 101.4, 1)
 
 
 class TestRefinePeriod:
