@@ -573,15 +573,21 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     past_j = [np.floor(s[n_hist:] / h).astype(int) for s in lags]
     past_w = [_hermite_weights((s[n_hist:] - j * h) / h, h) for s, j in zip(lags, past_j)]
 
+    # kappa I(t - tau) at a step's start, midpoint and end, rows on cols.
+    looked = np.empty((3, n_cols))
+
     def lookup(c: int, i: int) -> np.ndarray:
-        """kappa I(t - tau) of lookup i of kind c, as a row on cols."""
+        """Row c of looked: kappa I(t - tau) of lookup i of kind c."""
+        row = looked[c]
         if lags[c][i] <= 0.0:
-            row = np.zeros(n_cols)
+            row.fill(0.0)
             j0 = stencils[c][0][i]
             row[j0:j0 + 4] = kap * stencils[c][1][i]
-            return row
-        j = past_j[c][i - n_hist]
-        return kap * (past_w[c][i - n_hist] @ stored[j:j + 2].reshape(4, n_cols))
+        else:
+            j = past_j[c][i - n_hist]
+            np.matmul(past_w[c][i - n_hist], stored[j:j + 2].reshape(4, n_cols), out=row)
+            row *= kap
+        return row
 
     # I, I' at the node before and at the current one.
     ends = np.zeros((4, n_cols))
@@ -603,7 +609,10 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
             Y = np.dot(P[i], Y)
             Y[:, o[i]:o[i] + W] += D[i]
         else:
-            Y = np.dot(P[i], Y) + inj[i - n_hist] @ np.stack([lookup(c, i) for c in range(3)])
+            # looked[0] already holds the start lookup, from I' above
+            lookup(1, i)
+            lookup(2, i)
+            Y = np.dot(P[i], Y) + inj[i - n_hist] @ looked
 
     tail[-2:] = Y[:2]  # the march ends at t = T, the last node
 

@@ -78,10 +78,17 @@ DRIFT_ESTIMATE = 3.0
 #: Screening run of :func:`scan_kappa_min`: its length in delays, the time
 #: in delays after which a pulse must occur (the seeded pulse has then
 #: regenerated twice), and that pulse's least height as a share of the
-#: seed's peak intensity.
+#: seed's peak intensity; and the screen's step control, whatever the
+#: caller's, since a verdict only chooses which kappas are run in full.
+#: Of rtol = 1e-4, 2e-4, 3e-4, 5e-4 and 1e-3 (atol = rtol / 100, the
+#: default's ratio), 3e-4 was the first to change a scan's full runs (at
+#: tau = 50) on the scans of ``TestScreenControl`` in
+#: ``tests/test_pulses.py``, at tau = 100, 150, 600 and 800, and at the
+#: benchmark's delays of seeds 1 to 5.
 _SCREEN_DELAYS = 3.0
 _SCREEN_AFTER = 2.0
 _SCREEN_FRAC = 0.5
+_SCREEN_CONTROL = StepControl(atol=2e-6, rtol=2e-4)
 #: Leading share of a run left out of the train statistics by
 #: :func:`classify_response`.
 TRANSIENT_FRAC = 0.25
@@ -420,13 +427,16 @@ def reappearance_shift(tau0: float, T0: float, k: int) -> float:
 
     A periodic solution of the feedback loop at delay ``tau0`` is also
     a solution at ``tau0 + k * T0`` for any integer ``k >= 0``: shifting
-    the delay by whole periods re-reads the same history.
+    the delay by whole periods re-reads the same history.  ``k`` must be
+    a Python or numpy integer; a float, even a whole one, is refused.
     """
     # Written so that NaN fails both checks.
     if not 0.0 < T0 < math.inf:
         raise InvalidArgumentError(f"period must be positive and finite, got {T0!r}")
     if not math.isfinite(tau0):
         raise InvalidArgumentError(f"tau0 must be finite, got {tau0!r}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise InvalidArgumentError(f"k must be an integer >= 0, got {k!r}")
     return tau0 + k * T0
 
 
@@ -708,16 +718,16 @@ def fold_estimate(branch: BranchSample, k: int) -> float | None:
     return None
 
 
-def _regenerates(params: ModelParams, history: HistorySpec, level: float,
-                 control: StepControl | None = None) -> bool:
+def _regenerates(params: ModelParams, history: HistorySpec, level: float) -> bool:
     """Screening verdict of :func:`scan_kappa_min`: does the seeded pulse regenerate twice?
 
-    Integrates ``_SCREEN_DELAYS`` delays and reports whether a node after
-    ``_SCREEN_AFTER`` delays reaches the intensity ``level``.  The verdict
-    only predicts :func:`classify_response`; the scan never returns it.
+    Integrates ``_SCREEN_DELAYS`` delays at ``_SCREEN_CONTROL`` and
+    reports whether a node after ``_SCREEN_AFTER`` delays reaches the
+    intensity ``level``.  The verdict only predicts
+    :func:`classify_response`; the scan never returns it.
     """
     tau = params.tau
-    traj = integrate(params, history, _SCREEN_DELAYS * tau, control)
+    traj = integrate(params, history, _SCREEN_DELAYS * tau, _SCREEN_CONTROL)
     late = traj.y[np.searchsorted(traj.t, _SCREEN_AFTER * tau, side="right"):, 2]
     return bool(late.max() >= level)
 
@@ -734,17 +744,17 @@ def scan_kappa_min(
     Uses :func:`classify_response` with the standard pulse-seeded
     history as the oracle: below the onset the re-injected pulse decays,
     above it the train regenerates indefinitely.  A full run integrates
-    20 delays and a screening run 3; the search goes in three steps.
+    20 delays at ``control``; a screening run integrates 3 at the
+    screen's own loose step control (``_SCREEN_CONTROL``), since its
+    verdict never reaches the result.  The search goes in three steps.
 
-    1. *Screen.*  After the lower end is checked in full (one decaying
-       run; a bracket whose lower end sustains fails at once), the
-       search walks bisection's tree down to a predicted final cell
-       ``[a, b]``, deciding each midpoint by a screening run of three
-       delays: the point counts as sustaining when a pulse of at least
-       half the seed's peak intensity occurs after two delays, that is,
-       when the seeded pulse has regenerated twice.
-    2. *Certify.*  ``a`` is classified in full (unless it is the lower
-       end), then ``b`` (unless it is the upper end, or ``a`` sustained).
+    1. *Screen.*  The search walks bisection's tree down to a predicted
+       final cell ``[a, b]``, deciding each midpoint by a screening run:
+       the point counts as sustaining when a pulse of at least half the
+       seed's peak intensity occurs after two delays, that is, when the
+       seeded pulse has regenerated twice.
+    2. *Certify.*  ``a`` is classified in full, then ``b`` (unless it is
+       the upper end, or ``a`` sustained).
     3. *Finish.*  Plain bisection over the original bracket, through a
        memo of the full runs: a kappa at or above the lowest sustaining
        one sustains, and one at or below the highest decaying one
@@ -752,20 +762,24 @@ def scan_kappa_min(
        When ``a`` decays and ``b`` sustains, ``[a, b]`` is bisection's
        final cell and no further run is made.
 
+    The bracket's ends are classified only when the search needs them.
+    Under the monotone oracle that bisection assumes, a decaying kappa
+    implies that ``lo`` decays and a sustained one that ``hi`` sustains,
+    so ``lo`` is run only as the certified ``a`` or, after the search,
+    when no full run decayed, and ``hi`` only after the search when no
+    full run sustained.  A bracket with a bad end fails after the search
+    (after one full run when ``a`` is a sustaining ``lo``), and an upper
+    end that would not sustain (cw-like output above the transcritical
+    point, say) goes untested when a kappa inside the bracket sustains.
+
     The screen steers only which kappas are run in full: for an oracle
     monotone in kappa, whatever the screening verdicts, the result is
-    bisection's, bit for bit, the full runs are at most bisection's
-    plus three (the lower end, ``a`` and ``b``), and the sustained ones
-    at most bisection's plus one.  Classifying ``a`` before ``b`` keeps
-    that at one: ``b`` is run only after ``a`` decayed, and if it then
-    sustains, ``[a, b]`` is the final cell.
-
-    The upper end is classified last, and only if no full run sustained:
-    under the monotone oracle that bisection assumes, a sustained kappa
-    below ``hi`` implies that ``hi`` sustains.  A bracket whose upper
-    end decays thus fails after the search, and an upper end that would
-    not sustain (cw-like output above the transcritical point, say)
-    goes untested when a kappa inside the bracket sustains.
+    bisection's, bit for bit, and the full runs are at most bisection's
+    plus two, plus the upper end: of ``a``, ``b`` and a late ``lo``, at
+    most two are run, since ``b`` is run only after ``a`` decayed and
+    ``lo`` only when nothing decayed.  The sustained runs are at most
+    bisection's plus one: if ``b`` sustains after ``a`` decayed,
+    ``[a, b]`` is the final cell.
 
     Parameters
     ----------
@@ -775,8 +789,8 @@ def scan_kappa_min(
         Delay at which to scan, > 0.
     kappa_bracket : (float, float)
         ``(lo, hi)`` with lo < hi; lo must classify as not sustained
-        and hi as sustained (``hi`` is run only when no full run
-        sustains).
+        and hi as sustained (each is run only when the search needs
+        it, see above).
     tol : float
         Width of the final bracket, > 0.
 
@@ -820,16 +834,14 @@ def scan_kappa_min(
         # once more, and one between adjacent floats halves forever
         return hi - lo > tol + 4.0 * math.ulp(hi)
 
-    if sustained(lo):
-        raise InvalidArgumentError("lower bracket endpoint already sustains a train")
     a, b = lo, hi
     while splits(a, b):
         mid = 0.5 * (a + b)
-        if _regenerates(p_tau.replace(kappa=mid), seed, level, control):
+        if _regenerates(p_tau.replace(kappa=mid), seed, level):
             b = mid
         else:
             a = mid
-    # the memo skips a == lo, and b once a sustained
+    # the memo skips b once a sustained
     sustained(a)
     if b != hi:
         sustained(b)
@@ -839,8 +851,11 @@ def scan_kappa_min(
             hi = mid
         else:
             lo = mid
-    # A full run that sustains implies that the upper end does; if none
-    # did, hi never moved and is still the upper end.
+    # A full run that decays implies that the lower end does, and one that
+    # sustains that the upper end does.  An end that no run settled never
+    # moved, and is run now; the certified a settles one of them.
+    if decays == -math.inf and sustained(lo):
+        raise InvalidArgumentError("lower bracket endpoint already sustains a train")
     if sustains == math.inf and not sustained(hi):
         raise InvalidArgumentError("upper bracket endpoint does not sustain a train")
     return 0.5 * (lo + hi)

@@ -31,8 +31,14 @@ Test-only code; nothing under ``src/`` imports it.
   differential tests in ``test_pulses.py`` require the scan's onset to
   equal bisection's, bit for bit, both for a screen that agrees with the
   oracle (at most two full runs beyond bisection's, none of them
-  sustained) and for arbitrary screening verdicts (at most three beyond
+  sustained) and for arbitrary screening verdicts (at most two beyond
   bisection's, one of them sustained), not counting the upper end.
+* :func:`regenerates` and :func:`screened_scan` -- the scan's screen as
+  it was before it got its own loose step control: the screening runs
+  integrate at the caller's ``control``, and the scan classifies the
+  lower end in full before it screens.  The differential tests in
+  ``test_pulses.py`` require the scan to return the same onset and to
+  make the same full runs, but for the lower end.
 """
 
 from __future__ import annotations
@@ -41,14 +47,20 @@ import math
 
 import numpy as np
 
+from yamada_delay import pulses
 from yamada_delay.errors import InvalidArgumentError, NoBranchError
 from yamada_delay.floquet import PeriodicOrbit
 from yamada_delay.integrator import HistorySpec, StepControl, Trajectory, integrate
 from yamada_delay.model import ModelParams
 from yamada_delay.pulses import (
+    _SCREEN_AFTER,
+    _SCREEN_DELAYS,
+    _SCREEN_FRAC,
     INTERVAL_CV_TOL,
     REFRACTORY,
     SAMPLE_DT,
+    SUSTAINED_TRAIN,
+    _history_peak_intensity,
     measure_train,
     refine_period,
     single_pulse_seed,
@@ -246,3 +258,71 @@ def bisect_kappa_min(sustained, kappa_bracket: tuple[float, float],
         else:
             lo = mid
     return lo, hi
+
+
+def regenerates(params: ModelParams, history: HistorySpec, level: float,
+                control: StepControl | None = None) -> bool:
+    """Screening verdict of :func:`scan_kappa_min`: does the seeded pulse regenerate twice?
+
+    Integrates ``_SCREEN_DELAYS`` delays and reports whether a node after
+    ``_SCREEN_AFTER`` delays reaches the intensity ``level``.  The verdict
+    only predicts :func:`classify_response`; the scan never returns it.
+    """
+    tau = params.tau
+    traj = integrate(params, history, _SCREEN_DELAYS * tau, control)
+    late = traj.y[np.searchsorted(traj.t, _SCREEN_AFTER * tau, side="right"):, 2]
+    return bool(late.max() >= level)
+
+
+def screened_scan(params: ModelParams, tau: float, kappa_bracket: tuple[float, float],
+                  tol: float, control: StepControl | None = None) -> float:
+    """:func:`yamada_delay.scan_kappa_min` with the lower end first and :func:`regenerates`.
+
+    The full runs go through ``pulses.classify_response``, so that a test
+    can record them for both scans alike.  The arguments are not checked.
+    """
+    lo, hi = (float(v) for v in kappa_bracket)
+    horizon = 20.0 * max(tau, 1.0)
+    p_tau = params.replace(tau=float(tau))
+    seed = single_pulse_seed(p_tau, control=control)
+    level = _SCREEN_FRAC * _history_peak_intensity(p_tau, seed)
+    decays, sustains = -math.inf, math.inf
+
+    def sustained(kappa: float) -> bool:
+        nonlocal decays, sustains
+        if kappa >= sustains:
+            return True
+        if kappa <= decays:
+            return False
+        stats = pulses.classify_response(p_tau.replace(kappa=kappa), seed, horizon,
+                                         control=control)
+        if stats.classification == SUSTAINED_TRAIN:
+            sustains = kappa
+            return True
+        decays = kappa
+        return False
+
+    def splits(lo: float, hi: float) -> bool:
+        return hi - lo > tol + 4.0 * math.ulp(hi)
+
+    if sustained(lo):
+        raise InvalidArgumentError("lower bracket endpoint already sustains a train")
+    a, b = lo, hi
+    while splits(a, b):
+        mid = 0.5 * (a + b)
+        if regenerates(p_tau.replace(kappa=mid), seed, level, control):
+            b = mid
+        else:
+            a = mid
+    sustained(a)
+    if b != hi:
+        sustained(b)
+    while splits(lo, hi):
+        mid = 0.5 * (lo + hi)
+        if sustained(mid):
+            hi = mid
+        else:
+            lo = mid
+    if sustains == math.inf and not sustained(hi):
+        raise InvalidArgumentError("upper bracket endpoint does not sustain a train")
+    return 0.5 * (lo + hi)

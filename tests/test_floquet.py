@@ -390,6 +390,19 @@ class TestTwoBlockPeriodMap:
                 want = M @ x
                 assert np.abs(op @ x - want).max() <= 1e-13 * np.abs(want).max(), (tau, N, step)
 
+    def test_build_reads_only_written_entries(self, orbits, period_maps, monkeypatch):
+        # every buffer the build takes from np.empty (the step maps, the
+        # chunk states, the stored rows, the three lookup rows a step
+        # reuses, ...) is written before it is read: built from buffers
+        # that start as NaN, the map is the session map, bit for bit
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *args, **kw: np.full_like(empty(*args, **kw), np.nan))
+        for key, (op, _) in period_maps.items():
+            dirty = _period_map(orbits[key], op.shape[0] - 2, 0.05)
+            for name in ("shift_j0", "shift_w", "cols", "states", "window", "chunk_rows",
+                         "rows", "tail"):
+                assert np.array_equal(getattr(dirty, name), getattr(op, name)), (key, name)
+
     def test_stored_bytes(self, period_maps, floquet_sets):
         # about half of the dense block of marched rows on marched columns
         for key, (op, _) in period_maps.items():

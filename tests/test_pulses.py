@@ -41,10 +41,12 @@ from yamada_delay.pulses import (
     measure_train,
 )
 
+import pulses_reference
 from pulses_reference import (
     bisect_kappa_min,
     bisection_pulses,
     sampled_peak_intensity,
+    screened_scan,
     sweep_tau as simulated_sweep,
 )
 
@@ -159,10 +161,10 @@ class TestPeakSearch:
             assert stats.threshold == max(THRESHOLD_FRAC * peak, MIN_THRESHOLD)
 
     def test_scan_oracle_runs(self, kappa_scans):
-        # the 3 classification runs of each onset scan, as in the benchmark:
-        # the lower end and the screened final cell's two ends
+        # the 2 classification runs of each onset scan, as in the benchmark:
+        # the screened final cell's two ends
         _, peaks = kappa_scans
-        assert len(peaks) == 6
+        assert len(peaks) == 4
         for peak, reference in peaks:
             assert peak == reference
 
@@ -283,6 +285,7 @@ class TestReappearance:
     def test_shift_arithmetic(self):
         assert reappearance_shift(98.5, 101.4, 0) == 98.5
         assert reappearance_shift(98.5, 101.4, 1) == pytest.approx(199.9)
+        assert reappearance_shift(98.5, 101.4, np.int64(1)) == reappearance_shift(98.5, 101.4, 1)
         assert reappearance_shift(10.0, 50.0, 3) == pytest.approx(160.0)
 
     def test_rejects_bad_period(self):
@@ -296,6 +299,11 @@ class TestReappearance:
         for tau0 in (math.nan, math.inf):
             with pytest.raises(InvalidArgumentError, match="tau0"):
                 reappearance_shift(tau0, 101.4, 1)
+
+    @pytest.mark.parametrize("k", [-1, 0.5, 2.0, math.nan, True, "1"])
+    def test_rejects_bad_k(self, k):
+        with pytest.raises(InvalidArgumentError, match=f"k must be an integer >= 0, got {k!r}"):
+            reappearance_shift(98.5, 101.4, k)
 
 
 class TestRefinePeriod:
@@ -436,7 +444,7 @@ class TestFeedbackOnset:
             sustained = p.kappa > 0.0061
             return SimpleNamespace(classification=SUSTAINED_TRAIN if sustained else DECAY)
 
-        def screen(p, history, level, control=None):
+        def screen(p, history, level):
             screened.append(p.kappa)
             return 0.0061 < p.kappa <= cw_above
 
@@ -448,16 +456,17 @@ class TestFeedbackOnset:
         "bracket, tol, calls, onset",
         [
             # bisection's six halvings leave hi - lo = 2.500000000000002e-4
-            # > tol; the screen walks them to the cell [0.006, 0.00625]
-            ((0.004, 0.02), 2.5e-4, 3, 0.006125),
-            # the final cell [0, b] needs only b certified
+            # > tol; the screen walks them to the cell [0.006, 0.00625],
+            # whose decaying lower end settles the bracket's
+            ((0.004, 0.02), 2.5e-4, 2, 0.006125),
+            # the final cell [0, b] has the bracket's lower end as its own
             ((0.0, 1.0), 0.125, 2, 0.0625),
             ((0.0, 1.0), 0.1, 2, 0.03125),
         ],
     )
     def test_oracle_calls(self, monkeypatch, bracket, tol, calls, onset):
-        # the lower-end check plus the final cell's ends; a sustained run
-        # inside the bracket settles the upper end
+        # the final cell's ends; a decaying run settles the lower end, and
+        # a sustained run inside the bracket the upper end
         seen = self.stub_oracle(monkeypatch)
         assert scan_kappa_min(preset("figure1"), 10.0, bracket, tol) == onset
         assert len(seen) == calls
@@ -465,15 +474,15 @@ class TestFeedbackOnset:
     def test_screen_predicts_the_final_cell(self, monkeypatch):
         # bisection tests 0.012, 0.008, 0.006, 0.007, 0.0065, 0.00625 after
         # the endpoints; the screen walks the same points, and the full
-        # runs certify the lower end, the cell's lower end 0.006 (decays)
-        # and its upper end 0.00625 (sustains), which decide every point
-        # of bisection's path, so the upper end 0.02 is never run
+        # runs certify the cell's lower end 0.006 (decays) and its upper
+        # end 0.00625 (sustains), which decide every point of bisection's
+        # path and both ends, so neither 0.004 nor 0.02 is run
         screened = []
         seen = self.stub_oracle(monkeypatch, screened=screened)
         scan_kappa_min(preset("figure1"), 10.0, (0.004, 0.02), 2.5e-4)
         want = [0.012, 0.008, 0.006, 0.007, 0.0065, 0.00625]
         assert screened == pytest.approx(want, rel=1e-12)
-        assert seen == pytest.approx([0.004, 0.006, 0.00625], rel=1e-12)
+        assert seen == pytest.approx([0.006, 0.00625], rel=1e-12)
 
     def test_sustaining_lower_end_fails_at_once(self, monkeypatch):
         seen = self.stub_oracle(monkeypatch)
@@ -484,10 +493,11 @@ class TestFeedbackOnset:
     def test_decaying_upper_end_fails_after_the_search(self, monkeypatch):
         # nothing inside the bracket sustains, so the upper end is run last;
         # the decaying cell end 0.004 decides bisection's points 0.003, 0.004
+        # and the lower end 0.001
         seen = self.stub_oracle(monkeypatch)
         with pytest.raises(InvalidArgumentError, match="upper bracket endpoint"):
             scan_kappa_min(preset("figure1"), 10.0, (0.001, 0.005), 1e-3)
-        assert seen == pytest.approx([0.001, 0.004, 0.005], rel=1e-12)
+        assert seen == pytest.approx([0.004, 0.005], rel=1e-12)
 
     @pytest.mark.parametrize("bracket, tol", [((0.004, 0.02), 2.5e-4), ((0.0, 1.0), 1e-3),
                                               ((0.006, 0.0062), 1e-5)])
@@ -535,24 +545,30 @@ class TestFeedbackOnset:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pulses, "classify_response", oracle)
             mp.setattr(pulses, "_regenerates",
-                       lambda p, history, level, control=None: screen(p.kappa > onset))
+                       lambda p, history, level: screen(p.kappa > onset))
             mp.setattr(pulses, "single_pulse_seed", lambda p, control=None: None)
             mp.setattr(pulses, "_history_peak_intensity", lambda p, history: 1.0)
             got = scan_kappa_min(preset("figure1"), 10.0, (lo, hi), tol)
         want_lo, want_hi = bisect_kappa_min(reference, (lo, hi), tol)
         assert got == 0.5 * (want_lo + want_hi)
-        # the upper end is run last, and only when nothing inside sustained
+        # the upper end is run last, and only when nothing inside sustained;
+        # the lower end only first, as the final cell's lower end (the
+        # first full run), or last, when no full run decayed
         hi_runs = kappas.count(hi)
-        assert kappas[0] == lo and hi_runs == (not any(seen[1:len(seen) - hi_runs]))
+        assert hi_runs == (not any(seen[:len(seen) - hi_runs]))
         assert hi not in kappas[:-1]
+        if lo in kappas:
+            i = kappas.index(lo)
+            assert kappas.count(lo) == 1
+            assert i == 0 or (i == len(kappas) - 1 and all(seen[:i]))
         return seen, hi_runs, ref
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_bisection(self, data):
         # a screen that agrees with the oracle predicts bisection's final
-        # cell: bisection's runs plus the lower-end check, plus the upper
-        # end where it was run, and no extra sustained run
+        # cell: bisection's runs plus the lower end where it is the cell's,
+        # plus the upper end where it was run, and no extra sustained run
         seen, hi_runs, ref = self.scan_against_bisection(data, lambda verdict: verdict)
         assert len(seen) <= len(ref) + 1 + 1 + hi_runs
         assert sum(seen) <= sum(ref) + hi_runs
@@ -560,13 +576,15 @@ class TestFeedbackOnset:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_adversarial_screen_matches_bisection(self, data):
-        # arbitrary screening verdicts: at most the lower end, the final
-        # cell's two ends and the upper end beyond bisection's runs, and
-        # one sustained run beyond bisection's
+        # arbitrary screening verdicts: at most two of the final cell's
+        # ends and a late lower end, and the upper end, beyond bisection's
+        # runs, and one sustained run beyond bisection's
         seen, hi_runs, ref = self.scan_against_bisection(
             data, lambda verdict: data.draw(st.booleans()))
         assert len(seen) <= len(ref) + 3 + hi_runs
         assert sum(seen) <= sum(ref) + 1
+        # the bound scan_kappa_min's docstring gives
+        assert len(seen) <= len(ref) + 2 + hi_runs
 
     def test_tolerance_below_float_spacing_ends(self, monkeypatch):
         # the bracket stops shrinking at adjacent floats; the scan must
@@ -596,3 +614,67 @@ class TestFeedbackOnset:
             scan_kappa_min(p, 50.0, (0.02, 0.05), 1e-3)
         with pytest.raises(InvalidArgumentError):
             scan_kappa_min(p, 50.0, (0.0005, 0.002), 1e-3)
+
+
+class TestScreenControl:
+    """The screen at its own loose step control changes no full run.
+
+    Each scan of the CI configurations and of the benchmark bracket runs
+    as ``scan_kappa_min`` and as ``pulses_reference.screened_scan``, the
+    lower-end-first scan whose screen integrates at the caller's control.
+    """
+
+    SCANS = [
+        (30.0, (0.004, 0.05), 1e-3),
+        (50.0, (0.004, 0.02), 2.5e-4),
+        (200.0, (0.004, 0.02), 1e-3),
+        (200.0, (0.004, 0.02), 2.5e-4),
+        (400.0, (0.004, 0.02), 2.5e-4),
+    ]
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        """For each scan and each of the two: the onset, the kappas of the
+        full runs in call order and the nodes of all screening runs."""
+        classify, integrate_ = pulses.classify_response, pulses.integrate
+        verdicts, results = {}, {}
+
+        def oracle(p, history, horizon, control=None):
+            # both scans classify the same runs; each is integrated once
+            full.append(p.kappa)
+            if (p.tau, p.kappa) not in verdicts:
+                verdicts[p.tau, p.kappa] = classify(p, history, horizon, control)
+            return verdicts[p.tau, p.kappa]
+
+        def counted(p, history, t_end, control=None):
+            traj = integrate_(p, history, t_end, control)
+            if t_end == pulses._SCREEN_DELAYS * p.tau:
+                nodes.append(len(traj.t))
+            return traj
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pulses, "classify_response", oracle)
+            mp.setattr(pulses, "integrate", counted)
+            mp.setattr(pulses_reference, "integrate", counted)
+            for scan in self.SCANS:
+                tau, bracket, tol = scan
+                for name, run in (("reference", screened_scan), ("scan", scan_kappa_min)):
+                    full, nodes = [], []
+                    onset = run(preset("figure1", tau=tau), tau, bracket, tol)
+                    results[scan, name] = onset, full, sum(nodes)
+        return results
+
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_same_onset_and_full_runs(self, scans, scan):
+        onset, full, _ = scans[scan, "scan"]
+        ref_onset, ref_full, _ = scans[scan, "reference"]
+        assert onset == ref_onset
+        # the reference classifies the lower end first; here a decaying
+        # run of the search settles it
+        assert ref_full[0] == scan[1][0]
+        assert full == ref_full[1:]
+
+    def test_screen_takes_half_the_nodes(self, scans):
+        for scan in self.SCANS:
+            if scan[0] == 200.0:
+                assert scans[scan, "scan"][2] <= 0.5 * scans[scan, "reference"][2]
