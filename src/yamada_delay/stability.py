@@ -69,7 +69,10 @@ class SpectrumSet:
     diagnostics : dict
         How the search went: the Newton ``starts``, how many of them
         ``converged``, the ``roots`` kept in the window and their
-        ``residual_max``.  Not part of equality or of the output.
+        ``residual_max``; the log-form steps of the branch seeds,
+        ``refine_steps`` (at most 30), and the iterations of the Newton
+        search on ``char``, ``newton_steps`` (at most 60).  Not part of
+        equality or of the output.
     """
 
     roots: np.ndarray
@@ -158,23 +161,24 @@ def _polish_multiple(f_fp, z: np.ndarray) -> np.ndarray:
                     w, z)
 
 
-def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.ndarray]:
+def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.ndarray, int]:
     """Newton's method on arrays from every start at once.
 
     ``f_fp(z)`` returns ``f`` and its derivative.  Per start: at most 60
     iterations; converged on ``|f| < 1e-14`` or a step below
     ``1e-13 (1 + |z|)``, failed on a non-finite ``f``, a zero derivative
     or an escape beyond ``|z0| + 20 span``; converged near-double roots
-    with ``f != 0`` are polished.  Returns the points and the converged mask.
+    with ``f != 0`` are polished.  Returns the points, the converged mask
+    and the number of iterations taken.
     """
     re_min, re_max, im_min, im_max = window
     limit = np.abs(starts) + 20.0 * max(re_max - re_min, im_max - im_min)
     z = starts.copy()
     live = np.arange(len(z))
     ok = np.zeros(len(z), dtype=bool)
-    for _ in range(60):
-        if not len(live):
-            break
+    iterations = 0
+    while len(live) and iterations < 60:
+        iterations += 1
         fz, d = f_fp(z[live])
         small = np.abs(fz) < 1e-14
         ok[live[small]] = True
@@ -189,7 +193,32 @@ def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.nda
     fz, d = f_fp(z)
     near = np.flatnonzero(ok & (np.abs(d) < 1e-6) & (np.abs(fz) < 1e-12) & (fz != 0.0))
     z[near] = _polish_multiple(f_fp, z[near])
-    return z, ok
+    return z, ok, iterations
+
+
+def _refine_seeds(seeds: np.ndarray, ell: np.ndarray, tau: float, a33: float, zeros,
+                  poles) -> tuple[np.ndarray, int]:
+    """Newton's method on the log form ``tau (lambda - a33) + Log g = ell_j``
+    of every branch at once, from its seed, with ``Log g`` summed over the
+    factors of ``g``.  A branch stops on a non-finite step, which would only
+    repeat, or on a step below ``1e-13 (1 + |z|)``; at most 30 steps.
+    Returns the refined points and the number of steps taken.
+    """
+    z = seeds.copy()
+    live = np.arange(len(z))
+    steps = 0
+    while len(live) and steps < 30:
+        steps += 1
+        zl = z[live]
+        u, v = zl[:, None] - zeros, zl[:, None] - poles
+        log_g = np.log(u).sum(1) - np.log(v).sum(1)
+        step = (tau * (zl - a33) + log_g - ell[live]) / (
+            tau + (1.0 / u).sum(1) - (1.0 / v).sum(1))
+        go = np.isfinite(step)
+        live, step = live[go], step[go]
+        z[live] -= step
+        live = live[np.abs(step) >= 1e-13 * (1.0 + np.abs(z[live]))]
+    return z, steps
 
 
 def _window_roots(found: np.ndarray, window, f_fp):
@@ -220,6 +249,14 @@ def _times(a, b):
     return np.where(a == 0.0, 0.0, a * b)
 
 
+def _horner(coeffs: list, x):
+    # np.polyval's operations in its order, without its per-call overhead
+    y = coeffs[0]
+    for c in coeffs[1:]:
+        y = y * x + c
+    return y
+
+
 def _real_roots(p0, p1, kappa: float, tau: float, lo: float, hi: float) -> np.ndarray:
     """Real roots of ``p0 - kappa e^{-tau x} p1`` on ``[lo, hi]`` and the
     zeros of the derivatives of ``F = e^{tau x} p0 - kappa p1``.  Its third
@@ -233,8 +270,10 @@ def _real_roots(p0, p1, kappa: float, tau: float, lo: float, hi: float) -> np.nd
         polys.append((np.polyadd(tau * p, np.polyder(p)), np.polyder(q)))
     cuts = np.roots(polys[3][0]).real  # extra cuts do no harm
     for p, q in polys[2::-1]:
+        p, q = p.tolist(), q.tolist()
+
         def sign(x):
-            return np.sign(np.polyval(p, x) - _times(np.polyval(q, x), kappa * np.exp(-tau * x)))
+            return np.sign(_horner(p, x) - _times(_horner(q, x), kappa * np.exp(-tau * x)))
 
         x = np.sort(np.clip(np.concatenate([[lo, hi], cuts]), lo, hi))
         sx = sign(x)
@@ -259,8 +298,9 @@ def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
     i j`` (Lichtner, Wolfrum & Yanchuk, SIAM J. Math. Anal. 43, 2011).
     Newton on ``g - kappa e^{-tau lambda}`` starts twice on each branch
     that can reach the window: at the Lambert-W root of ``g = lambda -
-    a33`` (exact at the off state, ``s = 0``), and after 30 Newton steps
-    on the log form, ``Log g`` summed over the factors of ``g``.  Where
+    a33`` (exact at the off state, ``s = 0``), and where Newton on the log
+    form (:func:`_refine_seeds`) leaves that branch: once its step is
+    non-finite or below ``1e-13 (1 + |lambda|)``, or after 30 steps.  Where
     branches meet, Newton on ``char`` starts at the poles, the zeros of
     ``g`` (eigenvalues of ``M1``), the critical points of the log form,
     the roots at ``tau = 0`` and the real roots (:func:`_real_roots`),
@@ -300,26 +340,21 @@ def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
             poles, zeros, np.roots(crit), np.linalg.eigvals(m1 + np.diag([0.0, 0.0, kappa])),
             _real_roots(p0, p1, kappa, tau, win[0], win[1])])
         found = []
-        n_starts = n_converged = 0
+        n_starts = n_converged = refine_steps = 0
         if tau != 0.0:
             # the log form on branch j is tau (lambda - a33) + Log g = ell_j, and big_l
             # is log z + 2 pi i j for the real z = tau kappa e^{-tau a33}, which overflows
             ell = math.log(kappa) - tau * a33 + 2j * math.pi * np.arange(-n, n + 1)
             big_l = ell + math.log(abs(tau)) + 1j * math.pi * (tau < 0.0)
             w = big_l - np.log(big_l) + np.log(big_l) / big_l  # asymptotic series
-            seeds = refined = a33 + w / tau
-            for _ in range(30):
-                u, v = refined[:, None] - zeros, refined[:, None] - poles
-                log_g = np.log(u).sum(1) - np.log(v).sum(1)
-                step = (tau * (refined - a33) + log_g - ell) / (
-                    tau + (1.0 / u).sum(1) - (1.0 / v).sum(1))
-                refined = np.where(np.isfinite(step), refined - step, refined)
-            lam, ok = _newton_search(branch_fp, np.concatenate([seeds, refined]), win)
+            seeds = a33 + w / tau
+            refined, refine_steps = _refine_seeds(seeds, ell, tau, a33, zeros, poles)
+            lam, ok, _ = _newton_search(branch_fp, np.concatenate([seeds, refined]), win)
             found = [lam[ok]]
             n_starts, n_converged = len(ok), int(np.count_nonzero(ok))
             stuck = ~ok[len(seeds):]
             starts = (starts[:, None] + 1j * math.pi / tau * np.arange(-4, 5)).ravel()
-        lam, ok = _newton_search(char_fp, starts.astype(complex), win)
+        lam, ok, newton_steps = _newton_search(char_fp, starts.astype(complex), win)
         found = np.concatenate(found + [lam[ok]])
         n_starts += len(ok)
         n_converged += int(np.count_nonzero(ok))
@@ -341,7 +376,8 @@ def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
         raise NumericalError(f"{missed} of {len(roots)} {state} roots in the window miss "
                              f"the residual bound {_RESIDUAL_TOL:g}; narrow the window")
     diagnostics = {"starts": n_starts, "converged": n_converged, "roots": len(roots),
-                   "residual_max": float(resid.max(initial=0.0))}
+                   "residual_max": float(resid.max(initial=0.0)),
+                   "refine_steps": refine_steps, "newton_steps": newton_steps}
     return SpectrumSet(roots, resid, np.abs(dz) < 1e-6, win, diagnostics)
 
 

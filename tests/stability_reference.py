@@ -1,13 +1,17 @@
 """Reference characteristic-root searches: Newton from a rectangular grid,
-and a root count by the argument principle.
+and a root count by the argument principle; and the earlier forms of two
+stages of the branch search.
 
 Test-only code: the differential tests in ``test_stability.py`` compare
 :func:`yamada_delay.roots_off` and :func:`yamada_delay.roots_generic`
 (one search along the delay branches) against these scalar,
 start-by-start searches, which seed Newton's method from a rectangular
 grid with the asymptotic chain spacing of the roots, and check that
-they find as many roots as :func:`winding_count` counts.  Nothing under
-``src/`` imports it.
+they find as many roots as :func:`winding_count` counts.  They also run
+the branch search with :func:`refine_seeds_fixed`, the log-form
+refinement that takes 30 steps on every branch, in place of the one that
+stops each branch once it converges, and compare the real-root cuts with
+:func:`real_roots_polyval`.  Nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from yamada_delay.stability import (
     _RESIDUAL_TOL,
     SpectrumSet,
     _cexp,
+    _times,
     _window4,
     char_off,
     char_off_factor,
@@ -289,3 +294,41 @@ def winding_count(state: State, params: ModelParams, window) -> int:
     total = turn.sum() / (2.0 * math.pi)
     assert abs(total - round(total)) < 1e-6
     return round(total)
+
+
+def refine_seeds_fixed(seeds: np.ndarray, ell: np.ndarray, tau: float, a33: float, zeros,
+                       poles) -> tuple[np.ndarray, int]:
+    """``stability._refine_seeds`` as it was: 30 Newton steps on the log
+    form of every branch, converged or not; a non-finite step leaves the
+    point where it is."""
+    refined = seeds
+    for _ in range(30):
+        u, v = refined[:, None] - zeros, refined[:, None] - poles
+        log_g = np.log(u).sum(1) - np.log(v).sum(1)
+        step = (tau * (refined - a33) + log_g - ell) / (
+            tau + (1.0 / u).sum(1) - (1.0 / v).sum(1))
+        refined = np.where(np.isfinite(step), refined - step, refined)
+    return refined, 30
+
+
+def real_roots_polyval(p0, p1, kappa: float, tau: float, lo: float, hi: float) -> np.ndarray:
+    """``stability._real_roots`` as it was, with ``np.polyval``."""
+    polys = [(p0, p1)]
+    for _ in range(3):
+        p, q = polys[-1]
+        polys.append((np.polyadd(tau * p, np.polyder(p)), np.polyder(q)))
+    cuts = np.roots(polys[3][0]).real
+    for p, q in polys[2::-1]:
+        def sign(x):
+            return np.sign(np.polyval(p, x) - _times(np.polyval(q, x), kappa * np.exp(-tau * x)))
+
+        x = np.sort(np.clip(np.concatenate([[lo, hi], cuts]), lo, hi))
+        sx = sign(x)
+        brackets = sx[:-1] * sx[1:] < 0.0
+        a, b, sa = x[:-1][brackets], x[1:][brackets], sx[:-1][brackets]
+        for _ in range(20):
+            mid = 0.5 * (a + b)
+            left = sign(mid) == sa
+            a, b = np.where(left, mid, a), np.where(left, b, mid)
+        cuts = np.concatenate([x[sx == 0.0], 0.5 * (a + b), cuts])
+    return cuts

@@ -29,6 +29,7 @@ from yamada_delay import (
     preset,
     roots_generic,
     roots_off,
+    stability,
     steady_states,
 )
 from yamada_delay.stability import (
@@ -50,6 +51,10 @@ DRAWS = [random_params(_rng) for _ in range(100)]
 # the same draws, run on to 110 for the stuck-seed cases
 _rng = np.random.default_rng(406)
 STUCK_DRAWS = [random_params(_rng) for _ in range(110)]
+# the four points of the steady-spectra benchmark (figure1, kappa = 0.2, on
+# WINDOW): roots_off at tau = 50 and 200, roots_generic at off and q, tau = 50
+BENCH_POINTS = [(50.0, "off", roots_off), (200.0, "off", roots_off),
+                (50.0, "off", roots_generic), (50.0, "q", roots_generic)]
 
 
 def pairing(found, expected, tol):
@@ -231,6 +236,56 @@ class TestReferenceSearch:
         assert len(spec) + spec.multiple.sum() == grid.winding_count(state, p, window)
 
 
+def spectrum_or_error(search, p, name, window=WINDOW):
+    """The search's spectrum at ``p``, or the error it raises."""
+    try:
+        if search is roots_off:
+            return roots_off(p, window)
+        return roots_generic(getattr(steady_states(p), name), p, window)
+    except (InvalidArgumentError, NumericalError) as exc:
+        return exc
+
+
+class TestSearchStages:
+    """Two stages of the branch search against their earlier forms."""
+
+    @pytest.mark.parametrize("kappa, tau, name, search", [
+        (0.2, tau, name, search) for tau, name, search in BENCH_POINTS
+    ] + [
+        (kappa, tau, name, roots_generic)
+        for tau in (-5.0, 2.0, 10.0, 400.0, 800.0)
+        for kappa in (0.01, 0.2, 0.9)
+        for name in ("off", "q", "p")
+    ])
+    def test_refinement_matches_thirty_fixed_steps(self, monkeypatch, kappa, tau, name, search):
+        # a branch that stops once its step meets the rule ends within
+        # roundoff of where 30 steps take it: the largest move on this grid
+        # was 1.8e-15, and every count, flag and error is the same
+        p = preset("figure1", kappa=kappa, tau=tau)
+        new = spectrum_or_error(search, p, name)
+        monkeypatch.setattr(stability, "_refine_seeds", grid.refine_seeds_fixed)
+        old = spectrum_or_error(search, p, name)
+        if isinstance(old, Exception):
+            assert type(new) is type(old) and str(new) == str(old)
+            return
+        assert not isinstance(new, Exception)
+        assert len(new) == len(old)
+        assert np.array_equal(new.multiple, old.multiple)
+        assert np.abs(new.roots - old.roots).max(initial=0.0) <= 1e-14
+        assert new.diagnostics["refine_steps"] <= old.diagnostics["refine_steps"] == 30
+
+    @pytest.mark.parametrize("tau, name", [(50.0, "off"), (200.0, "off"), (50.0, "q")])
+    def test_real_root_cuts_match_polyval(self, tau, name):
+        p = preset("figure1", kappa=0.2, tau=tau)
+        m1 = np.array(jacobians(getattr(steady_states(p), name), p)[0])
+        p0 = np.poly(np.linalg.eigvals(m1)).real
+        p1 = np.poly([m1[0, 0], m1[1, 1]])
+        args = (p0, p1, p.kappa, p.tau, WINDOW[0], WINDOW[1])
+        cuts = stability._real_roots(*args)
+        assert len(cuts) > 0
+        assert np.array_equal(cuts, grid.real_roots_polyval(*args))
+
+
 class TestLongDelays:
     def test_narrow_window_keeps_every_branch_root(self):
         p = preset("figure1", kappa=0.2, tau=2e4)
@@ -358,8 +413,14 @@ class TestRootsGeneric:
             assert d["roots"] == len(spec) > 0
             assert len(spec) <= d["converged"] <= d["starts"]
             assert d["residual_max"] == spec.residuals.max()
+            assert 1 <= d["refine_steps"] <= 30 and 1 <= d["newton_steps"] <= 60
             # the default output carries none of it
             assert set(spec.to_json_obj()) == {"roots", "residuals", "multiple", "window"}
+        # every branch of the benchmark points meets the step rule within 5
+        # log-form steps (3, 3, 3 and 5)
+        for tau, name, search in BENCH_POINTS:
+            spec = spectrum_or_error(search, preset("figure1", kappa=0.2, tau=tau), name)
+            assert spec.diagnostics["refine_steps"] <= 5
 
 
 class TestHopfCurve:
