@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.tol_opts()
     c.opt("--k", dest="k", type=int, default=1, help="pulses per delay interval")
     c.opt("--n-nodes", dest="n_nodes", type=int,
-          help="history discretization nodes (default: spacing 0.25)")
+          help="history discretization nodes (default: spacing 1/3, at most 4000)")
     c.opt("--n-multipliers", dest="n_multipliers", type=int, default=200,
           help="leading multipliers to return")
     c.opt("--step", dest="step", type=float, default=0.05,

@@ -161,15 +161,17 @@ def _polish_multiple(f_fp, z: np.ndarray) -> np.ndarray:
                     w, z)
 
 
-def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.ndarray, int]:
+def _newton_search(f_fp, starts: np.ndarray, window,
+                   leash: float = math.inf) -> tuple[np.ndarray, np.ndarray, int]:
     """Newton's method on arrays from every start at once.
 
     ``f_fp(z)`` returns ``f`` and its derivative.  Per start: at most 60
     iterations; converged on ``|f| < 1e-14`` or a step below
-    ``1e-13 (1 + |z|)``, failed on a non-finite ``f``, a zero derivative
-    or an escape beyond ``|z0| + 20 span``; converged near-double roots
-    with ``f != 0`` are polished.  Returns the points, the converged mask
-    and the number of iterations taken.
+    ``1e-13 (1 + |z|)``, failed on a non-finite ``f``, a zero derivative,
+    an escape beyond ``|z0| + 20 span`` or a move farther than ``leash``
+    from ``z0``; converged near-double roots with ``f != 0`` are
+    polished.  Returns the points, the converged mask and the number of
+    iterations taken.
     """
     re_min, re_max, im_min, im_max = window
     limit = np.abs(starts) + 20.0 * max(re_max - re_min, im_max - im_min)
@@ -185,7 +187,7 @@ def _newton_search(f_fp, starts: np.ndarray, window) -> tuple[np.ndarray, np.nda
         go = np.isfinite(fz) & ~small & (d != 0.0)
         live, step = live[go], fz[go] / d[go]
         z[live] -= step
-        escaped = np.abs(z[live]) > limit[live]
+        escaped = (np.abs(z[live]) > limit[live]) | (np.abs(z[live] - starts[live]) > leash)
         stopped = ~escaped & (np.abs(step) < 1e-13 * (1.0 + np.abs(z[live])))
         ok[live[stopped]] = True
         live = live[~escaped & ~stopped]
@@ -304,8 +306,10 @@ def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
     branches meet, Newton on ``char`` starts at the poles, the zeros of
     ``g`` (eigenvalues of ``M1``), the critical points of the log form,
     the roots at ``tau = 0`` and the real roots (:func:`_real_roots`),
-    each also shifted by ``i pi k / tau``, ``|k| <= 4``.  Errors as in
-    :func:`roots_generic`.
+    each also shifted by ``i pi k / tau``, ``|k| <= 4``.  Such a start
+    stops unconverged once it moves more than two branch spacings, ``4 pi
+    / |tau|``, from where it began: it is then crawling toward roots the
+    branch starts already hold.  Errors as in :func:`roots_generic`.
     """
     win = _window4(window)
     (a11, _, a13), (_, a22, a23), (a31, a32, a33) = m1
@@ -354,7 +358,8 @@ def _spectrum(m1, kappa: float, tau: float, window) -> SpectrumSet:
             n_starts, n_converged = len(ok), int(np.count_nonzero(ok))
             stuck = ~ok[len(seeds):]
             starts = (starts[:, None] + 1j * math.pi / tau * np.arange(-4, 5)).ravel()
-        lam, ok, newton_steps = _newton_search(char_fp, starts.astype(complex), win)
+        leash = 4.0 * math.pi / abs(tau) if tau != 0.0 else math.inf
+        lam, ok, newton_steps = _newton_search(char_fp, starts.astype(complex), win, leash)
         found = np.concatenate(found + [lam[ok]])
         n_starts += len(ok)
         n_converged += int(np.count_nonzero(ok))

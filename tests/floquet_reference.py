@@ -26,20 +26,25 @@ import scipy.sparse.linalg
 from yamada_delay.floquet import _m1_along
 
 
-def _cardinal_weights(s: float, n_nodes: int, spacing: float):
-    """Cubic Lagrange weights for interpolating node data at offset s.
+#: Points of one interpolation stencil.
+WIDTH = 6
 
-    ``s`` is measured from the first node in units of the spacing; the
-    four-point stencil is clamped at the ends of the grid.
+
+def _cardinal_weights(s: float, n_nodes: int, spacing: float):
+    """Quintic Lagrange weights for interpolating node data at offset s.
+
+    ``s`` is measured from the first node in time units; the six-point
+    stencil is centred on the spacing that holds ``s`` and clamped at
+    the ends of the grid.
     """
     u = s / spacing
-    j0 = int(math.floor(u)) - 1
-    j0 = min(max(j0, 0), n_nodes - 4)
+    j0 = int(math.floor(u)) - 2
+    j0 = min(max(j0, 0), n_nodes - WIDTH)
     x = u - j0
     w = []
-    for l in range(4):
+    for l in range(WIDTH):
         num = 1.0
-        for mth in range(4):
+        for mth in range(WIDTH):
             if mth != l:
                 num *= (x - mth) / (l - mth)
         w.append(num)
@@ -59,7 +64,7 @@ def reduced_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.nd
     tau = params.tau
     T = orbit.period
     if N is None:
-        N = min(4000, int(math.ceil(tau / 0.25)) + 1)
+        N = min(4000, int(math.ceil(3.0 * tau)) + 1)
     spacing = tau / (N - 1)
     dim = N + 2
     kap = params.kappa
@@ -82,7 +87,7 @@ def reduced_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.nd
         """Intensity row of the interpolated initial history at s < 0."""
         j0, w = _cardinal_weights(s + tau, N, spacing)
         row = np.zeros(dim)
-        row[j0:j0 + 4] = w
+        row[j0:j0 + WIDTH] = w
         return row
 
     # Stored intensity rows (value and derivative) at past march nodes,
@@ -166,7 +171,7 @@ def full_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.ndarr
     tau = params.tau
     T = orbit.period
     if N is None:
-        N = min(4000, int(math.ceil(tau / 0.25)) + 1)
+        N = min(4000, int(math.ceil(3.0 * tau)) + 1)
     spacing = tau / (N - 1)
     dim = 3 * N
     kap = params.kappa
@@ -185,7 +190,7 @@ def full_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.ndarr
     def history_row(s: float) -> np.ndarray:
         j0, w = _cardinal_weights(s + tau, N, spacing)
         row = np.zeros(dim)
-        for l in range(4):
+        for l in range(WIDTH):
             row[3 * (j0 + l) + 2] = w[l]
         return row
 
@@ -220,7 +225,7 @@ def full_period_map(orbit, N: int | None = None, step: float = 0.05) -> np.ndarr
         j0, w = _cardinal_weights(s + tau, N, spacing)
         for c in range(3):
             row = np.zeros(dim)
-            for l in range(4):
+            for l in range(WIDTH):
                 row[3 * (j0 + l) + c] = w[l]
             M[3 * out_j + c] = row
         out_j += 1

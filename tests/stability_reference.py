@@ -10,8 +10,10 @@ grid with the asymptotic chain spacing of the roots, and check that
 they find as many roots as :func:`winding_count` counts.  They also run
 the branch search with :func:`refine_seeds_fixed`, the log-form
 refinement that takes 30 steps on every branch, in place of the one that
-stops each branch once it converges, and compare the real-root cuts with
-:func:`real_roots_polyval`.  Nothing under ``src/`` imports it.
+stops each branch once it converges, and with :func:`newton_search_unleashed`,
+the Newton search that lets every start run as far as it goes, and
+compare the real-root cuts with :func:`real_roots_polyval`.  Nothing
+under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from yamada_delay.stability import (
     char_off_factor,
     char_off_factor_deriv,
 )
+from yamada_delay.stability import _polish_multiple as _polish_multiple_arrays
 
 
 def _det3(m) -> complex:
@@ -332,3 +335,33 @@ def real_roots_polyval(p0, p1, kappa: float, tau: float, lo: float, hi: float) -
             a, b = np.where(left, mid, a), np.where(left, b, mid)
         cuts = np.concatenate([x[sx == 0.0], 0.5 * (a + b), cuts])
     return cuts
+
+
+def newton_search_unleashed(f_fp, starts: np.ndarray, window,
+                            leash: float = math.inf) -> tuple[np.ndarray, np.ndarray, int]:
+    """``stability._newton_search`` as it was, with no leash: a start runs
+    until it converges, fails or escapes beyond ``|z0| + 20 span``, for at
+    most 60 iterations.  ``leash`` is accepted and ignored."""
+    re_min, re_max, im_min, im_max = window
+    limit = np.abs(starts) + 20.0 * max(re_max - re_min, im_max - im_min)
+    z = starts.copy()
+    live = np.arange(len(z))
+    ok = np.zeros(len(z), dtype=bool)
+    iterations = 0
+    while len(live) and iterations < 60:
+        iterations += 1
+        fz, d = f_fp(z[live])
+        small = np.abs(fz) < 1e-14
+        ok[live[small]] = True
+        go = np.isfinite(fz) & ~small & (d != 0.0)
+        live, step = live[go], fz[go] / d[go]
+        z[live] -= step
+        escaped = np.abs(z[live]) > limit[live]
+        stopped = ~escaped & (np.abs(step) < 1e-13 * (1.0 + np.abs(z[live])))
+        ok[live[stopped]] = True
+        live = live[~escaped & ~stopped]
+    ok &= np.isfinite(z)
+    fz, d = f_fp(z)
+    near = np.flatnonzero(ok & (np.abs(d) < 1e-6) & (np.abs(fz) < 1e-12) & (fz != 0.0))
+    z[near] = _polish_multiple_arrays(f_fp, z[near])
+    return z, ok, iterations

@@ -69,7 +69,7 @@ class TestConstantOrbitOracle:
         assert n_shift > 0 and np.asarray(op)[:n_shift, :n_shift].any()
         with pytest.warns(UserWarning):
             fs = monodromy_multipliers(orbit, m=12)
-        assert fs.N == 41 and len(fs) == 12
+        assert fs.N == 31 and len(fs) == 12
         roots = roots_off(p, (-1.0, 0.5, -10.0, 10.0)).roots
         expected = np.exp(roots * T)
         expected = expected[np.argsort(-np.abs(expected))]
@@ -150,12 +150,13 @@ class TestConstantOrbitOracle:
             fs = monodromy_multipliers(orbit, m=12)
         op = _period_map(orbit, fs.N, 0.05)
         d = fs.diagnostics
-        assert d["N"] == fs.N == 21 and d["dim"] == fs.N + 2
+        assert d["N"] == fs.N == 16 and d["dim"] == fs.N + 2
         assert d["marched_columns"] == len(op.cols)
         assert d["stencil_rows"] == len(op.shift_w) > 0
         assert d["march_s"] > 0.0 and d["eig_s"] > 0.0
         assert d["eig_method"] == "arpack" and d["converged"] == 12
         assert 0 < d["matvecs"] <= 2 * 12 + 2
+        assert 0.0 < d["ritz_s"] < d["eig_s"]
         assert d["trivial_defect"] == abs(fs.trivial - 1.0)
         assert d["map_bytes"] == op.nbytes
         assert d["march_step"] == 3.0 / 60
@@ -168,6 +169,7 @@ class TestConstantOrbitOracle:
         assert dense.diagnostics["eig_method"] == "dense"
         assert dense.diagnostics["converged"] == dense.N + 2
         assert dense.diagnostics["matvecs"] == 0
+        assert dense.diagnostics["ritz_s"] == 0.0
 
 
 class TestPulseTrainMultipliers:
@@ -229,15 +231,39 @@ class TestPulseTrainMultipliers:
             assert dists.max() <= 12.0 / tau, (k, tau, dists.max())
 
 
+class TestGridConvergence:
+    """The default grid against the same map at a quarter of its spacing."""
+
+    @pytest.fixture(scope="class")
+    def quarter_spacing(self, orbits, floquet_sets):
+        """(k, tau) -> 220 leading multipliers on 4 (N - 1) + 1 nodes, so
+        that a multiplier cut at the 200th place of the default set still
+        finds its match."""
+        return {key: monodromy_multipliers(orbit, N=4 * (floquet_sets[key].N - 1) + 1,
+                                           m=220).multipliers
+                for key, orbit in orbits.items()}
+
+    def test_default_grid_error(self, floquet_sets, quarter_spacing):
+        # the bounds stated in monodromy_multipliers' docstring; measured
+        # at most 2.0e-5 (leading 50), 7.0e-4 (all 200) and 2.0e-5 (trivial)
+        for key, fs in floquet_sets.items():
+            assert fs.N == math.ceil(3.0 * key[1]) + 1, key
+            fine = quarter_spacing[key]
+            dist = np.abs(fs.multipliers[:, None] - fine[None, :]).min(axis=1)
+            assert len(dist) == 200 and dist[:50].max() <= 3e-5, key
+            assert dist.max() <= 1e-3, key
+            assert fs.diagnostics["trivial_defect"] < 3e-5, key
+
+
 class TestReducedPeriodMap:
     """The (N+2)-unknown map against the full 3N-unknown reference map."""
 
     def test_matches_full_history_map(self):
         p = preset("figure1", kappa=0.1, tau=30.0)
         orbit = settle_train(p, k=1)
-        fs = monodromy_multipliers(orbit)
-        assert fs.N == 121 and len(fs) == fs.N + 2
-        full = _leading_eigs(full_period_map(orbit), 200)[0]
+        fs = monodromy_multipliers(orbit, N=121)
+        assert len(fs) == fs.N + 2
+        full = _leading_eigs(full_period_map(orbit, 121), 200)[0]
         # compare as sets: at the truncation modulus, clusters of equal
         # modulus are cut in a different order
         cut = max(abs(fs.multipliers[-1]), abs(full[-1])) + 1e-3
@@ -279,6 +305,29 @@ class TestStepMaps:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+class TestStencils:
+    def test_reproduce_quintics(self):
+        # six-point Lagrange stencils are exact on every polynomial of
+        # degree <= 5, also where they are clamped at the ends of the grid
+        n_nodes, spacing = 13, 0.5
+        nodes = spacing * np.arange(n_nodes)
+        s = np.concatenate([np.linspace(0.0, nodes[-1], 97), nodes, [1e-13, nodes[-1] - 1e-13]])
+        j0, w = floquet._lagrange_stencils(s, n_nodes, spacing)
+        assert w.shape == (len(s), 6)
+        assert {0, n_nodes - 6} <= set(j0.tolist())
+        assert (j0 >= 0).all() and (j0 <= n_nodes - 6).all()
+        assert (nodes[j0] <= s).all() and (s <= nodes[j0 + 5]).all()
+        # centred: away from the ends, s lies between the middle two nodes
+        inner = (s >= 2.0 * spacing) & (s < nodes[-1] - 2.0 * spacing)
+        assert ((nodes[j0 + 2] <= s) & (s <= nodes[j0 + 3]))[inner].all()
+        stencil_nodes = nodes[j0[:, None] + np.arange(6)]
+        for degree in range(6):
+            def poly(x):
+                return ((x - 2.9) / 3.0) ** degree
+            got = (w * poly(stencil_nodes)).sum(axis=1)
+            assert np.abs(got - poly(s)).max() <= 1e-12, degree
+
+
 class TestTwoBlockPeriodMap:
     """The operator (interpolation rows plus the causal parts of the
     marched rows) against the dense (N+2)-unknown reference map."""
@@ -291,8 +340,9 @@ class TestTwoBlockPeriodMap:
     @pytest.fixture(scope="class")
     def cases(self, orbit30, orbits, floquet_sets, period_maps):
         """(k, tau) -> (multipliers, operator, dense reference map)."""
-        fs30 = monodromy_multipliers(orbit30)
-        out = {(1, 30.0): (fs30, _period_map(orbit30, fs30.N, 0.05), reduced_period_map(orbit30))}
+        # 121 nodes, so that more than 100 multipliers lie above the cut
+        fs30 = monodromy_multipliers(orbit30, N=121)
+        out = {(1, 30.0): (fs30, _period_map(orbit30, 121, 0.05), reduced_period_map(orbit30, 121))}
         out.update({key: (floquet_sets[key], period_maps[key][0], reduced_period_map(orbit))
                     for key, orbit in orbits.items()})
         return out
@@ -309,7 +359,7 @@ class TestTwoBlockPeriodMap:
     def test_step_coarser_than_node_spacing(self, orbit30):
         # step 0.6 against node spacing 0.5: the three lookups of one
         # step span more than one spacing, so the history window of a
-        # step is wider than the four columns of one stencil
+        # step is wider than the six columns of one stencil
         op = _period_map(orbit30, 61, 0.6)
         M = reduced_period_map(orbit30, 61, 0.6)
         assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max()
@@ -383,7 +433,7 @@ class TestTwoBlockPeriodMap:
             elif tau == 10.0:
                 assert 0 < n_hist % B
             else:
-                assert n_hist < B and 3.0 < spacing and {0, N - 4} <= set(op.shift_j0.tolist())
+                assert n_hist < B and 3.0 < spacing and {0, N - 6} <= set(op.shift_j0.tolist())
             M = reduced_period_map(orbit, N, step)
             assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max(), (tau, N, step)
             for x in np.random.default_rng(3).standard_normal((3, len(M))):
@@ -524,9 +574,9 @@ class TestLeadingEigs:
     def test_partial_convergence_warns(self, monkeypatch):
         self.stall_arpack(monkeypatch, 60)
         with pytest.warns(UserWarning, match="converged for 60 of 200"):
-            vals, method, converged, matvecs = _leading_eigs(np.zeros((1001, 1001)), 200)
+            vals, method, converged, matvecs, ritz_s = _leading_eigs(np.zeros((1001, 1001)), 200)
         assert len(vals) == converged == 60 and method == "arpack"
-        assert matvecs == 0  # the stand-in made no product
+        assert matvecs == 0 and ritz_s >= 0.0  # the stand-in made no product
 
     @pytest.mark.parametrize("found, want", [
         ([0.9, 0.5 - 0.1j], [0.9, 0.5 + 0.1j]),  # the pair cut: +imag kept
@@ -537,7 +587,7 @@ class TestLeadingEigs:
     def test_split_pair_at_the_cut(self, monkeypatch, found, want):
         monkeypatch.setattr(scipy.sparse.linalg, "eigs",
                             lambda M, k, **kwargs: np.array(found, dtype=complex))
-        vals, method, converged, _ = _leading_eigs(np.zeros((50, 50)), 2)
+        vals, method, converged, *_ = _leading_eigs(np.zeros((50, 50)), 2)
         assert method == "arpack" and converged == 2
         assert vals.tolist() == want
 

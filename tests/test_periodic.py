@@ -121,10 +121,10 @@ class TestOrbit:
         # on the settled runs the two-pulse defect stalled at 5.9e-4 for
         # every N: the orbit, not the discretization, was off
         orbit = orbits[(2, 400.0)]
-        defects = [abs(monodromy_multipliers(orbit, N=801).trivial - 1.0),
+        defects = [abs(monodromy_multipliers(orbit, N=601).trivial - 1.0),
                    abs(floquet_sets[(2, 400.0)].trivial - 1.0),
-                   abs(monodromy_multipliers(orbit, N=3201).trivial - 1.0)]
-        assert floquet_sets[(2, 400.0)].N == 1601
+                   abs(monodromy_multipliers(orbit, N=2401).trivial - 1.0)]
+        assert floquet_sets[(2, 400.0)].N == 1201
         assert defects[0] > defects[1] > defects[2]
         assert defects[2] < 2e-6
 

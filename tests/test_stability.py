@@ -246,33 +246,56 @@ def spectrum_or_error(search, p, name, window=WINDOW):
         return exc
 
 
-class TestSearchStages:
-    """Two stages of the branch search against their earlier forms."""
+SEARCH_CASES = [
+    (0.2, tau, name, search) for tau, name, search in BENCH_POINTS
+] + [
+    (kappa, tau, name, roots_generic)
+    for tau in (-5.0, 2.0, 10.0, 400.0, 800.0)
+    for kappa in (0.01, 0.2, 0.9)
+    for name in ("off", "q", "p")
+]
 
-    @pytest.mark.parametrize("kappa, tau, name, search", [
-        (0.2, tau, name, search) for tau, name, search in BENCH_POINTS
-    ] + [
-        (kappa, tau, name, roots_generic)
-        for tau in (-5.0, 2.0, 10.0, 400.0, 800.0)
-        for kappa in (0.01, 0.2, 0.9)
-        for name in ("off", "q", "p")
-    ])
-    def test_refinement_matches_thirty_fixed_steps(self, monkeypatch, kappa, tau, name, search):
-        # a branch that stops once its step meets the rule ends within
-        # roundoff of where 30 steps take it: the largest move on this grid
-        # was 1.8e-15, and every count, flag and error is the same
+
+class TestSearchStages:
+    """Three stages of the branch search against their earlier forms."""
+
+    @staticmethod
+    def against_earlier(monkeypatch, stage, earlier, kappa, tau, name, search):
+        """The search with ``stability.<stage>`` and with ``earlier`` in its
+        place: the same error, or the same count and ``multiple`` flags
+        and roots within 1e-14.  Returns both spectra (None on an error)."""
         p = preset("figure1", kappa=kappa, tau=tau)
         new = spectrum_or_error(search, p, name)
-        monkeypatch.setattr(stability, "_refine_seeds", grid.refine_seeds_fixed)
+        monkeypatch.setattr(stability, stage, earlier)
         old = spectrum_or_error(search, p, name)
         if isinstance(old, Exception):
             assert type(new) is type(old) and str(new) == str(old)
-            return
+            return None, None
         assert not isinstance(new, Exception)
         assert len(new) == len(old)
         assert np.array_equal(new.multiple, old.multiple)
         assert np.abs(new.roots - old.roots).max(initial=0.0) <= 1e-14
-        assert new.diagnostics["refine_steps"] <= old.diagnostics["refine_steps"] == 30
+        return new, old
+
+    @pytest.mark.parametrize("kappa, tau, name, search", SEARCH_CASES)
+    def test_refinement_matches_thirty_fixed_steps(self, monkeypatch, kappa, tau, name, search):
+        # a branch that stops once its step meets the rule ends within
+        # roundoff of where 30 steps take it: the largest move on this grid
+        # was 1.8e-15, and every count, flag and error is the same
+        new, old = self.against_earlier(monkeypatch, "_refine_seeds", grid.refine_seeds_fixed,
+                                        kappa, tau, name, search)
+        if new is not None:
+            assert new.diagnostics["refine_steps"] <= old.diagnostics["refine_steps"] == 30
+
+    @pytest.mark.parametrize("kappa, tau, name, search", SEARCH_CASES)
+    def test_leash_matches_unleashed_search(self, monkeypatch, kappa, tau, name, search):
+        # a char start that strays two branch spacings from where it began
+        # was crawling toward roots the branch starts hold: stopping it
+        # keeps every count, flag, error and root
+        new, old = self.against_earlier(monkeypatch, "_newton_search",
+                                        grid.newton_search_unleashed, kappa, tau, name, search)
+        if new is not None:
+            assert new.diagnostics["newton_steps"] <= old.diagnostics["newton_steps"]
 
     @pytest.mark.parametrize("tau, name", [(50.0, "off"), (200.0, "off"), (50.0, "q")])
     def test_real_root_cuts_match_polyval(self, tau, name):
@@ -417,10 +440,12 @@ class TestRootsGeneric:
             # the default output carries none of it
             assert set(spec.to_json_obj()) == {"roots", "residuals", "multiple", "window"}
         # every branch of the benchmark points meets the step rule within 5
-        # log-form steps (3, 3, 3 and 5)
+        # log-form steps (3, 3, 3 and 5), and no char start crawls to the
+        # 60-step cap (27, 39, 27 and 22 steps; 41, 60, 41, 60 unleashed)
         for tau, name, search in BENCH_POINTS:
             spec = spectrum_or_error(search, preset("figure1", kappa=0.2, tau=tau), name)
             assert spec.diagnostics["refine_steps"] <= 5
+            assert spec.diagnostics["newton_steps"] <= 40
 
 
 class TestHopfCurve:
