@@ -25,20 +25,14 @@ so one fixed-step Runge-Kutta pass advances just those basis histories
 and the last node's; the new nodes that still lie in the old history are
 six-point interpolation rows.  The variational field is linear, so each
 Runge-Kutta step is an affine map, fixed before the march: a 3x3 matrix
-on the state plus injection vectors for the three delayed lookups of the
-step.  Where those lookups read the initial history, their stencils form
-one short window of columns, so a step adds only that window to what
-its 3x3 matrix makes of the state.  Those steps are split into chunks,
-and all chunks march at once from the identity: over a chunk, the state
-is a 3x3 matrix times the chunk's start state plus a band of the
-columns the chunk injected.  A marched row is then a 3-vector times a
-chunk state plus a short band row, and the operator holds the chunk
-states, those rows and the few rows marched after the history steps,
-a sixth of a dense block or less.  One product with a vector or a block
-of columns reads these parts and gathers the interpolation rows'
-stencils; ARPACK takes the leading multipliers from it, and the dense
-map, where ``eigvals`` takes it instead, is its product with the
-identity.
+on the state plus one short window of history stencils for its three
+delayed lookups.  The steps that read only the initial history are split
+into chunks, all marched at once from the identity, so a marched row is
+a 3-vector times its chunk's start state plus a short band row.  The
+operator is these sparse rows plus one dense block of chunk states (see
+``_PeriodMap``).  ARPACK takes the leading multipliers from its
+products; the dense map, where ``eigvals`` takes it instead, is its
+product with the identity.
 
 As the delay grows, most multipliers condense onto the asymptotic
 continuous spectrum, the closed curve ``mu^k = kappa e^{i omega
@@ -55,6 +49,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,6 +63,9 @@ from .periodic import PeriodicOrbit, solve_periodic
 # patches them in both by name, and bench/workloads.py's warm_up calls
 # pulses.refine_period.
 from .pulses import detect_pulses, measure_train, refine_period  # noqa: F401
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "PeriodicOrbit",
@@ -177,10 +175,9 @@ class FloquetSet:
         map it made (``matvecs``) and the seconds from the last of them
         to ARPACK's return (``ritz_s``; both 0 for ``"dense"``), the
         bytes the operator holds (``map_bytes``), how many chunks the
-        history steps of the march were split into (``chunks``) and how
-        many columns a chunk's band holds (``band_width``), the step the
-        march took (``march_step``), and the ``trivial_defect``,
-        ``|trivial - 1|``.
+        history steps of the march were split into (``chunks``), the
+        nonzeros of the sparse band (``band_nnz``), the march step
+        (``march_step``) and the ``trivial_defect``, ``|trivial - 1|``.
         Not part of equality or of the output.
     """
 
@@ -221,7 +218,7 @@ def _lagrange_stencils(s: np.ndarray, n_nodes: int, spacing: float):
     its offset and clamped at the ends of the grid.  Returns the first
     node of every stencil and the weights, shape ``(len(s), _WIDTH)``,
     stored by column: the weights of one stencil point are contiguous,
-    for the loop below and for sums over the stencil points.
+    for the loop below and for :func:`_history_windows`.
     """
     u = s / spacing
     j0 = np.clip(np.floor(u).astype(int) - (_WIDTH // 2 - 1), 0, n_nodes - _WIDTH)
@@ -236,67 +233,40 @@ def _lagrange_stencils(s: np.ndarray, n_nodes: int, spacing: float):
 
 @dataclass(frozen=True)
 class _PeriodMap:
-    """The discretized period map, stored by the three-component state.
+    """The discretized period map, ``band + lift @ block[:, cols]``.
 
-    The first rows are the new history nodes that still lie in the
-    initial history (``T + theta_j < 0``, only when ``T < tau``): row
-    ``j`` is a Lagrange stencil with the weights ``shift_w[j]`` on the
-    ``_WIDTH`` columns from ``shift_j0[j]``.  The other rows come from the
-    march, which reads only the columns ``cols``: the first history nodes and
-    ``I``, ``G``, ``Q`` at the last node.  Until its delayed lookups
-    leave the initial history, the march splits into chunks of steps.
-    Over chunk ``a`` its three-component state is a 3x3 matrix times the
-    state ``Y_a`` at the chunk's start, plus what the chunk's own steps
-    injected on a band of columns.  So a row sampled in the chunk is a
-    3-vector times ``Y_a`` plus a band row:
+    ``cols`` are the columns the march reads: the first history nodes and
+    ``I``, ``G``, ``Q`` at the last node.  Over chunk ``a`` of the steps
+    that read only the initial history, the state is a 3x3 matrix times
+    the chunk's start state ``Y_a`` plus a band of the columns it injected.
 
-    * ``states``, the ``Y_a`` on ``cols``, shape ``(n_chunks, 3, n_cols)``;
-    * ``chunk_rows``, the rows of each chunk, padded to the most rows of
-      a chunk: the 3-vector, then the band row on the columns
-      ``window[a]`` (the ``bw`` columns its rows reach, clipped at the
-      last column, where the band holds zeros), shape ``(n_chunks,
-      rows per chunk, 3 + bw)``; ``rows`` places the sampled rows in
-      that padded layout;
-    * ``tail``, dense on ``cols``: the rows sampled after those steps
-      (``k = 1`` orbits, whose lookups read marched rows) and ``G``,
-      ``Q`` at ``T``.
+    * ``band``, CSR ``(n, n)``: the stencil rows of the new nodes still in
+      the initial history (``T + theta_j < 0``) and the chunk rows' bands;
+    * ``block``, dense on ``cols``: the ``Y_a``, three rows each, then the
+      rows sampled after those steps and ``G``, ``Q`` at ``T``;
+    * ``lift``, CSR: a chunk's row takes its 3-vector on ``Y_a``, a tail
+      row itself, a stencil row nothing.
 
-    ``op @ x`` is the product with a vector ``(n,)`` or a block ``(n,
-    r)``, the one place that reads this layout; ``np.asarray`` is the
-    product with the identity, and ``nbytes`` is what the operator holds.
+    ``op @ x`` takes a vector ``(n,)`` or a block ``(n, r)``; ``np.asarray``
+    is the product with the identity; ``nbytes`` what the operator holds.
     """
 
-    shift_j0: np.ndarray
-    shift_w: np.ndarray
+    band: csr_array
+    lift: csr_array
+    block: np.ndarray
     cols: np.ndarray
-    states: np.ndarray
-    window: np.ndarray
-    chunk_rows: np.ndarray
-    rows: np.ndarray
-    tail: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = len(self.shift_w) + len(self.rows) + len(self.tail)
-        return n, n
+        return self.band.shape
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.shift_j0, self.shift_w, self.cols, self.states,
-                                      self.window, self.chunk_rows, self.rows, self.tail))
+        return self.block.nbytes + self.cols.nbytes + sum(
+            a.data.nbytes + a.indices.nbytes + a.indptr.nbytes for a in (self.band, self.lift))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        n_chunks, n_cols = len(self.states), len(self.cols)
-        xc = x[self.cols]
-        parts = np.empty((n_chunks, self.chunk_rows.shape[2]) + x.shape[1:])
-        parts[:, :3] = (self.states.reshape(-1, n_cols) @ xc).reshape(parts[:, :3].shape)
-        parts[:, 3:] = xc[self.window]
-        band = self.chunk_rows @ parts.reshape(n_chunks, parts.shape[1], -1)
-        return np.concatenate([
-            np.einsum("ij,ji...->i...", self.shift_w, x[np.arange(_WIDTH)[:, None] + self.shift_j0]),
-            band.reshape((-1,) + x.shape[1:])[self.rows],
-            self.tail @ xc,
-        ])
+        return self.band @ x + self.lift @ (self.block @ x[self.cols])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self @ np.eye(self.shape[0], dtype=dtype)
@@ -309,7 +279,10 @@ def _checked_nodes(tau: float, N: int | None, m: int, step: float) -> int:
     # Written so that NaN fails both checks.
     if not 0.0 < step < math.inf:
         raise InvalidArgumentError(f"march step must be positive and finite, got {step!r}")
-    if not m >= 1:
+    for name, value in (("N", 8 if N is None else N), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if m < 1:
         raise InvalidArgumentError(f"need at least 1 multiplier, got m = {m!r}")
     if N is None:
         N = min(4000, int(math.ceil(3.0 * tau)) + 1)
@@ -331,10 +304,9 @@ def monodromy_multipliers(
     unknowns the map is block lower-triangular, and its interior
     ``G``/``Q`` block only shifts values to later nodes (the period spans
     three or more node spacings), so it adds nothing but zero
-    multipliers.  The map is kept by the three-component state of the
-    march (see the module notes and ``_PeriodMap``), and ARPACK finds the
-    multipliers from products with its parts, with at least 64 Arnoldi
-    vectors so that a small ``m`` does not crawl on a cluster.
+    multipliers.  ARPACK finds the multipliers from products with the
+    stored map (see ``_PeriodMap``), with at least 64 Arnoldi vectors so
+    that a small ``m`` does not crawl on a cluster.
 
     Off-node lookups in the initial history use six-point Lagrange
     stencils.  On the four settled trains at ``kappa = 0.1`` (``k = 1,
@@ -372,9 +344,10 @@ def monodromy_multipliers(
     Raises
     ------
     InvalidArgumentError
-        For ``tau <= 0``, fewer than 8 nodes, ``m < 1``, or a march step
-        that is not positive and finite or that takes more than 1 000 000
-        steps over the period (checked before the map is built).
+        For ``tau <= 0``, ``N`` or ``m`` not an integer (a bool is not
+        one), fewer than 8 nodes, ``m < 1``, or a march step that is not
+        positive and finite or that takes more than 1 000 000 steps over
+        the period (checked before the map is built).
 
     Warns
     -----
@@ -405,11 +378,12 @@ def monodromy_multipliers(
             f"{abs(trivial - 1.0):.3f}; increase N or reduce the march step",
             stacklevel=2,
         )
+    lifted = np.diff(op.lift.indptr)  # 0 on a stencil row, 3 on a chunk's row, 1 on a tail row
     diagnostics = {
         "N": N,
         "dim": op.shape[0],
         "marched_columns": len(op.cols),
-        "stencil_rows": len(op.shift_w),
+        "stencil_rows": int(np.count_nonzero(lifted == 0)),
         "march_s": t1 - t0,
         "eig_s": t2 - t1,
         "eig_method": method,
@@ -417,8 +391,8 @@ def monodromy_multipliers(
         "matvecs": matvecs,
         "ritz_s": ritz_s,
         "map_bytes": op.nbytes,
-        "chunks": len(op.states),
-        "band_width": op.window.shape[1],
+        "chunks": (len(op.block) - int(np.count_nonzero(lifted == 1))) // 3,
+        "band_nnz": op.band.nnz,
         "march_step": orbit.period / n_steps,
         "trivial_defect": abs(trivial - 1.0),
     }
@@ -434,16 +408,12 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     ``I`` at the new node ``T + theta_j``; rows ``N`` and ``N + 1`` are
     ``G`` and ``Q`` at ``T``.
 
-    Each RK4 step is the affine map of :func:`_step_maps`, fixed before
-    the march.  A step whose three lookups ``kappa I(t - tau)`` all read
-    the initial history (the first ``n_hist`` steps) adds its Lagrange
-    stencils as one window ``D[i]`` of ``W`` columns from column
-    ``o[i]``.  Those steps are split into chunks that march at once in
-    batched 3x3 products, and one sweep over the chunks gives their
-    start states (see ``_PeriodMap``).  Only the steps that look up
-    ``t - tau > 0`` (``k = 1`` orbits) read stored march rows of ``I``
-    and ``I'``, Hermite-interpolated across a step; they march one at a
-    time, and their rows are stored dense.
+    Each RK4 step is the affine map of :func:`_step_maps`.  The first
+    ``n_hist`` steps read only the initial history: step ``i`` adds its
+    stencils as one window ``D[i]`` of ``W`` columns from column ``o[i]``,
+    and they march in chunks, all at once (see ``_PeriodMap``).  The later
+    steps (``k = 1`` orbits) read stored march rows of ``I`` and ``I'``,
+    Hermite-interpolated; they march one at a time into the dense block.
     """
     params = orbit.params
     tau = params.tau
@@ -505,7 +475,7 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     # row.  The rows at nodes 1 .. n_hist go to the chunk of the node
     # before theirs, at place m = 1 .. B in it (a row at node 0 to chunk
     # 0, m = 0); the later rows and G, Q at T are the dense tail.  The
-    # chunk states and the tail grow with N, so they are allocated
+    # block of chunk states and tail grows with N, so it is allocated
     # first: a size too large to hold fails here, before the history
     # windows, the bands and the sample weights are built.
     B = max(1, round(math.sqrt(3.0 * n_hist * spacing / h)))
@@ -515,10 +485,8 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     row_nodes = at[:n_band]
     chunk = np.maximum(row_nodes - 1, 0) // B
     place = row_nodes - starts[chunk]
-    per_chunk = np.bincount(chunk, minlength=n_chunks)
-    slot = np.arange(n_band) - np.repeat(np.cumsum(per_chunk) - per_chunk, per_chunk)
-    states = np.empty((n_chunks, 3, n_cols))
-    tail = np.empty((len(sampled) - n_band + 2, n_cols))
+    block = np.empty((3 * n_chunks + len(sampled) - n_band + 2, n_cols))
+    states, tail = block[:3 * n_chunks].reshape(n_chunks, 3, n_cols), block[3 * n_chunks:]
     o, W, D = _history_windows(stencils, inj[:n_hist], kap, n_cols)
     inj = inj[n_hist:].copy()  # for the steps that read march rows
 
@@ -548,10 +516,9 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     PZ = np.zeros((n_chunks, 3, 3 + width_march))
     PZ[:, :, :3] = np.eye(3)
     ring = np.zeros((n_chunks, 4, 3 + bw))
-    chunk_rows = np.zeros((n_chunks, per_chunk.max(initial=0), 3 + bw))
+    rows = np.zeros((n_band, 3 + bw))  # the 3-vector, then the band from column lo[chunk]
     by_place = np.argsort(place, kind="stable")
     bounds = np.searchsorted(place[by_place], np.arange(B + 2))
-    row_chunk, row_slot, row_w = chunk[by_place], slot[by_place], sample_w[by_place][:, None, :]
     each = np.arange(n_chunks)[:, None]
     for m in range(B + 1):
         di = di_rows[m:n_hist + 1:B][:n_chunks]  # at the nodes s_a + m that exist
@@ -559,9 +526,8 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
         ring[:k, :2] = ring[:k, 2:]
         ring[:k, 2] = PZ[:k, 2, :3 + bw]
         np.matmul(di[:, None, :], PZ[:k, :, :3 + bw], out=ring[:k, 3:])
-        r = slice(bounds[m], bounds[m + 1])
-        a = row_chunk[r]
-        chunk_rows[a, row_slot[r]] = (row_w[r] @ ring[a])[:, 0]
+        r = by_place[bounds[m]:bounds[m + 1]]
+        rows[r] = (sample_w[r, None] @ ring[chunk[r]])[:, 0]
         if m == B:
             break
         step_maps = P[m:n_hist:B]  # step s_a + m of the chunks that take it
@@ -575,7 +541,7 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     for e, nodes in ((1, np.maximum(row_nodes - 1, 0)), (3, row_nodes)):
         window = 3 + (j0_nodes[nodes] - lo[chunk])[:, None] + np.arange(_WIDTH)
         weights = (kap * sample_w[:n_band, e, None]) * w_nodes[nodes]
-        chunk_rows[chunk[:, None], slot[:, None], window] += weights
+        rows[np.arange(n_band)[:, None], window] += weights
 
     # One sweep gives the chunk states, and the state after n_hist steps.
     # A band past the last column holds zeros there.
@@ -583,8 +549,8 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
     for a in range(n_chunks):
         states[a] = Y_hist
         Y_hist = PZ[a, :, :3] @ Y_hist
-        band = Y_hist[:, lo[a]:lo[a] + width_march]
-        band += PZ[a, :, 3:3 + band.shape[1]]
+        seg = Y_hist[:, lo[a]:lo[a] + width_march]
+        seg += PZ[a, :, 3:3 + seg.shape[1]]
 
     # Stored I and I' rows at past march nodes, needed only when t - tau
     # lands in the computed part (k = 1 orbits).  The first n_stored
@@ -638,11 +604,25 @@ def _period_map(orbit: PeriodicOrbit, N: int, step: float) -> _PeriodMap:
             Y = np.dot(P[i], Y) + inj[i - n_hist] @ looked
 
     tail[-2:] = Y[:2]  # the march ends at t = T, the last node
+    del P, D, stencils, PZ, stored  # freed before the map is assembled, for a lower peak
+
+    # The band keeps the nonzeros of the stencil rows and chunk rows, row by row.
+    from scipy.sparse import csr_array
 
     shift_j0, shift_w = _lagrange_stencils(out_times[:n_shift] + tau, N, spacing)
-    rows = chunk * chunk_rows.shape[1] + slot
-    window = np.minimum(lo[:, None] + np.arange(bw), n_cols - 1)
-    return _PeriodMap(shift_j0, shift_w, cols, states, window, chunk_rows, rows, tail)
+    n, n_tail = N + 2, len(tail)
+    (si, sj), (bi, bj) = np.nonzero(shift_w), np.nonzero(rows[:, 3:])
+    band = csr_array((np.concatenate([shift_w[si, sj], rows[bi, 3 + bj]]),
+                      np.concatenate([shift_j0[si] + sj, cols[lo[chunk[bi]] + bj]]),
+                      np.searchsorted(np.concatenate([si, n_shift + bi]), np.arange(n + 1))),
+                     shape=(n, n))
+    lift = csr_array((np.concatenate([rows[:, :3].ravel(), np.ones(n_tail)]),
+                      np.concatenate([(3 * chunk[:, None] + np.arange(3)).ravel(),
+                                      3 * n_chunks + np.arange(n_tail)]),
+                      np.concatenate([np.zeros(n_shift, dtype=int), 3 * np.arange(n_band + 1),
+                                      3 * n_band + np.arange(1, n_tail + 1)])),
+                     shape=(n, len(block)))
+    return _PeriodMap(band, lift, block, cols)
 
 
 def _march_steps(T: float, tau: float, step: float) -> int:

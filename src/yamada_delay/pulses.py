@@ -77,14 +77,15 @@ GUESS_DELAYS = 4.0
 DRIFT_ESTIMATE = 3.0
 #: Screening run of :func:`scan_kappa_min`: its length in delays, the time
 #: in delays after which a pulse must occur (the seeded pulse has then
-#: regenerated twice), and that pulse's least height as a share of the
-#: seed's peak intensity; and the screen's step control, whatever the
-#: caller's, since a verdict only chooses which kappas are run in full.
-#: Of rtol = 1e-4, 2e-4, 3e-4, 5e-4 and 1e-3 (atol = rtol / 100, the
-#: default's ratio), 3e-4 was the first to change a scan's full runs (at
-#: tau = 50) on the scans of ``TestScreenControl`` in
+#: regenerated twice), and the least sampled peak intensity from then on,
+#: as a share of the seed's peak intensity; and the screen's step control,
+#: whatever the caller's, since a verdict only chooses which kappas are
+#: run in full.  Of rtol = 1e-4, 2e-4, 3e-4, 5e-4 and 1e-3 (atol = rtol /
+#: 100, the default's ratio), 3e-4 was the first to change a scan's full
+#: runs (at tau = 50) on the scans of ``TestScreenControl`` in
 #: ``tests/test_pulses.py``, at tau = 100, 150, 600 and 800, and at the
-#: benchmark's delays of seeds 1 to 5.
+#: benchmark's delays of seeds 1 to 5, when the screen still read the
+#: largest node value of ``I``.
 _SCREEN_DELAYS = 3.0
 _SCREEN_AFTER = 2.0
 _SCREEN_FRAC = 0.5
@@ -161,12 +162,13 @@ def _upward_root(y0, d0, y1, d1) -> np.ndarray:
     return x
 
 
-def _peak_intensity(trajectory: Trajectory) -> float:
+def _peak_intensity(trajectory: Trajectory, since: float = -math.inf) -> float:
     """Peak of ``I`` over ``trajectory.sample(SAMPLE_DT)``, interpolating only near it.
 
-    On node interval ``i`` (length ``h``), the cubic Hermite piece of ``I``
-    is a convex combination of ``I_i`` and ``I_{i+1}`` plus ``h I'_i`` and
-    ``h I'_{i+1}`` with weights ``s (1 - s)^2`` and ``s^2 (s - 1)``, each at
+    Only the samples at ``t >= since`` count.  On node interval ``i``
+    (length ``h``), the cubic Hermite piece of ``I`` is a convex
+    combination of ``I_i`` and ``I_{i+1}`` plus ``h I'_i`` and ``h
+    I'_{i+1}`` with weights ``s (1 - s)^2`` and ``s^2 (s - 1)``, each at
     most 4/27 in size, so no sample on it exceeds the bound
 
         ``max(I_i, I_{i+1}) + (4/27) h (|I'_i| + |I'_{i+1}|)``.
@@ -177,17 +179,19 @@ def _peak_intensity(trajectory: Trajectory) -> float:
     subnormal terms.  The samples next to the node of largest ``I`` give a
     level the peak reaches; an interval whose bound lies below it cannot
     hold the peak, so only the samples in the other intervals are
-    interpolated.  The result is the maximum over all samples, bit for bit
-    (``tests/pulses_reference.py`` keeps the full-sample maximum).
+    interpolated.  The result is the maximum over all those samples, bit
+    for bit (``tests/pulses_reference.py`` keeps the full-sample maximum).
     """
     t, ival, dval = trajectory.t, trajectory.y[:, 2], trajectory.yp[:, 2]
     ts = trajectory._sample_times(SAMPLE_DT)
+    ts = ts[np.searchsorted(ts, since):]
     # Interval i holds the samples t_i <= ts < t_{i+1}; the last also holds t1.
     counts = np.diff(np.searchsorted(ts, t[:-1]), append=len(ts))
     slope = np.diff(t) * (np.abs(dval[:-1]) + np.abs(dval[1:]))
     bound = (np.maximum(ival[:-1], ival[1:]) + (4.0 / 27.0) * slope
              + (PEAK_MARGIN * (np.abs(ival[:-1]) + np.abs(ival[1:]) + slope) + 1e-300))
-    top = int(np.searchsorted(ts, t[np.argmax(ival)]))
+    late = int(np.searchsorted(t, since))
+    top = int(np.searchsorted(ts, t[late + np.argmax(ival[late:])]))
     level = trajectory._interpolate(ts[max(top - 1, 0):top + 1], slice(2, 3)).max()
     # Written so that a NaN bound or level keeps its samples (the maximum is then NaN).
     keep = np.repeat(~(bound < level), counts)
@@ -722,14 +726,15 @@ def _regenerates(params: ModelParams, history: HistorySpec, level: float) -> boo
     """Screening verdict of :func:`scan_kappa_min`: does the seeded pulse regenerate twice?
 
     Integrates ``_SCREEN_DELAYS`` delays at ``_SCREEN_CONTROL`` and
-    reports whether a node after ``_SCREEN_AFTER`` delays reaches the
-    intensity ``level``.  The verdict only predicts
+    reports whether the peak intensity from ``_SCREEN_AFTER`` delays on
+    reaches ``level``.  The peak is that of the samples, as in
+    :func:`measure_train`, not of the nodes, so the verdict does not hinge
+    on where the step control puts them.  The verdict only predicts
     :func:`classify_response`; the scan never returns it.
     """
     tau = params.tau
     traj = integrate(params, history, _SCREEN_DELAYS * tau, _SCREEN_CONTROL)
-    late = traj.y[np.searchsorted(traj.t, _SCREEN_AFTER * tau, side="right"):, 2]
-    return bool(late.max() >= level)
+    return _peak_intensity(traj, since=_SCREEN_AFTER * tau) >= level
 
 
 def scan_kappa_min(

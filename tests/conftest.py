@@ -7,6 +7,8 @@ the module tests and the acceptance gate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -107,15 +109,17 @@ def roundtrip_orbits():
 def kappa_scans():
     """Feedback-onset scans at tau = 200 and 400, as in the benchmark.
 
-    Returns the onsets and, for each oracle run in call order, the run's
-    peak intensity next to the full-sample peak of ``pulses_reference``.
+    Returns the onsets and, in call order, the peak intensity of each
+    oracle run and of each screening run (from ``since`` on) next to the
+    full-sample peak of ``pulses_reference`` over the same samples.
     """
-    onsets, peaks = {}, []
+    onsets, peaks, screens = {}, [], []
     peak_intensity = pulses._peak_intensity
 
-    def recorded(trajectory):
-        peak = peak_intensity(trajectory)
-        peaks.append((peak, pulses_reference.sampled_peak_intensity(trajectory)))
+    def recorded(trajectory, since=-math.inf):
+        peak = peak_intensity(trajectory, since)
+        reference = pulses_reference.sampled_peak_intensity(trajectory, since)
+        (peaks if since == -math.inf else screens).append((peak, reference))
         return peak
 
     with pytest.MonkeyPatch.context() as mp:
@@ -123,7 +127,7 @@ def kappa_scans():
         for tau in (200.0, 400.0):
             p = preset("figure1", tau=tau)
             onsets[tau] = scan_kappa_min(p, tau, (0.004, 0.02), 2.5e-4)
-    return onsets, peaks
+    return onsets, peaks, screens
 
 
 @pytest.fixture(scope="session")

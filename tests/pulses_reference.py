@@ -35,7 +35,8 @@ Test-only code; nothing under ``src/`` imports it.
   bisection's, one of them sustained), not counting the upper end.
 * :func:`regenerates` and :func:`screened_scan` -- the scan's screen as
   it was before it got its own loose step control: the screening runs
-  integrate at the caller's ``control``, and the scan classifies the
+  integrate at the caller's ``control`` and read the largest node value
+  of ``I`` (the scan reads the sampled peak), and the scan classifies the
   lower end in full before it screens.  The differential tests in
   ``test_pulses.py`` require the scan to return the same onset and to
   make the same full runs, but for the lower end.
@@ -93,10 +94,11 @@ def bisection_pulses(trajectory, threshold: float, refractory: float = REFRACTOR
     return np.array(times)
 
 
-def sampled_peak_intensity(trajectory: Trajectory) -> float:
-    """Peak of ``I`` over ``trajectory.sample(SAMPLE_DT)``, every sample interpolated."""
+def sampled_peak_intensity(trajectory: Trajectory, since: float = -math.inf) -> float:
+    """Peak of ``I`` over the samples at ``t >= since`` of
+    ``trajectory.sample(SAMPLE_DT)``, every one interpolated."""
     ts = trajectory._sample_times(SAMPLE_DT)
-    return float(trajectory._interpolate(ts, slice(2, 3)).max())
+    return float(trajectory._interpolate(ts[ts >= since], slice(2, 3)).max())
 
 
 def settle_train(

@@ -497,3 +497,22 @@ class TestBrokenPipe:
         _, err = proc.communicate(timeout=120)
         assert err == b""
         assert proc.returncode == 1
+
+
+class TestImportCost:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported where it is used (sparse maps, ARPACK, LU, the
+        # period refinement), so a cold start that needs none of it, such
+        # as a spectrum, pays none of its import time
+        code = "\n".join([
+            "import sys",
+            "import yamada_delay",
+            "import yamada_delay.cli",
+            "yamada_delay.cli.build_parser()",
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+        ])
+        src = os.path.dirname(os.path.dirname(yamada_delay.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "[]"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -31,6 +32,24 @@ from yamada_delay import floquet
 from yamada_delay.floquet import _leading_eigs, _period_map, _step_maps
 
 from floquet_reference import arpack_reference, full_period_map, reduced_period_map
+
+
+def lifted(op):
+    """How many block rows the lift takes to each row of a period map:
+    0 for an interpolation row, 3 for a row sampled in a chunk, 1 for a
+    row of the dense tail."""
+    return np.diff(op.lift.indptr)
+
+
+def stencil_rows(op):
+    return int(np.count_nonzero(lifted(op) == 0))
+
+
+def chunk_count(op):
+    """The chunks of the march: each holds three block rows, which all of
+    its rows read."""
+    chunk_rows = np.repeat(lifted(op) == 3, lifted(op))
+    return len(np.unique(op.lift.indices[chunk_rows])) // 3
 
 
 class TestConstantOrbitOracle:
@@ -65,7 +84,7 @@ class TestConstantOrbitOracle:
         traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 20.0)
         orbit = PeriodicOrbit(traj, T, 1, p, traj.t1, 0.0)
         op = _period_map(orbit, 41, 0.05)
-        n_shift = len(op.shift_w)
+        n_shift = stencil_rows(op)
         assert n_shift > 0 and np.asarray(op)[:n_shift, :n_shift].any()
         with pytest.warns(UserWarning):
             fs = monodromy_multipliers(orbit, m=12)
@@ -139,6 +158,17 @@ class TestConstantOrbitOracle:
         with pytest.raises(RuntimeError, match="was built"):
             monodromy_multipliers(orbit, step=0.05)
 
+    @pytest.mark.parametrize("kwargs, name", [({"N": 121.5}, "N"), ({"N": np.True_}, "N"),
+                                              ({"m": 8.0}, "m"), ({"m": True}, "m")])
+    def test_counts_must_be_integers(self, kwargs, name):
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer, got"):
+            monodromy_multipliers(self.constant_orbit(), **kwargs)
+
+    def test_numpy_integer_counts(self):
+        with pytest.warns(UserWarning):
+            fs = monodromy_multipliers(self.constant_orbit(), N=np.int64(16), m=np.int32(12))
+        assert fs.N == 16 and len(fs) == 12
+
     @pytest.mark.parametrize("m", [0, -3])
     def test_needs_at_least_one_multiplier(self, m):
         with pytest.raises(InvalidArgumentError, match=f"m = {m}"):
@@ -152,7 +182,7 @@ class TestConstantOrbitOracle:
         d = fs.diagnostics
         assert d["N"] == fs.N == 16 and d["dim"] == fs.N + 2
         assert d["marched_columns"] == len(op.cols)
-        assert d["stencil_rows"] == len(op.shift_w) > 0
+        assert d["stencil_rows"] == stencil_rows(op) > 0
         assert d["march_s"] > 0.0 and d["eig_s"] > 0.0
         assert d["eig_method"] == "arpack" and d["converged"] == 12
         assert 0 < d["matvecs"] <= 2 * 12 + 2
@@ -160,8 +190,8 @@ class TestConstantOrbitOracle:
         assert d["trivial_defect"] == abs(fs.trivial - 1.0)
         assert d["map_bytes"] == op.nbytes
         assert d["march_step"] == 3.0 / 60
-        assert d["chunks"] == len(op.states) > 0
-        assert d["band_width"] == op.window.shape[1] > 0
+        assert d["chunks"] == chunk_count(op) > 0
+        assert d["band_nnz"] == op.band.nnz > 0
         # the default output carries none of it
         assert set(fs.to_json_obj()) == {"multipliers", "N", "trivial", "period"}
         with pytest.warns(UserWarning):
@@ -365,8 +395,8 @@ class TestTwoBlockPeriodMap:
         assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max()
 
     def test_impossible_size_fails_before_the_march(self, orbits, monkeypatch):
-        # the chunk states (2000 chunks of 3 x 10^7 here, 480 TB) are
-        # allocated as soon as their shape is known, before the history
+        # the block of chunk states (2000 chunks of 3 x 10^7 here, 480 TB)
+        # is allocated as soon as its shape is known, before the history
         # windows, the bands and the sample weights
         def built(*args):
             raise AssertionError("history windows built before the block was allocated")
@@ -389,27 +419,30 @@ class TestTwoBlockPeriodMap:
     def test_zero_right_of_front(self, cases):
         # the reference march knows nothing of the layout: each marched row
         # of it and of the assembled map is exactly zero right of the same
-        # front, save the last-node columns.  Outside its chunk's band, a
-        # row sampled in a chunk is its 3-vector times the chunk's start
-        # state, and the band is the least for which that holds.
+        # front, save the last-node columns.  Past what the lift makes of
+        # the block, a marched row is its band row, which reads marched
+        # columns only and stores no zeros; a chunk's band rows read a
+        # window of columns that moves forward with the chunks.
         for key, (fs, op, M) in cases.items():
-            n_shift = len(op.shift_w)
+            n_shift = stencil_rows(op)
             last = [np.array([np.flatnonzero(row).max() for row in A[n_shift:, :-3]])
                     for A in (M, np.asarray(op))]
             assert np.array_equal(last[0], last[1]), key
             assert (last[0] <= len(op.cols) - 4).all(), key
-            chunk, slot = np.divmod(op.rows, op.chunk_rows.shape[1])
             scale = np.abs(M).max()
-            first_read, last_read = [], []
-            for a, (state, window) in enumerate(zip(op.states, op.window)):
-                parts = op.chunk_rows[a, slot[chunk == a]]
-                rest = M[n_shift + np.flatnonzero(chunk == a)][:, op.cols] - parts[:, :3] @ state
-                assert np.abs(np.delete(rest, window, axis=1)).max(initial=0.0) <= 1e-13 * scale, key
-                read = np.flatnonzero((np.abs(rest[:, window]) > 1e-13 * scale).any(axis=0))
-                if len(read):
-                    first_read.append(read[0])
-                    last_read.append(read[-1])
-            assert min(first_read) == 0 and max(last_read) == op.window.shape[1] - 1, key
+            band = op.band.toarray()[n_shift:]
+            rest = M[n_shift:][:, op.cols] - (op.lift @ op.block)[n_shift:]
+            assert np.abs(rest - band[:, op.cols]).max() <= 1e-13 * scale, key
+            assert not np.delete(band, op.cols, axis=1).any(), key
+            assert (op.band.data != 0.0).all() and op.band.has_canonical_format, key
+            in_chunk = lifted(op)[n_shift:] == 3
+            assert not band[~in_chunk].any(), key  # the dense tail lies in the block
+            chunk = op.lift.indices[op.lift.indptr[n_shift:-1][in_chunk]] // 3
+            reach = [np.flatnonzero(band[in_chunk][chunk == a].any(axis=0)) for a in np.unique(chunk)]
+            reach = [r for r in reach if len(r)]
+            assert np.all(np.diff([r[0] for r in reach]) >= 0), key
+            assert np.all(np.diff([r[-1] for r in reach]) >= 0), key
+            assert max(r[-1] - r[0] for r in reach) < len(op.cols) // 2, key
 
     def test_chunk_boundaries(self):
         # against the reference march on constant orbits whose chunks
@@ -425,7 +458,7 @@ class TestTwoBlockPeriodMap:
             h, spacing = 3.0 / n_hist, tau / (N - 1)
             B = round(math.sqrt(3.0 * n_hist * spacing / h))
             op = _period_map(orbit, N, step)
-            assert len(op.states) == math.ceil(n_hist / B)
+            assert chunk_count(op) == math.ceil(n_hist / B)
             if step == 0.05 and tau == 10.0:
                 sampled = 3.0 - tau + spacing * np.arange(N)
                 assert n_hist % B == 0 and np.isclose(sampled, B * h, rtol=0, atol=1e-12).any()
@@ -433,7 +466,11 @@ class TestTwoBlockPeriodMap:
             elif tau == 10.0:
                 assert 0 < n_hist % B
             else:
-                assert n_hist < B and 3.0 < spacing and {0, N - 6} <= set(op.shift_j0.tolist())
+                # the first stencil column of each interpolation row
+                n_shift = stencil_rows(op)
+                assert (np.diff(op.band.indptr[:n_shift + 1]) == 6).all()
+                j0 = op.band.indices[op.band.indptr[:n_shift]]
+                assert n_hist < B and 3.0 < spacing and {0, N - 6} <= set(j0.tolist())
             M = reduced_period_map(orbit, N, step)
             assert np.abs(np.asarray(op) - M).max() <= 1e-13 * np.abs(M).max(), (tau, N, step)
             for x in np.random.default_rng(3).standard_normal((3, len(M))):
@@ -449,14 +486,15 @@ class TestTwoBlockPeriodMap:
         monkeypatch.setattr(np, "empty", lambda *args, **kw: np.full_like(empty(*args, **kw), np.nan))
         for key, (op, _) in period_maps.items():
             dirty = _period_map(orbits[key], op.shape[0] - 2, 0.05)
-            for name in ("shift_j0", "shift_w", "cols", "states", "window", "chunk_rows",
-                         "rows", "tail"):
-                assert np.array_equal(getattr(dirty, name), getattr(op, name)), (key, name)
+            for name in ("band.data", "band.indices", "band.indptr", "lift.data", "lift.indices",
+                         "lift.indptr", "block", "cols"):
+                got, want = (operator.attrgetter(name)(o) for o in (dirty, op))
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (key, name)
 
     def test_stored_bytes(self, period_maps, floquet_sets):
         # about half of the dense block of marched rows on marched columns
         for key, (op, _) in period_maps.items():
-            block = (op.shape[0] - len(op.shift_w)) * len(op.cols) * 8
+            block = (op.shape[0] - stencil_rows(op)) * len(op.cols) * 8
             assert op.nbytes <= 0.55 * block, key
             assert floquet_sets[key].diagnostics["map_bytes"] == op.nbytes, key
 
@@ -466,7 +504,7 @@ class TestTwoBlockPeriodMap:
         p = preset("figure1", kappa=0.1, tau=1000.0)
         traj = integrate(p, HistorySpec.constant(State(p.A, p.B, 0.0)), 1010.0)
         op = _period_map(PeriodicOrbit(traj, 1003.0, 1, p, traj.t1, 0.0), 4000, 0.05)
-        assert op.shape == (4002, 4002) and len(op.shift_w) == 0
+        assert op.shape == (4002, 4002) and stencil_rows(op) == 0
         assert op.nbytes <= 16e6
 
     def test_stencil_rows_and_marched_columns(self, cases):
@@ -475,9 +513,9 @@ class TestTwoBlockPeriodMap:
         for (k, tau), (fs, op, M) in cases.items():
             n = len(M)
             if k == 1:
-                assert len(op.shift_w) == 0 and len(op.cols) == n
+                assert stencil_rows(op) == 0 and len(op.cols) == n
             else:
-                assert 0.45 * n < len(op.shift_w) < 0.55 * n
+                assert 0.45 * n < stencil_rows(op) < 0.55 * n
                 assert len(op.cols) < 0.55 * n
 
     @pytest.fixture(scope="class")

@@ -163,9 +163,16 @@ class TestPeakSearch:
     def test_scan_oracle_runs(self, kappa_scans):
         # the 2 classification runs of each onset scan, as in the benchmark:
         # the screened final cell's two ends
-        _, peaks = kappa_scans
+        _, peaks, _ = kappa_scans
         assert len(peaks) == 4
         for peak, reference in peaks:
+            assert peak == reference
+
+    def test_scan_screen_runs(self, kappa_scans):
+        # the 6 screening runs of each onset scan, read from two delays on
+        _, _, screens = kappa_scans
+        assert len(screens) == 12
+        for peak, reference in screens:
             assert peak == reference
 
     @pytest.mark.parametrize("t0, gaps, intensity, slope", [
@@ -617,7 +624,8 @@ class TestFeedbackOnset:
 
 
 class TestScreenControl:
-    """The screen at its own loose step control changes no full run.
+    """The screen at its own loose step control, reading the sampled peak,
+    changes no full run.
 
     Each scan of the CI configurations and of the benchmark bracket runs
     as ``scan_kappa_min`` and as ``pulses_reference.screened_scan``, the
